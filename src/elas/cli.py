@@ -2,9 +2,9 @@
 
 Subcommands: parse, check, valid, sat, translate, prove, suite.
 
-Exit codes are a stable contract: 0 for success / a true verdict / all
-expectations met, 1 for a false verdict / a failed expectation, 2 for
-usage, parse or validation errors.
+Exit codes are a stable contract: 0 for success, 1 for a false verdict of
+check or a failed expectation of prove / suite, 2 for usage, parse or
+validation errors.  valid and sat exit 0 whichever verdict they print.
 """
 
 from __future__ import annotations
@@ -222,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--epistemic", action="store_true",
                        help="restrict to epistemic frames (the default)")
         p.add_argument("--jobs", type=int, default=1,
-                       help="parallel scan workers")
+                       help="parallel scan workers (at least 1)")
 
     p = sub.add_parser("parse", help="parse a formula, print it and its free variables")
     p.add_argument("formula")

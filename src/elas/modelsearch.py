@@ -6,10 +6,16 @@ requested bounds.  Enumeration order is fixed and documented: world count,
 then agent count, then the per-agent relations, then the predicate
 interpretation, then the name interpretation, each lexicographically; a
 model's worlds and then the covering assignments are scanned in order too.
-Isomorphic duplicates are enumerated (correctness over speed).
 
 ``enumerate_models`` materialises that stream.  ``find_countermodel`` and
-``find_witness`` walk the same order but keep the candidate model in a
+``find_witness`` walk the same order but skip every tuple of per-agent
+relations that is not the lexicographic minimum of its orbit under
+permutations of the worlds and of the agents (lex-leader symmetry
+breaking, as in SEM's least-number heuristic and in MACE-style finders).
+This is exact: an isomorphic copy of a hit is a hit, because every world,
+predicate and name interpretation and free assignment is scanned, and the
+relation tuple is the outermost key of the order, so the first hit always
+lies on an orbit-minimal tuple.  They also keep the candidate model in a
 compact form: for a fixed choice of relations and name interpretation the
 truth value of the formula at every (world, assignment) cell is computed
 for *all* predicate interpretations at once, as a bitmask indexed by the
@@ -25,6 +31,8 @@ for the models within the bounds, and verdicts say so.
 from __future__ import annotations
 
 import itertools
+import multiprocessing
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -39,13 +47,18 @@ from .syntax import (
 
 _VECTOR_BITS = 16        # rho choices handled per bitmask chunk: 2**16
 
+# Blocks whose estimated scan work (see _scan_work) is below this are
+# scanned in-process even with jobs > 1: a scan gets through 1.5-9 million
+# units a second on a 2-core machine, and a spawned worker pool costs about
+# 0.3 s to start, so smaller blocks finish before a pool would pay off.
+_PARALLEL_WORK = 2_000_000
+
 
 @dataclass(frozen=True)
 class SearchBounds:
     max_worlds: int = 3
     max_agents: int = 3
     epistemic: bool = True
-    max_random_trials: int = 0
 
     def __post_init__(self):
         if self.max_worlds < 1 or self.max_agents < 1:
@@ -70,9 +83,6 @@ class Witness:
 @dataclass(frozen=True)
 class UnsatisfiableUpTo:
     bounds: SearchBounds
-
-
-Verdict = object
 
 
 # ---------------------------------------------------------------------------
@@ -106,12 +116,7 @@ class _Layout:
         self.all_mask = (1 << self.vec_size) - 1
         self.bit_masks = [self._periodic_mask(p) for p in range(self.vec_bits)]
 
-        # relations pool (shared by every agent)
-        if epistemic:
-            self.partitions = set_partitions(n)
-            self.rel_pool = [self._succ_from_partition(p) for p in self.partitions]
-        else:
-            self.rel_pool = [self._succ_from_bits(r) for r in range(1 << (n * n))]
+        self.rel_pool = _relation_pool(n, epistemic)
 
         # assignment grid: one column per total assignment of the formula's
         # variables (bound ones included); scanning covers the free ones.
@@ -137,14 +142,6 @@ class _Layout:
             mask |= mask << width
             width *= 2
         return mask
-
-    def _succ_from_partition(self, rgs) -> tuple:
-        return tuple(tuple(v for v in range(self.n) if rgs[v] == rgs[w])
-                     for w in range(self.n))
-
-    def _succ_from_bits(self, r: int) -> tuple:
-        return tuple(tuple(v for v in range(self.n) if (r >> (w * self.n + v)) & 1)
-                     for w in range(self.n))
 
     def bit_position(self, sym: str, w: int, digits) -> int:
         index = 0
@@ -280,20 +277,58 @@ def _blocks(bounds: SearchBounds):
             yield n, k
 
 
-def _scan_slice(phi, sig, n, k, epistemic, want_false, rel_slice):
-    """Scan a contiguous slice of the relation choices of one block; return
-    the canonically first hit in the slice, or None.
+def _relation_pool(n: int, epistemic: bool) -> list:
+    """Every per-agent relation on n worlds, as a successor tuple, in
+    enumeration order: the set partitions for epistemic frames, every
+    subset of n x n (bit w*n+v set for the pair (w, v)) otherwise."""
+    if epistemic:
+        return [tuple(tuple(v for v in range(n) if rgs[v] == rgs[w])
+                      for w in range(n))
+                for rgs in set_partitions(n)]
+    return [tuple(tuple(v for v in range(n) if (r >> (w * n + v)) & 1)
+                  for w in range(n))
+            for r in range(1 << (n * n))]
 
-    The hit is reported as (rel position, rho index, eta position, world
-    index, free-assignment position) plus the data needed to rebuild it.
+
+def _representatives(pool: list, n: int, k: int):
+    """Yield, in lexicographic order, the k-tuples of pool indices that are
+    the minimum of their orbit under world and agent permutations.
+
+    Permuting agents permutes the tuple, so the orbit minimum is sorted.
+    A world permutation maps every pool relation to another one; one
+    table row per non-identity permutation holds that map, and a sorted
+    tuple is kept when no row sends it to a smaller sorted tuple.
+    """
+    index = {succ: i for i, succ in enumerate(pool)}
+    table = []
+    for perm in itertools.islice(itertools.permutations(range(n)), 1, None):
+        row = []
+        for succ in pool:
+            moved = [()] * n
+            for w in range(n):
+                moved[perm[w]] = tuple(sorted(perm[v] for v in succ[w]))
+            row.append(index[tuple(moved)])
+        table.append(row)
+    for rels in itertools.combinations_with_replacement(range(len(pool)), k):
+        if all(tuple(sorted(row[r] for r in rels)) >= rels for row in table):
+            yield rels
+
+
+def _scan_slice(phi, sig, n, k, epistemic, want_false, rel_combos=None):
+    """Scan the given relation tuples of one block in order (by default
+    every orbit-minimal one); return the canonically first hit, or None.
+
+    The hit is (relation tuple, rho index, eta position, world index,
+    free-assignment position), which is its position in the canonical
+    order, followed by the eta digits and free-assignment digits needed to
+    rebuild it.
     """
     lay = _Layout(sig, n, k, epistemic, all_vars(phi), free_vars(phi))
     run = _compile(phi, lay)
     ALL = lay.all_mask
-    rel_indices = range(len(lay.rel_pool))
-    for rel_pos, rel_combo in enumerate(itertools.product(rel_indices, repeat=k)):
-        if rel_slice is not None and not (rel_slice[0] <= rel_pos < rel_slice[1]):
-            continue
+    if rel_combos is None:
+        rel_combos = _representatives(lay.rel_pool, n, k)
+    for rel_combo in rel_combos:
         succ = tuple(lay.rel_pool[i] for i in rel_combo)
         for high in range(1 << lay.high_bits):
             best = None
@@ -310,54 +345,71 @@ def _scan_slice(phi, sig, n, k, epistemic, want_false, rel_slice):
                             if best is None or key < best[0]:
                                 best = (key, eta, combo)
             if best is not None:
-                (low, _eta_pos, w, _cell_pos), eta, combo = best
+                (low, eta_pos, w, cell_pos), eta, combo = best
                 rho_index = (high << lay.vec_bits) | low
-                return (rel_pos, rho_index, best[0][1], w, best[0][3],
-                        rel_combo, eta, combo)
+                return (rel_combo, rho_index, eta_pos, w, cell_pos, eta, combo)
     return None
 
 
 def _materialize(phi, sig, n, k, epistemic, hit) -> PointedModel:
     lay = _Layout(sig, n, k, epistemic, all_vars(phi), free_vars(phi))
-    _relpos, rho_index, _etapos, w, _cellpos, rel_combo, eta, combo = hit
+    rel_combo, rho_index, _etapos, w, _cellpos, eta, combo = hit
     model = lay.build_model(sig, rel_combo, rho_index, eta)
     sigma = {v: lay.agents[g] for v, g in zip(lay.free, combo)}
     return PointedModel(model, lay.worlds[w], sigma)
 
 
+def _scan_work(lay: _Layout, n_reps: int, phi: Formula) -> int:
+    """Estimated work of scanning n_reps relation tuples: compiled passes
+    times (world, assignment) cells times formula nodes."""
+    passes = (n_reps << lay.high_bits) * lay.k ** lay.eta_digits
+    return passes * lay.n * lay.S * node_count(phi)
+
+
+def _stride_slices(reps: list, jobs: int) -> list:
+    """Deal the representatives to min(jobs, CPUs, len(reps)) workers by
+    stride, so that every worker gets small and large tuples alike."""
+    workers = min(jobs, os.cpu_count() or 1, len(reps))
+    return [reps[i::workers] for i in range(workers)]
+
+
 def _search(phi: Formula, bounds: SearchBounds, want_false: bool,
             jobs: int = 1):
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, not {jobs}")
     sig = formula_signature(phi)
     sig = Signature(sig.predicates, sig.names)   # variables live in sigma
-    for n, k in _blocks(bounds):
-        if jobs > 1 and bounds.epistemic:
-            hit = _parallel_block(phi, sig, n, k, bounds.epistemic,
-                                  want_false, jobs)
-        else:
-            hit = _scan_slice(phi, sig, n, k, bounds.epistemic, want_false, None)
-        if hit is not None:
-            pointed = _materialize(phi, sig, n, k, bounds.epistemic, hit)
-            value = eval_formula(pointed.model, pointed.world, pointed.sigma, phi)
-            if value == want_false:
-                raise RuntimeError(
-                    "internal error: fast scan and reference evaluator disagree")
-            return pointed
+    pool = None
+    try:
+        for n, k in _blocks(bounds):
+            task = (phi, sig, n, k, bounds.epistemic, want_false)
+            reps, slices = None, []
+            if jobs > 1:
+                lay = _Layout(sig, n, k, bounds.epistemic, all_vars(phi),
+                              free_vars(phi))
+                reps = list(_representatives(lay.rel_pool, n, k))
+                if _scan_work(lay, len(reps), phi) >= _PARALLEL_WORK:
+                    slices = _stride_slices(reps, jobs)
+            if len(slices) < 2:
+                hit = _scan_slice(*task, reps)
+            else:
+                if pool is None:
+                    pool = ProcessPoolExecutor(
+                        max_workers=min(jobs, os.cpu_count() or 1),
+                        mp_context=multiprocessing.get_context("spawn"))
+                hits = pool.map(_scan_worker, [task + (sl,) for sl in slices])
+                hit = min((h for h in hits if h is not None), default=None)
+            if hit is not None:
+                pointed = _materialize(phi, sig, n, k, bounds.epistemic, hit)
+                value = eval_formula(pointed.model, pointed.world, pointed.sigma, phi)
+                if value == want_false:
+                    raise RuntimeError(
+                        "internal error: fast scan and reference evaluator disagree")
+                return pointed
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
     return None
-
-
-def _parallel_block(phi, sig, n, k, epistemic, want_false, jobs):
-    total = (len(set_partitions(n)) if epistemic else 1 << (n * n)) ** k
-    jobs = min(jobs, total)
-    step = (total + jobs - 1) // jobs
-    slices = [(lo, min(lo + step, total)) for lo in range(0, total, step)]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        results = list(pool.map(
-            _scan_worker,
-            [(phi, sig, n, k, epistemic, want_false, sl) for sl in slices]))
-    hits = [h for h in results if h is not None]
-    if not hits:
-        return None
-    return min(hits, key=lambda h: h[:5])
 
 
 def _scan_worker(args):
@@ -365,7 +417,7 @@ def _scan_worker(args):
 
 
 def find_countermodel(phi: Formula, bounds: SearchBounds,
-                      jobs: int = 1) -> Verdict:
+                      jobs: int = 1) -> Countermodel | NoCountermodelUpTo:
     """First pointed model within the bounds where phi is false, scanning
     the canonical enumeration; the hit is re-verified by the reference
     evaluator."""
@@ -375,7 +427,8 @@ def find_countermodel(phi: Formula, bounds: SearchBounds,
     return Countermodel(pointed)
 
 
-def find_witness(phi: Formula, bounds: SearchBounds, jobs: int = 1) -> Verdict:
+def find_witness(phi: Formula, bounds: SearchBounds,
+                 jobs: int = 1) -> Witness | UnsatisfiableUpTo:
     """Dual of find_countermodel: first pointed model where phi is true."""
     pointed = _search(phi, bounds, want_false=False, jobs=jobs)
     if pointed is None:
@@ -385,7 +438,8 @@ def find_witness(phi: Formula, bounds: SearchBounds, jobs: int = 1) -> Verdict:
 
 def enumerate_models(sig: Signature, bounds: SearchBounds):
     """Yield every model over the signature within the bounds, in the
-    canonical order the searches use.  The stream is exponential in the
+    canonical order; the searches walk the same order, skipping relation
+    tuples that are not orbit-minimal.  The stream is exponential in the
     bounds; it is meant for desk-scale signatures."""
     for n, k in _blocks(bounds):
         lay = _Layout(sig, n, k, bounds.epistemic, (), ())

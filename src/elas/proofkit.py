@@ -396,7 +396,10 @@ def instantiate_lemma(name: str, bindings: dict) -> Formula:
 
 def check_step(script: ProofScript, index: int) -> StepVerdict:
     """Validate the justification of one step against the steps before it."""
-    by_index = {s.index: s for s in script.steps}
+    return _check_step({s.index: s for s in script.steps}, index)
+
+
+def _check_step(by_index: dict, index: int) -> StepVerdict:
     step = by_index.get(index)
     if step is None:
         return StepVerdict(index, False, f"no step {index}")
@@ -487,8 +490,9 @@ def check_proof(script: ProofScript) -> ProofReport:
                                         "step indices must strictly increase"))
             structural_ok = False
         previous = step.index
+    by_index = {s.index: s for s in script.steps}
     for step in script.steps:
-        verdicts.append(check_step(script, step.index))
+        verdicts.append(_check_step(by_index, step.index))
     ok = structural_ok and all(v.ok for v in verdicts)
     message = "ok"
     if script.steps[-1].formula != script.goal:

@@ -140,6 +140,10 @@ Formula = Union[Top, Bot, Eq, Pred, Not, And, Or, Implies, Iff, Knows, Assign]
 
 BINARY = (And, Or, Implies, Iff)
 
+# Deepest formula tree the parser accepts; the recursive walkers (printer,
+# evaluators, translation) stay well inside Python's default stack.
+MAX_DEPTH = 100
+
 
 def kh(agent: Term, body: Formula) -> Formula:
     """The dual knowledge operator Kh{t}, i.e. ~K{t}~."""
@@ -361,7 +365,13 @@ def parse_formula(text: str, signature: Signature = None) -> Formula:
     must also agree with it.
     """
     parser = _Parser(text)
-    phi = parser.parse()
+    try:
+        phi = parser.parse()
+    except RecursionError:
+        raise ParseError("formula nested too deeply", 0) from None
+    if formula_depth(phi) > MAX_DEPTH:
+        raise ParseError(f"formula nested too deeply (more than {MAX_DEPTH} "
+                         "levels)", 0)
     if signature is not None:
         for sym, arity in parser.arities.items():
             if sym not in signature.predicates:
@@ -374,6 +384,21 @@ def parse_formula(text: str, signature: Signature = None) -> Formula:
             if nm not in signature.names:
                 raise ParseError(f"name {nm} not in signature", 0)
     return phi
+
+
+def formula_depth(phi: Formula) -> int:
+    """Height of the formula tree (an atom has height 1), computed without
+    recursion so that it is safe on any input."""
+    height, todo = 0, [(phi, 1)]
+    while todo:
+        f, d = todo.pop()
+        height = max(height, d)
+        match f:
+            case Not(body) | Knows(_, body) | Assign(_, _, body):
+                todo.append((body, d + 1))
+            case And(l, r) | Or(l, r) | Implies(l, r) | Iff(l, r):
+                todo += [(l, d + 1), (r, d + 1)]
+    return height
 
 
 def parse_term(text: str) -> Term:

@@ -144,17 +144,23 @@ FOLFormula = object
 # Translation
 
 class _Translator:
-    def __init__(self, universal_assign: bool):
+    def __init__(self, universal_assign: bool, avoid):
         self.universal = universal_assign
+        self.avoid = avoid
         self.counter = 0
+        self.made = set()         # world variables generated
+        self.seen = set()         # variables of the input met on the way
 
     def fresh_world(self) -> str:
-        v = f"v{self.counter}"
+        while f"v{self.counter}" in self.avoid:
+            self.counter += 1
         self.counter += 1
-        return v
+        self.made.add(f"v{self.counter - 1}")
+        return f"v{self.counter - 1}"
 
     def term(self, t: Term, w: str) -> FOLTerm:
         if isinstance(t, Var):
+            self.seen.add(t.id)
             return AgentVar(t.id)
         return NameApp(t.id, WorldVar(w))
 
@@ -183,6 +189,7 @@ class _Translator:
                 guard = RelApp(WorldVar(w), WorldVar(v), self.term(agent, w))
                 return ForallWorld(v, FImplies(guard, self.formula(body, v)))
             case Assign(var, term, body):
+                self.seen.add(var)
                 if isinstance(term, Var) and term.id == var:
                     return self.formula(body, w)
                 value = self.term(term, w)
@@ -193,16 +200,29 @@ class _Translator:
         raise TypeError(f"not a formula: {phi!r}")
 
 
+def _translate(phi: Formula, world_var: str, universal_assign: bool) -> FOLFormula:
+    # One pass avoids only world_var; if a generated name turns out to be a
+    # variable of phi, a second pass avoids all of them.  Both give what
+    # avoiding all_vars(phi) from the start gives, without that extra walk.
+    tr = _Translator(universal_assign, {world_var})
+    out = tr.formula(phi, world_var)
+    if tr.made & tr.seen:
+        tr = _Translator(universal_assign, tr.seen | {world_var})
+        out = tr.formula(phi, world_var)
+    return out
+
+
 def translate(phi: Formula, world_var: str = "w") -> FOLFormula:
     """Standard translation, existential form for the assignment binder.
-    Bound world variables are v0, v1, ... in left-to-right order."""
-    return _Translator(universal_assign=False).formula(phi, world_var)
+    Bound world variables are the first of v0, v1, ... that are neither
+    variables of phi nor world_var, in left-to-right order."""
+    return _translate(phi, world_var, False)
 
 
 def translate_universal(phi: Formula, world_var: str = "w") -> FOLFormula:
     """Standard translation using the universal form of the assignment
     clause; agrees with translate on every model."""
-    return _Translator(universal_assign=True).formula(phi, world_var)
+    return _translate(phi, world_var, True)
 
 
 # ---------------------------------------------------------------------------
@@ -236,23 +256,19 @@ def induce_structure(m: KripkeModel) -> FOLStructure:
     )
 
 
-def _eval_term(s: FOLStructure, val: dict, t: FOLTerm) -> str:
+def _eval_term(s: FOLStructure, worlds: dict, agents: dict, t: FOLTerm) -> str:
     if isinstance(t, WorldVar):
-        if t.id not in val:
-            raise FolEvalError(f"unbound world variable {t.id}")
-        w = val[t.id]
-        if w not in s.worlds:
-            raise SortError(f"{t.id} is bound to {w}, not a world")
-        return w
+        value = worlds.get(t.id)
+        if value in s.worlds:
+            return value
+        raise _variable_error(t.id, value, agents, "world")
     if isinstance(t, AgentVar):
-        if t.id not in val:
-            raise FolEvalError(f"unbound agent variable {t.id}")
-        a = val[t.id]
-        if a not in s.agents:
-            raise SortError(f"{t.id} is bound to {a}, not an agent")
-        return a
+        value = agents.get(t.id)
+        if value in s.agents:
+            return value
+        raise _variable_error(t.id, value, worlds, "agent")
     if isinstance(t, NameApp):
-        w = _eval_term(s, val, t.world)
+        w = _eval_term(s, worlds, agents, t.world)
         key = (t.name, w)
         if key not in s.names:
             raise FolEvalError(f"no interpretation for f_{t.name} at {w}")
@@ -260,42 +276,74 @@ def _eval_term(s: FOLStructure, val: dict, t: FOLTerm) -> str:
     raise TypeError(f"not a first-order term: {t!r}")
 
 
+def _variable_error(var: str, value, other_sort: dict, sort: str) -> Exception:
+    if value is None:
+        value = other_sort.get(var)
+    if value is None:
+        return FolEvalError(f"unbound {sort} variable {var}")
+    article = "an" if sort == "agent" else "a"
+    return SortError(f"{var} is bound to {value}, not {article} {sort}")
+
+
 def fol_eval(s: FOLStructure, valuation: dict, phi: FOLFormula) -> bool:
-    """Classical satisfaction; quantifiers range over the finite domains."""
+    """Classical satisfaction; quantifiers range over the finite domains.
+
+    World and agent variables live in separate namespaces, so a world
+    variable never shadows an agent variable of the same name.  A
+    valuation key is a WorldVar or AgentVar, binding at that sort, or a
+    plain name, bound at the sort of its value (at both if the value is
+    both a world and an agent, or neither).
+    """
+    worlds, agents = {}, {}
+    for key, value in valuation.items():
+        if isinstance(key, WorldVar):
+            worlds[key.id] = value
+        elif isinstance(key, AgentVar):
+            agents[key.id] = value
+        else:
+            if value in s.worlds or value not in s.agents:
+                worlds[key] = value
+            if value in s.agents or value not in s.worlds:
+                agents[key] = value
+    return _holds(s, worlds, agents, phi)
+
+
+def _holds(s: FOLStructure, worlds: dict, agents: dict, phi: FOLFormula) -> bool:
     match phi:
         case FTop():
             return True
         case FBot():
             return False
         case AgentEq(lhs, rhs):
-            return _eval_term(s, valuation, lhs) == _eval_term(s, valuation, rhs)
+            return (_eval_term(s, worlds, agents, lhs)
+                    == _eval_term(s, worlds, agents, rhs))
         case PredApp(sym, world, args):
             if sym not in s.preds:
                 raise FolEvalError(f"unknown relation Q_{sym}")
-            tup = (_eval_term(s, valuation, world),
-                   *(_eval_term(s, valuation, a) for a in args))
+            tup = (_eval_term(s, worlds, agents, world),
+                   *(_eval_term(s, worlds, agents, a) for a in args))
             return tup in s.preds[sym]
         case RelApp(src, dst, agent):
-            triple = (_eval_term(s, valuation, src),
-                      _eval_term(s, valuation, dst),
-                      _eval_term(s, valuation, agent))
+            triple = (_eval_term(s, worlds, agents, src),
+                      _eval_term(s, worlds, agents, dst),
+                      _eval_term(s, worlds, agents, agent))
             return triple in s.rel
         case FNot(body):
-            return not fol_eval(s, valuation, body)
+            return not _holds(s, worlds, agents, body)
         case FAnd(l, r):
-            return fol_eval(s, valuation, l) and fol_eval(s, valuation, r)
+            return _holds(s, worlds, agents, l) and _holds(s, worlds, agents, r)
         case FOr(l, r):
-            return fol_eval(s, valuation, l) or fol_eval(s, valuation, r)
+            return _holds(s, worlds, agents, l) or _holds(s, worlds, agents, r)
         case FImplies(l, r):
-            return (not fol_eval(s, valuation, l)) or fol_eval(s, valuation, r)
+            return (not _holds(s, worlds, agents, l)) or _holds(s, worlds, agents, r)
         case FIff(l, r):
-            return fol_eval(s, valuation, l) == fol_eval(s, valuation, r)
+            return _holds(s, worlds, agents, l) == _holds(s, worlds, agents, r)
         case ForallWorld(var, body):
-            return all(fol_eval(s, {**valuation, var: w}, body) for w in s.worlds)
+            return all(_holds(s, {**worlds, var: w}, agents, body) for w in s.worlds)
         case ExistsAgent(var, body):
-            return any(fol_eval(s, {**valuation, var: a}, body) for a in s.agents)
+            return any(_holds(s, worlds, {**agents, var: a}, body) for a in s.agents)
         case ForallAgent(var, body):
-            return all(fol_eval(s, {**valuation, var: a}, body) for a in s.agents)
+            return all(_holds(s, worlds, {**agents, var: a}, body) for a in s.agents)
     raise TypeError(f"not a first-order formula: {phi!r}")
 
 
@@ -355,21 +403,23 @@ def _quant_body(body: FOLFormula) -> str:
 
 
 def check_sorts(phi: FOLFormula, world_vars=frozenset(), agent_vars=frozenset()) -> list:
-    """Sort problems in the formula, as strings.  Free variables are sorted
-    by how they are used; a clash between uses is reported."""
+    """Sort problems in the formula, as strings.  World and agent variables
+    live in separate namespaces (as in fol_eval): every variable must be
+    bound at the sort it is used at, by a quantifier or by the given
+    world_vars / agent_vars."""
     problems: list = []
 
     def term(t, kind, worlds, agents):
         if isinstance(t, WorldVar):
             if kind != "world":
                 problems.append(f"world variable {t.id} used at agent sort")
-            elif t.id in agents:
-                problems.append(f"{t.id} is bound at agent sort but used as a world")
+            elif t.id not in worlds:
+                problems.append(f"world variable {t.id} is not bound at world sort")
         elif isinstance(t, AgentVar):
             if kind != "agent":
                 problems.append(f"agent variable {t.id} used at world sort")
-            elif t.id in worlds:
-                problems.append(f"{t.id} is bound at world sort but used as an agent")
+            elif t.id not in agents:
+                problems.append(f"agent variable {t.id} is not bound at agent sort")
         elif isinstance(t, NameApp):
             term(t.world, "world", worlds, agents)
         else:
@@ -396,9 +446,9 @@ def check_sorts(phi: FOLFormula, world_vars=frozenset(), agent_vars=frozenset())
                 walk(l, worlds, agents)
                 walk(r, worlds, agents)
             case ForallWorld(var, body):
-                walk(body, worlds | {var}, agents - {var})
+                walk(body, worlds | {var}, agents)
             case ExistsAgent(var, body) | ForallAgent(var, body):
-                walk(body, worlds - {var}, agents | {var})
+                walk(body, worlds, agents | {var})
             case _:
                 problems.append(f"unknown formula {f!r}")
 

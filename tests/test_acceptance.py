@@ -12,8 +12,9 @@ happen).  Seeds are fixed here; nothing is left to later calibration.
 3. Proof checking: all bundled derivations check, and every single-step
    connective mutation of each is rejected.  Exact.
 4. Translation oracle: on 10,000 seeded random cases the model checker,
-   the existential translation and the universal translation agree.  Zero
-   tolerance.
+   the existential translation and the universal translation agree.  The
+   variables include ?w and ?v0, which share names with the translation's
+   world variables.  Zero tolerance.
 5. Axiom soundness: 10,000 seeded random schema instances hold on random
    epistemic models; name-indexed introspection failures are exhibited on
    non-equivalence frames.  Zero tolerance on the positive half.
@@ -42,8 +43,8 @@ from elas.syntax import (
     Assign, Name, Not, Var, all_vars, free_vars, is_admissible,
     is_el_fragment, node_count, parse_formula, reletter, substitute,
 )
-from elas.translation import fol_eval, induce_structure, translate, \
-    translate_universal
+from elas.translation import AgentVar, WorldVar, fol_eval, \
+    induce_structure, translate, translate_universal
 
 BOUNDS = SearchBounds(3, 3, True)
 
@@ -111,14 +112,14 @@ def test_criterion_4_translation_oracle():
     for trial in range(10000):
         sample = random_epistemic_model if trial % 2 else random_model
         model = sample(rng, sig, 3, 3)
-        phi = random_formula(rng, ("x", "y"), ("a", "b"), {"P": 1, "Q": 2},
-                             depth=4)
+        phi = random_formula(rng, ("x", "y", "w", "v0"), ("a", "b"),
+                             {"P": 1, "Q": 2}, depth=4)
         sigma = random_sigma(rng, sorted(free_vars(phi)), model)
         world = rng.choice(model.worlds)
         expected = eval_formula(model, world, sigma, phi)
         structure = induce_structure(model)
-        valuation = dict(sigma)
-        valuation["w"] = world
+        valuation = {AgentVar(v): a for v, a in sigma.items()}
+        valuation[WorldVar("w")] = world
         if fol_eval(structure, valuation, translate(phi)) != expected:
             failures += 1
         elif fol_eval(structure, valuation, translate_universal(phi)) != expected:

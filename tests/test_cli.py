@@ -41,6 +41,17 @@ class TestParseCommand:
         assert code == 0
         assert payload["free"] == []
 
+    @pytest.mark.parametrize("text", [
+        "~" * 3000 + "true",
+        "(" * 3000 + "true" + ")" * 3000,
+        " & ".join(["true"] * 3000),
+    ])
+    def test_deep_nesting_exit_2(self, capsys, text):
+        code, out, err = run(capsys, "parse", text)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "nested too deeply" in err
+
 
 class TestCheckCommand:
     def test_true_at_m1(self, capsys):
@@ -195,6 +206,12 @@ class TestUsage:
         code, _, err = run(capsys, "valid", "a = a", "--epistemic",
                            "--any-frames")
         assert code == 2
+
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_jobs_below_one(self, capsys, jobs):
+        code, out, err = run(capsys, "valid", "a = a", "--jobs", jobs)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestConsoleScript:

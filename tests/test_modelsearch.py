@@ -1,9 +1,11 @@
 import itertools
+import random
 
 import pytest
 
 from conftest import naive_eval
 
+from elas import modelsearch
 from elas.modelsearch import (
     Countermodel, NoCountermodelUpTo, SearchBounds, UnsatisfiableUpTo,
     Witness, count_models, el_distinguishes, enumerate_models,
@@ -13,14 +15,43 @@ from elas.semantics import (
     PointedModel, Signature, eval_formula, is_epistemic, model_to_dict,
     validate_model,
 )
-from elas.suites import separation_models
+from elas.randgen import random_formula
+from elas.suites import (
+    VALIDITY_TABLE, corpus_formulas, robot_readings, separation_models,
+)
 from elas.syntax import (
-    Bot, Name, Not, free_vars, is_el_fragment, knows_who, node_count,
-    parse_formula, print_formula,
+    And, Bot, Iff, Implies, Knows, Name, Not, Var, formula_signature,
+    free_vars, is_el_fragment, knows_who, node_count, parse_formula,
+    print_formula,
 )
 
 EPISTEMIC33 = SearchBounds(3, 3, True)
 EPISTEMIC22 = SearchBounds(2, 2, True)
+ARBITRARY22 = SearchBounds(2, 2, False)
+
+
+def _search_cases():
+    """(label, formula, target truth value) for every validity-table,
+    corpus and reading-pair formula, searched as the suites search them."""
+    cases = [(text, parse_formula(text), False)
+             for entry in VALIDITY_TABLE for text in entry["formulas"]]
+    cases += [(label, phi, True) for label, phi in corpus_formulas().items()]
+    readings = robot_readings()
+    labels = list(readings)
+    cases += [(f"{a} / {b}", Not(Iff(readings[a], readings[b])), True)
+              for i, a in enumerate(labels) for b in labels[i + 1:]]
+    return cases
+
+
+SEARCH_CASES = _search_cases()
+
+
+def _first_point(phi, bounds, target, jobs=1):
+    search = find_witness if target else find_countermodel
+    pointed = getattr(search(phi, bounds, jobs=jobs), "pointed", None)
+    if pointed is None:
+        return None
+    return model_to_dict(pointed.model), pointed.world, pointed.sigma
 
 
 class TestBounds:
@@ -131,13 +162,92 @@ class TestFindCountermodel:
         assert model_to_dict(v1.pointed.model) == model_to_dict(v2.pointed.model)
         assert v1.pointed.world == v2.pointed.world
 
-    def test_parallel_agrees_with_serial(self):
+    def test_parallel_agrees_with_serial(self, monkeypatch):
+        monkeypatch.setattr(modelsearch, "_PARALLEL_WORK", 0)
         phi = parse_formula("~(?x = a) -> K{b} ~(?x = a)")
         v1 = find_countermodel(phi, EPISTEMIC33, jobs=1)
         v2 = find_countermodel(phi, EPISTEMIC33, jobs=3)
         assert model_to_dict(v1.pointed.model) == model_to_dict(v2.pointed.model)
         assert (v1.pointed.world, v1.pointed.sigma) == \
             (v2.pointed.world, v2.pointed.sigma)
+
+    @pytest.mark.parametrize("text, target", [
+        ("[?x := ?y] K{a} P(?x) -> K{a} [?x := ?y] P(?x)", False),
+        ("~K{a} P(?x) -> K{a} ~K{a} P(?x)", False),
+        ("K{a} ~P(b) & K{b} P(a) & ~a = b", True),
+    ])
+    def test_parallel_agrees_with_serial_on_any_frames(self, text, target,
+                                                       monkeypatch):
+        monkeypatch.setattr(modelsearch, "_PARALLEL_WORK", 0)
+        phi = parse_formula(text)
+        serial = _first_point(phi, ARBITRARY22, target)
+        assert _first_point(phi, ARBITRARY22, target, jobs=2) == serial
+
+    def test_small_blocks_start_no_workers(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a worker pool was started")
+        monkeypatch.setattr(modelsearch, "ProcessPoolExecutor", no_pool)
+        phi = parse_formula("K{a} P(b) -> K{a} K{a} P(b)")
+        assert _first_point(phi, EPISTEMIC33, False, jobs=2) == \
+            _first_point(phi, EPISTEMIC33, False)
+
+    def test_jobs_below_one_rejected(self):
+        with pytest.raises(ValueError):
+            find_countermodel(parse_formula("true"), EPISTEMIC22, jobs=0)
+
+
+class TestOrbitRepresentatives:
+    @staticmethod
+    def _orbit_count(n, k, epistemic):
+        """Orbits of k-tuples of relations on n worlds under permutations
+        of the worlds and of the tuple positions, by brute force over
+        relations as sets of pairs."""
+        pairs = [(w, v) for w in range(n) for v in range(n)]
+        relations = []
+        for bits in range(1 << len(pairs)):
+            rel = frozenset(p for i, p in enumerate(pairs) if bits >> i & 1)
+            if epistemic and not (
+                    all((w, w) in rel for w in range(n))
+                    and all((v, w) in rel for (w, v) in rel)
+                    and all((w, u) in rel for (w, v) in rel
+                            for (v2, u) in rel if v2 == v)):
+                continue
+            relations.append(rel)
+        seen, orbits = set(), 0
+        for combo in itertools.product(relations, repeat=k):
+            if combo in seen:
+                continue
+            orbits += 1
+            for perm in itertools.permutations(range(n)):
+                moved = [frozenset((perm[w], perm[v]) for (w, v) in rel)
+                         for rel in combo]
+                seen.update(itertools.permutations(moved))
+        return orbits
+
+    @pytest.mark.parametrize("n, k, epistemic, expected", [
+        (3, 3, True, 14), (4, 3, True, 79),
+        (1, 2, True, None), (2, 3, True, None), (3, 2, True, None),
+        (1, 1, False, None), (1, 2, False, None), (2, 1, False, None),
+        (2, 2, False, None),
+    ])
+    def test_count_equals_orbit_count(self, n, k, epistemic, expected):
+        reps = list(modelsearch._representatives(
+            modelsearch._relation_pool(n, epistemic), n, k))
+        assert reps == sorted(set(reps))
+        orbits = self._orbit_count(n, k, epistemic)
+        assert len(reps) == orbits
+        assert expected is None or orbits == expected
+
+    def test_stride_slices_cap(self, monkeypatch):
+        reps = [(i,) for i in range(7)]
+        monkeypatch.setattr(modelsearch.os, "cpu_count", lambda: 4)
+        assert modelsearch._stride_slices(reps, 3) == [
+            [(0,), (3,), (6,)], [(1,), (4,)], [(2,), (5,)]]
+        assert len(modelsearch._stride_slices(reps, 16)) == 4
+        assert modelsearch._stride_slices(reps[:2], 16) == [[(0,)], [(1,)]]
+        assert modelsearch._stride_slices(reps, 1) == [reps]
+        monkeypatch.setattr(modelsearch.os, "cpu_count", lambda: None)
+        assert modelsearch._stride_slices(reps, 8) == [reps]
 
 
 class TestFindWitness:
@@ -250,6 +360,23 @@ class TestElDistinguishes:
 
 
 class TestFastScanAgainstSlowScan:
+    @staticmethod
+    def _unreduced_first_point(phi, bounds, target):
+        """First hit of the compiled scan over every relation tuple, in
+        canonical order: the scan the orbit reduction leaves out."""
+        sig = formula_signature(phi)
+        sig = Signature(dict(sig.predicates), sig.names)
+        for n, k in modelsearch._blocks(bounds):
+            pool = modelsearch._relation_pool(n, bounds.epistemic)
+            every = itertools.product(range(len(pool)), repeat=k)
+            hit = modelsearch._scan_slice(phi, sig, n, k, bounds.epistemic,
+                                          not target, every)
+            if hit is not None:
+                pointed = modelsearch._materialize(
+                    phi, sig, n, k, bounds.epistemic, hit)
+                return model_to_dict(pointed.model), pointed.world, pointed.sigma
+        return None
+
     def _slow_first_point(self, phi, bounds, target):
         """First (model, world, sigma) in enumeration order where phi
         evaluates to target, via the plain generator and evaluator."""
@@ -298,3 +425,30 @@ class TestFastScanAgainstSlowScan:
         else:
             assert fast is not None
             assert (model_to_dict(fast.model), fast.world, fast.sigma) == slow
+
+    @pytest.mark.parametrize("label, phi, target", SEARCH_CASES,
+                             ids=[case[0] for case in SEARCH_CASES])
+    def test_suite_formulas_epistemic(self, label, phi, target):
+        fast = _first_point(phi, EPISTEMIC22, target)
+        assert fast == self._slow_first_point(phi, EPISTEMIC22, target)
+
+    @pytest.mark.parametrize("label, phi, target", SEARCH_CASES,
+                             ids=[case[0] for case in SEARCH_CASES])
+    def test_suite_formulas_arbitrary_frames(self, label, phi, target):
+        fast = _first_point(phi, ARBITRARY22, target)
+        assert fast == self._unreduced_first_point(phi, ARBITRARY22, target)
+
+    def test_seeded_random_formulas(self):
+        # The two modal shapes around each random formula push its first
+        # hits out of the one-world blocks, where there is nothing to reduce.
+        rng = random.Random(1805)
+        bounds = SearchBounds(3, 2, True)
+        x, y = Var("x"), Var("y")
+        for _ in range(30):
+            psi = random_formula(rng, ("x", "y"), ("a",), {"P": 1}, depth=3)
+            for phi, target in ((And(psi, Not(Knows(x, psi))), True),
+                                (Implies(Knows(x, psi), Knows(y, psi)), False)):
+                fast = _first_point(phi, bounds, target)
+                assert fast == self._unreduced_first_point(phi, bounds, target)
+                if fast is not None:
+                    assert fast == self._slow_first_point(phi, bounds, target)

@@ -6,7 +6,8 @@ from elas.randgen import random_formula
 from elas.syntax import (
     And, ArityError, Assign, Bot, Eq, FreshnessError, Iff, Implies, Knows,
     Name, Not, Or, ParseError, Pred, Signature, SubstitutionError, Top, Var,
-    all_vars, formula_signature, free_vars, is_admissible, is_el_fragment,
+    MAX_DEPTH, all_vars, formula_depth, formula_signature, free_vars,
+    is_admissible, is_el_fragment,
     kh, knows_who, node_count, parse_formula, print_formula, reletter,
     subformulas, substitute,
 )
@@ -80,6 +81,14 @@ class TestParse:
     def test_predicate_named_like_operator(self):
         assert parse_formula("K(a)") == Pred("K", (a,))
         assert parse_formula("Kh(a)") == Pred("Kh", (a,))
+
+    def test_nesting_limit(self):
+        deepest = "~" * (MAX_DEPTH - 1) + "true"
+        assert formula_depth(parse_formula(deepest)) == MAX_DEPTH
+        for text in ("~" + deepest, "~" * 3000 + "true",
+                     " -> ".join(["true"] * 3000)):
+            with pytest.raises(ParseError, match="nested too deeply"):
+                parse_formula(text)
 
 
 class TestPrint:

@@ -8,8 +8,9 @@ from elas.randgen import (
 from elas.semantics import Signature, eval_formula
 from elas.syntax import free_vars, is_el_fragment, parse_formula
 from elas.translation import (
-    FolEvalError, ForallWorld, FTop, SortError, check_sorts, fol_eval,
-    induce_structure, print_fol, translate, translate_universal,
+    AgentVar, FolEvalError, ForallWorld, FTop, SortError, WorldVar,
+    check_sorts, fol_eval, induce_structure, print_fol, translate,
+    translate_universal,
 )
 
 
@@ -41,6 +42,15 @@ class TestTranslationClauses:
     def test_fresh_world_variables_left_to_right(self):
         out = print_fol(translate(parse_formula("K{a} P(b) & K{a} Q(b)")))
         assert "v0" in out and "v1" in out
+
+    def test_world_variables_avoid_formula_variables(self):
+        out = print_fol(translate(parse_formula("K{a} P(?v0) & K{?v1} P(?w)")))
+        assert out == ("(forall_w v2. (R(w, v2, f_a(w)) -> Q_P(v2, v0)) & "
+                       "forall_w v3. (R(w, v3, v1) -> Q_P(v3, w)))")
+
+    def test_world_variables_avoid_world_var(self):
+        out = print_fol(translate(parse_formula("K{a} P(a)"), "v0"))
+        assert out == "forall_w v1. (R(v0, v1, f_a(v0)) -> Q_P(v1, f_a(v1)))"
 
     def test_nested_boxes(self):
         out = print_fol(translate(parse_formula("K{a} K{?x} P(?x)")))
@@ -78,6 +88,24 @@ class TestFolEval:
         with pytest.raises(FolEvalError):
             fol_eval(induce_structure(m1), {"w": "s1"}, phi)
 
+    def test_world_var_v0_agrees_with_checker(self, m1):
+        phi = parse_formula("K{a} P(a)")
+        s = induce_structure(m1)
+        for world in m1.worlds:
+            expected = eval_formula(m1, world, {}, phi)
+            for tr in (translate, translate_universal):
+                assert fol_eval(s, {"v0": world}, tr(phi, "v0")) is expected
+
+    def test_sorts_are_separate_namespaces(self, m1):
+        phi = parse_formula("K{a} P(?w) & [?v0 := a] P(?v0)")
+        s = induce_structure(m1)
+        for world in m1.worlds:
+            for agent in m1.agents:
+                expected = eval_formula(m1, world, {"w": agent}, phi)
+                valuation = {WorldVar("w"): world, AgentVar("w"): agent}
+                assert fol_eval(s, valuation, translate(phi)) is expected
+                assert fol_eval(s, valuation, translate_universal(phi)) is expected
+
     def test_sort_mismatch(self, m1):
         phi = translate(parse_formula("P(?x)"))
         with pytest.raises(SortError):
@@ -108,12 +136,18 @@ class TestSortChecker:
     def test_translations_are_well_sorted(self):
         rng = random.Random(5150)
         for _ in range(200):
-            phi = random_formula(rng, ("x", "y"), ("a",), {"P": 1}, depth=4)
+            phi = random_formula(rng, ("x", "y", "w", "v0"), ("a",), {"P": 1},
+                                 depth=4)
             out = translate(phi)
             assert check_sorts(out, world_vars={"w"},
                                agent_vars=free_vars(phi)) == []
 
     def test_detects_misuse(self):
-        from elas.translation import AgentEq, AgentVar, WorldVar
+        from elas.translation import AgentEq
         bad = AgentEq(WorldVar("w"), AgentVar("x"))
         assert check_sorts(bad, world_vars={"w"}, agent_vars={"x"})
+
+    def test_detects_variable_bound_at_other_sort(self):
+        phi = translate(parse_formula("P(?w)"))
+        assert check_sorts(phi, world_vars={"w"}) == [
+            "agent variable w is not bound at agent sort"]
