@@ -86,6 +86,8 @@ def cmd_check(args) -> int:
 
 
 def _parse_sigma_json(raw: dict) -> dict:
+    if not isinstance(raw, dict):
+        raise ModelError("sigma in the model file must be an object")
     return {(k[1:] if k.startswith("?") else k): v for k, v in raw.items()}
 
 

@@ -37,6 +37,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .randgen import agent_labels, set_partitions, world_labels
+from .randgen import count_models  # noqa: F401  (part of this module's API)
 from .semantics import (
     KripkeModel, PointedModel, eval_formula, make_model,
 )
@@ -450,48 +451,41 @@ def enumerate_models(sig: Signature, bounds: SearchBounds):
                     yield lay.build_model(sig, rel_combo, rho_index, eta)
 
 
-def count_models(sig: Signature, n: int, k: int, epistemic: bool) -> int:
-    """Closed-form size of the (n, k) block, for cross-checking the
-    generator."""
-    rel = len(set_partitions(n)) if epistemic else 1 << (n * n)
-    rho_bits = sum(n * k ** arity for arity in sig.predicates.values())
-    return rel ** k * (1 << rho_bits) * k ** (n * len(sig.names))
-
-
 # ---------------------------------------------------------------------------
 # Distinguishing two pointed models by enumerated formulas
 
 class _ProfileSpace:
     """Truth profiles of formulas over two pointed models.
 
-    A profile has one bit per (model, world, assignment) cell, where the
-    assignments range over every map from the chosen variables into the
-    model's agents.  Profiles compose: every connective acts on profiles,
-    so formula enumeration can deduplicate semantically and saturate.
+    A profile has one bit per (model, world, assignment) cell.  The ranging
+    variables take every value among the model's agents; the other shared
+    variables keep their value in the pointed assignment, so with no
+    ranging variables there is one cell per world.  Profiles compose:
+    every connective acts on profiles, so formula enumeration can
+    deduplicate semantically and saturate.
     """
 
-    def __init__(self, p1: PointedModel, p2: PointedModel, variables):
-        self.vars = sorted(variables)
+    def __init__(self, p1: PointedModel, p2: PointedModel, ranging):
+        shared = sorted(set(p1.sigma) & set(p2.sigma))
+        self.vars = sorted(ranging)
         self.models = (p1.model, p2.model)
         self.cells = []          # (model index, world, sigma dict)
+        self.cell_index = {}     # (model index, world, ranging values) -> cell
         self.start = []
         for mi, pointed in enumerate((p1, p2)):
             model = pointed.model
+            fixed = {v: pointed.sigma[v] for v in shared}
             combos = list(itertools.product(model.agents, repeat=len(self.vars)))
-            base = {v: pointed.sigma[v] for v in self.vars}
             for w in model.worlds:
                 for combo in combos:
-                    sigma = dict(zip(self.vars, combo))
+                    sigma = {**fixed, **dict(zip(self.vars, combo))}
+                    self.cell_index[(mi, w, combo)] = len(self.cells)
+                    if w == pointed.world and sigma == fixed:
+                        self.start.append(len(self.cells))
                     self.cells.append((mi, w, sigma))
-                    if w == pointed.world and sigma == base:
-                        self.start.append(len(self.cells) - 1)
         if len(self.start) != 2:
             raise ValueError("pointed assignments must cover the shared variables")
         self.all_mask = (1 << len(self.cells)) - 1
-        self.cell_index = {}
-        for idx, (mi, w, sigma) in enumerate(self.cells):
-            key = (mi, w, tuple(sigma[v] for v in self.vars))
-            self.cell_index[key] = idx
 
     def _den(self, mi, w, sigma, term):
         if isinstance(term, Var):
@@ -564,16 +558,13 @@ def el_distinguishes(p1: PointedModel, p2: PointedModel, max_size: int,
     sig1, sig2 = p1.model.signature, p2.model.signature
     if sig1.predicates != sig2.predicates or sig1.names != sig2.names:
         raise ValueError("pointed models must share a signature")
-    variables = sorted(set(p1.sigma) & set(p2.sigma)) if language == "elas" else []
-    if language == "el":
-        # sigma never changes below a binder-free formula, so the profile
-        # only needs the given assignments; variables still occur as terms.
-        shared = sorted(set(p1.sigma) & set(p2.sigma))
-        space = _ELSpace(p1, p2, shared)
-    else:
-        space = _ProfileSpace(p1, p2, variables)
+    # sigma never changes below a binder-free formula, so the el profile
+    # only needs the given assignments; variables still occur as terms.
+    shared = sorted(set(p1.sigma) & set(p2.sigma))
+    variables = shared if language == "elas" else []
+    space = _ProfileSpace(p1, p2, variables)
 
-    terms = [Var(v) for v in sorted(set(p1.sigma) & set(p2.sigma))]
+    terms = [Var(v) for v in shared]
     terms += [Name(nm) for nm in sorted(sig1.names)]
     preds = sorted(sig1.predicates.items())
 
@@ -584,10 +575,8 @@ def el_distinguishes(p1: PointedModel, p2: PointedModel, max_size: int,
                   for args in itertools.product(terms, repeat=arity)]
 
     knows_ops = [(t, space.knows_map(t)) for t in terms]
-    assign_ops = []
-    if language == "elas":
-        assign_ops = [(v.id, t, space.assign_map(v.id, t))
-                      for v in (Var(x) for x in variables) for t in terms]
+    assign_ops = [(v, t, space.assign_map(v, t))
+                  for v in variables for t in terms]
 
     best: dict = {}
     by_size: dict = {}
@@ -639,39 +628,6 @@ def el_distinguishes(p1: PointedModel, p2: PointedModel, max_size: int,
                         if found is not None:
                             return _verified(found, p1, p2)
     return None
-
-
-class _ELSpace(_ProfileSpace):
-    """Profile space for binder-free enumeration: one cell per world, with
-    each pointed model's own fixed assignment."""
-
-    def __init__(self, p1: PointedModel, p2: PointedModel, shared_vars):
-        self.vars = list(shared_vars)
-        self.models = (p1.model, p2.model)
-        self.sigmas = ({v: p1.sigma[v] for v in shared_vars},
-                       {v: p2.sigma[v] for v in shared_vars})
-        self.cells = []
-        self.start = []
-        for mi, pointed in enumerate((p1, p2)):
-            for w in pointed.model.worlds:
-                self.cells.append((mi, w, self.sigmas[mi]))
-                if w == pointed.world:
-                    self.start.append(len(self.cells) - 1)
-        self.all_mask = (1 << len(self.cells)) - 1
-        self.cell_index = {}
-        for idx, (mi, w, _sigma) in enumerate(self.cells):
-            self.cell_index[(mi, w)] = idx
-
-    def knows_map(self, term) -> list:
-        out = []
-        for (mi, w, sigma) in self.cells:
-            agent = self._den(mi, w, sigma, term)
-            out.append([self.cell_index[(mi, v)]
-                        for v in self.models[mi].successors(agent, w)])
-        return out
-
-    def assign_map(self, var, term):
-        raise ValueError("binder-free enumeration has no assignment operator")
 
 
 def _verified(formula, p1, p2):

@@ -47,9 +47,10 @@ import itertools
 from dataclasses import dataclass, field
 
 from .syntax import (
-    And, Assign, Bot, Eq, Formula, Iff, Implies, Knows, Name, Not, Or, Pred,
-    Term, Top, Var, all_vars, free_vars, is_admissible, parse_formula,
-    parse_term, print_formula, print_term, substitute, term_vars,
+    BOOLEAN, And, Assign, Bot, Eq, Formula, Iff, Implies, Knows, Name, Not,
+    Or, Pred, Term, Top, Var, all_vars, children, free_vars, is_admissible,
+    parse_formula, parse_term, print_formula, print_term, rebuild,
+    substitute, term_vars,
 )
 
 
@@ -149,23 +150,13 @@ def match_axiom(axiom_id: str, phi: Formula):
 
 def _abstract(phi: Formula, atoms: dict):
     """Map maximal non-Boolean subformulas to shared atom indices."""
-    match phi:
-        case Top() | Bot():
-            return phi
-        case Not(body):
-            return Not(_abstract(body, atoms))
-        case And(l, r):
-            return And(_abstract(l, atoms), _abstract(r, atoms))
-        case Or(l, r):
-            return Or(_abstract(l, atoms), _abstract(r, atoms))
-        case Implies(l, r):
-            return Implies(_abstract(l, atoms), _abstract(r, atoms))
-        case Iff(l, r):
-            return Iff(_abstract(l, atoms), _abstract(r, atoms))
-        case _:
-            if phi not in atoms:
-                atoms[phi] = len(atoms)
-            return Pred(f"@{atoms[phi]}", ())
+    if isinstance(phi, (Top, Bot)):
+        return phi
+    if isinstance(phi, BOOLEAN):
+        return type(phi)(*(_abstract(kid, atoms) for kid in children(phi)))
+    if phi not in atoms:
+        atoms[phi] = len(atoms)
+    return Pred(f"@{atoms[phi]}", ())
 
 
 def _truth(phi: Formula, row: dict) -> bool:
@@ -242,14 +233,11 @@ class Lemma:
     bindings: tuple        # ((param, Term | Formula), ...)
 
 
-Justification = object
-
-
 @dataclass(frozen=True)
 class ProofStep:
     index: int
     formula: Formula
-    just: Justification
+    just: object       # Axiom | Taut | MP | NecK | NecAs | Lemma
 
 
 @dataclass(frozen=True)
@@ -658,25 +646,14 @@ _FLIPS = {And: Or, Or: And, Implies: Iff, Iff: Implies}
 
 def _mutants(phi: Formula):
     """Every formula obtained by flipping exactly one connective."""
-    match phi:
-        case Top() | Bot() | Eq(_, _) | Pred(_, _):
-            return
-        case Not(body):
-            yield body                       # drop the negation
-            for m in _mutants(body):
-                yield Not(m)
-        case Knows(agent, body):
-            for m in _mutants(body):
-                yield Knows(agent, m)
-        case Assign(var, term, body):
-            for m in _mutants(body):
-                yield Assign(var, term, m)
-        case And(l, r) | Or(l, r) | Implies(l, r) | Iff(l, r):
-            yield _FLIPS[type(phi)](l, r)
-            for m in _mutants(l):
-                yield type(phi)(m, r)
-            for m in _mutants(r):
-                yield type(phi)(l, m)
+    if isinstance(phi, Not):
+        yield phi.body                       # drop the negation
+    kids = children(phi)
+    if type(phi) in _FLIPS:
+        yield _FLIPS[type(phi)](*kids)
+    for i, kid in enumerate(kids):
+        for m in _mutants(kid):
+            yield rebuild(phi, kids[:i] + (m,) + kids[i + 1:])
 
 
 def connective_mutations(script: ProofScript):

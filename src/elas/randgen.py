@@ -7,6 +7,7 @@ block of fixed world/agent counts is weighted by its true size).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 
@@ -17,11 +18,12 @@ from .syntax import (
 )
 
 
-def set_partitions(n: int) -> list:
+@functools.cache
+def set_partitions(n: int) -> tuple:
     """All partitions of range(n) as restricted-growth strings, in
     lexicographic order."""
     if n == 0:
-        return [()]
+        return ((),)
     out = []
 
     def extend(prefix, used):
@@ -32,7 +34,7 @@ def set_partitions(n: int) -> list:
             extend(prefix + [block], max(used, block + 1))
 
     extend([0], 1)
-    return out
+    return tuple(out)
 
 
 def partition_relation(rgs, worlds) -> frozenset:
@@ -50,20 +52,27 @@ def agent_labels(k: int) -> tuple:
     return tuple(f"i{i}" for i in range(1, k + 1))
 
 
-def rho_bit_count(sig: Signature, n: int, k: int) -> int:
-    return sum(n * k ** arity for arity in sig.predicates.values())
+def count_models(sig: Signature, n: int, k: int, epistemic: bool) -> int:
+    """Closed-form number of models with n worlds and k agents over the
+    signature: per-agent relations, then rho, then eta."""
+    relations = len(set_partitions(n)) if epistemic else 1 << (n * n)
+    rho_bits = sum(n * k ** arity for arity in sig.predicates.values())
+    return relations ** k * (1 << rho_bits) * k ** (n * len(sig.names))
 
 
-def epistemic_block_size(sig: Signature, n: int, k: int) -> int:
-    return (len(set_partitions(n)) ** k
-            * 2 ** rho_bit_count(sig, n, k)
-            * k ** (n * len(sig.names)))
-
-
-def arbitrary_block_size(sig: Signature, n: int, k: int) -> int:
-    return ((2 ** (n * n)) ** k
-            * 2 ** rho_bit_count(sig, n, k)
-            * k ** (n * len(sig.names)))
+def _draw_block(rng: random.Random, sig: Signature, max_worlds: int,
+                max_agents: int, epistemic: bool) -> tuple:
+    """(worlds, agents) of a model drawn uniformly from the bounded space:
+    each block is weighted by its size."""
+    sizes = {(n, k): count_models(sig, n, k, epistemic)
+             for n in range(1, max_worlds + 1)
+             for k in range(1, max_agents + 1)}
+    ticket = rng.randrange(sum(sizes.values()))
+    for (n, k), size in sorted(sizes.items()):
+        if ticket < size:
+            break
+        ticket -= size
+    return world_labels(n), agent_labels(k)
 
 
 def _assemble(sig: Signature, worlds, agents, relations, rng) -> KripkeModel:
@@ -92,17 +101,8 @@ def random_epistemic_model(rng: random.Random, sig: Signature,
                            max_worlds: int = 3, max_agents: int = 3) -> KripkeModel:
     """Uniform over all epistemic models with at most the given numbers of
     worlds and agents over the signature."""
-    sizes = {(n, k): epistemic_block_size(sig, n, k)
-             for n in range(1, max_worlds + 1)
-             for k in range(1, max_agents + 1)}
-    total = sum(sizes.values())
-    ticket = rng.randrange(total)
-    for (n, k), size in sorted(sizes.items()):
-        if ticket < size:
-            break
-        ticket -= size
-    worlds, agents = world_labels(n), agent_labels(k)
-    partitions = set_partitions(n)
+    worlds, agents = _draw_block(rng, sig, max_worlds, max_agents, True)
+    partitions = set_partitions(len(worlds))
     relations = {agent: partition_relation(rng.choice(partitions), worlds)
                  for agent in agents}
     return _assemble(sig, worlds, agents, relations, rng)
@@ -111,16 +111,7 @@ def random_epistemic_model(rng: random.Random, sig: Signature,
 def random_model(rng: random.Random, sig: Signature,
                  max_worlds: int = 3, max_agents: int = 3) -> KripkeModel:
     """Arbitrary-frame counterpart of random_epistemic_model."""
-    sizes = {(n, k): arbitrary_block_size(sig, n, k)
-             for n in range(1, max_worlds + 1)
-             for k in range(1, max_agents + 1)}
-    total = sum(sizes.values())
-    ticket = rng.randrange(total)
-    for (n, k), size in sorted(sizes.items()):
-        if ticket < size:
-            break
-        ticket -= size
-    worlds, agents = world_labels(n), agent_labels(k)
+    worlds, agents = _draw_block(rng, sig, max_worlds, max_agents, False)
     relations = {}
     for agent in agents:
         pairs = frozenset((u, v) for u in worlds for v in worlds

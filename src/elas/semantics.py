@@ -220,10 +220,6 @@ def eval_formula(m: KripkeModel, world: str, sigma: dict, phi: Formula) -> bool:
     return _eval(m, world, sigma, phi)
 
 
-def eval_pointed(p: PointedModel, phi: Formula) -> bool:
-    return eval_formula(p.model, p.world, p.sigma, phi)
-
-
 def eval_all_worlds(m: KripkeModel, sigma: dict, phi: Formula) -> dict:
     """Truth of phi at every world under the same sigma."""
     _check_coverage(m, sigma, phi)
@@ -233,6 +229,15 @@ def eval_all_worlds(m: KripkeModel, sigma: dict, phi: Formula) -> dict:
 # ---------------------------------------------------------------------------
 # Model files
 
+def _is_strings(value) -> bool:
+    return isinstance(value, list) and all(isinstance(x, str) for x in value)
+
+
+def _require(ok: bool, message: str) -> None:
+    if not ok:
+        raise ModelError(f"malformed model document: {message}")
+
+
 def model_from_dict(data: dict) -> KripkeModel:
     """Build and validate a model from the JSON document structure.
 
@@ -241,25 +246,41 @@ def model_from_dict(data: dict) -> KripkeModel:
     signature {predicates: {pred: arity}, names: [...]}, epistemic (bool).
 
     When "epistemic" is true the relations must already be equivalence
-    relations; no closure is applied on the loader's behalf.
+    relations; no closure is applied on the loader's behalf.  Any other
+    document, including one with wrongly typed values or repeated worlds
+    or agents, raises ModelError.
     """
     try:
-        sig = Signature(
-            predicates=dict(data["signature"].get("predicates", {})),
-            names=frozenset(data["signature"].get("names", [])),
-        )
+        for key in ("worlds", "agents"):
+            _require(_is_strings(data[key]), f"{key} must be a list of strings")
+            _require(len(set(data[key])) == len(data[key]), f"duplicate {key}")
+        predicates = data["signature"].get("predicates", {})
+        _require(all(type(a) is int and a >= 0 for a in predicates.values()),
+                 "arities must be non-negative integers")
+        names = data["signature"].get("names", [])
+        _require(_is_strings(names), "names must be a list of strings")
+        sig = Signature(predicates=dict(predicates), names=frozenset(names))
+        relations = data.get("relations", {})
+        for agent, pairs in relations.items():
+            _require(isinstance(pairs, list)
+                     and all(_is_strings(p) and len(p) == 2 for p in pairs),
+                     f"relation of {agent} must be a list of world pairs")
         rho = {}
         for pred, per_world in data.get("rho", {}).items():
             for world, tuples in per_world.items():
+                _require(isinstance(tuples, list) and all(map(_is_strings, tuples)),
+                         f"rho of {pred} at {world} must be a list of agent lists")
                 rho[(pred, world)] = frozenset(tuple(t) for t in tuples)
         eta = {}
         for name, per_world in data.get("eta", {}).items():
             for world, agent in per_world.items():
+                _require(isinstance(agent, str),
+                         f"eta of {name} at {world} must be an agent")
                 eta[(name, world)] = agent
         m = make_model(
             worlds=data["worlds"],
             agents=data["agents"],
-            relations=data.get("relations", {}),
+            relations=relations,
             rho=rho,
             eta=eta,
             signature=sig,

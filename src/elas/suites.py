@@ -432,7 +432,7 @@ def corpus_suite(bounds: SearchBounds = DEFAULT_BOUNDS, jobs: int = 1) -> dict:
                 }
                 separated += 1
             pairs.append(record)
-    all_ok = all_ok and separated >= 3
+    all_ok = all_ok and separated == len(pairs)
     return {
         "suite": "corpus",
         "bounds": {"worlds": bounds.max_worlds, "agents": bounds.max_agents,

@@ -139,6 +139,7 @@ class Assign:
 Formula = Union[Top, Bot, Eq, Pred, Not, And, Or, Implies, Iff, Knows, Assign]
 
 BINARY = (And, Or, Implies, Iff)
+BOOLEAN = (Not,) + BINARY
 
 # Deepest formula tree the parser accepts; the recursive walkers (printer,
 # evaluators, translation) stay well inside Python's default stack.
@@ -393,11 +394,8 @@ def formula_depth(phi: Formula) -> int:
     while todo:
         f, d = todo.pop()
         height = max(height, d)
-        match f:
-            case Not(body) | Knows(_, body) | Assign(_, _, body):
-                todo.append((body, d + 1))
-            case And(l, r) | Or(l, r) | Implies(l, r) | Iff(l, r):
-                todo += [(l, d + 1), (r, d + 1)]
+        for kid in children(f):
+            todo.append((kid, d + 1))
     return height
 
 
@@ -472,132 +470,133 @@ def print_formula(phi: Formula) -> str:
 
 
 # ---------------------------------------------------------------------------
+# Tree structure: the only code below that knows which node holds which
+# subformulas and terms; every structural walker is a fold over these three.
+
+def children(phi: Formula) -> tuple:
+    """The immediate subformulas, left to right."""
+    if isinstance(phi, BINARY):
+        return (phi.lhs, phi.rhs)
+    if isinstance(phi, (Not, Knows, Assign)):
+        return (phi.body,)
+    return ()
+
+
+def terms_of(phi: Formula) -> tuple:
+    """The terms the node holds itself: the arguments of an atom, the index
+    of K{t}, the term of a binder."""
+    match phi:
+        case Eq(lhs, rhs):
+            return (lhs, rhs)
+        case Pred(_, args):
+            return args
+        case Knows(agent, _):
+            return (agent,)
+        case Assign(_, term, _):
+            return (term,)
+    return ()
+
+
+def _same(t: Term) -> Term:
+    return t
+
+
+def rebuild(phi: Formula, kids, fterm=_same) -> Formula:
+    """The same node over new children, with fterm applied to its own
+    terms; rebuild(phi, children(phi)) == phi."""
+    if isinstance(phi, BOOLEAN):
+        return type(phi)(*kids)
+    match phi:
+        case Eq(lhs, rhs):
+            return Eq(fterm(lhs), fterm(rhs))
+        case Pred(sym, args):
+            return Pred(sym, tuple(map(fterm, args)))
+        case Knows(agent, _):
+            return Knows(fterm(agent), *kids)
+        case Assign(var, term, _):
+            return Assign(var, fterm(term), *kids)
+    return phi
+
+
+def subformulas(phi: Formula) -> Iterator[Formula]:
+    """Every subformula occurrence, phi first, in left-to-right preorder."""
+    yield phi
+    for kid in children(phi):
+        yield from subformulas(kid)
+
+
+# ---------------------------------------------------------------------------
 # Variables, substitution, relettering
 
 def term_vars(*terms: Term) -> frozenset:
     return frozenset(t.id for t in terms if isinstance(t, Var))
 
 
+def _collect(phi: Formula, preds: dict, names: set) -> set:
+    """The free variables of phi; its predicates and names are recorded
+    on the way."""
+    terms = terms_of(phi)
+    if isinstance(phi, Pred):
+        preds[phi.sym] = len(terms)
+    free = set()
+    for kid in children(phi):
+        free |= _collect(kid, preds, names)
+    if isinstance(phi, Assign):
+        free.discard(phi.var)
+    for t in terms:
+        if isinstance(t, Var):
+            free.add(t.id)
+        else:
+            names.add(t.id)
+    return free
+
+
 def free_vars(phi: Formula) -> frozenset:
     """Free variables; the term of a binder counts as free even when it is
     the bound variable itself."""
-    match phi:
-        case Top() | Bot():
-            return frozenset()
-        case Eq(lhs, rhs):
-            return term_vars(lhs, rhs)
-        case Pred(_, args):
-            return term_vars(*args)
-        case Not(body):
-            return free_vars(body)
-        case And(l, r) | Or(l, r) | Implies(l, r) | Iff(l, r):
-            return free_vars(l) | free_vars(r)
-        case Knows(agent, body):
-            return term_vars(agent) | free_vars(body)
-        case Assign(var, term, body):
-            return (free_vars(body) - {var}) | term_vars(term)
-    raise TypeError(f"not a formula: {phi!r}")
+    return frozenset(_collect(phi, {}, set()))
 
 
 def all_vars(phi: Formula) -> frozenset:
     """Every variable occurring in the formula, free, bound or binding."""
-    match phi:
-        case Top() | Bot():
-            return frozenset()
-        case Eq(lhs, rhs):
-            return term_vars(lhs, rhs)
-        case Pred(_, args):
-            return term_vars(*args)
-        case Not(body):
-            return all_vars(body)
-        case And(l, r) | Or(l, r) | Implies(l, r) | Iff(l, r):
-            return all_vars(l) | all_vars(r)
-        case Knows(agent, body):
-            return term_vars(agent) | all_vars(body)
-        case Assign(var, term, body):
-            return {var} | term_vars(term) | all_vars(body)
-    raise TypeError(f"not a formula: {phi!r}")
-
-
-def names_of(phi: Formula) -> frozenset:
-    match phi:
-        case Top() | Bot():
-            return frozenset()
-        case Eq(lhs, rhs):
-            return frozenset(t.id for t in (lhs, rhs) if isinstance(t, Name))
-        case Pred(_, args):
-            return frozenset(t.id for t in args if isinstance(t, Name))
-        case Not(body):
-            return names_of(body)
-        case And(l, r) | Or(l, r) | Implies(l, r) | Iff(l, r):
-            return names_of(l) | names_of(r)
-        case Knows(agent, body):
-            extra = {agent.id} if isinstance(agent, Name) else set()
-            return frozenset(extra) | names_of(body)
-        case Assign(_, term, body):
-            extra = {term.id} if isinstance(term, Name) else set()
-            return frozenset(extra) | names_of(body)
-    raise TypeError(f"not a formula: {phi!r}")
-
-
-def _pred_arities(phi: Formula, acc: dict) -> None:
-    match phi:
-        case Pred(sym, args):
-            acc[sym] = len(args)
-        case Not(body) | Knows(_, body) | Assign(_, _, body):
-            _pred_arities(body, acc)
-        case And(l, r) | Or(l, r) | Implies(l, r) | Iff(l, r):
-            _pred_arities(l, acc)
-            _pred_arities(r, acc)
-        case _:
-            pass
+    out = set()
+    for f in subformulas(phi):
+        if isinstance(f, Assign):
+            out.add(f.var)
+        for t in terms_of(f):
+            if isinstance(t, Var):
+                out.add(t.id)
+    return frozenset(out)
 
 
 def formula_signature(phi: Formula) -> Signature:
-    """Exactly the predicates, names and free variables occurring in phi."""
+    """Exactly the predicates, names and free variables occurring in phi,
+    collected in one walk."""
     preds: dict = {}
-    _pred_arities(phi, preds)
-    return Signature(preds, names_of(phi), free_vars(phi))
+    names: set = set()
+    free = _collect(phi, preds, names)
+    return Signature(preds, frozenset(names), frozenset(free))
 
 
 def is_el_fragment(phi: Formula) -> bool:
     """True iff the formula contains no assignment binder."""
-    match phi:
-        case Assign(_, _, _):
-            return False
-        case Not(body) | Knows(_, body):
-            return is_el_fragment(body)
-        case And(l, r) | Or(l, r) | Implies(l, r) | Iff(l, r):
-            return is_el_fragment(l) and is_el_fragment(r)
-        case _:
-            return True
+    return not any(isinstance(f, Assign) for f in subformulas(phi))
 
 
 def _capturing_binder(phi: Formula, y: str, x: str, under: str = None):
     """Return the binder variable that would capture y, or None."""
-    match phi:
-        case Eq(_, _) | Pred(_, _):
-            if under is not None and x in free_vars(phi):
-                return under
-            return None
-        case Top() | Bot():
-            return None
-        case Not(body):
-            return _capturing_binder(body, y, x, under)
-        case And(l, r) | Or(l, r) | Implies(l, r) | Iff(l, r):
-            return _capturing_binder(l, y, x, under) or _capturing_binder(r, y, x, under)
-        case Knows(agent, body):
-            if under is not None and x in term_vars(agent):
-                return under
-            return _capturing_binder(body, y, x, under)
-        case Assign(var, term, body):
-            if under is not None and x in term_vars(term):
-                return under
-            if var == x:
-                return None          # x is bound below; no free occurrences inside
-            inner = under if var != y else var
-            return _capturing_binder(body, y, x, inner)
-    raise TypeError(f"not a formula: {phi!r}")
+    if under is not None and x in term_vars(*terms_of(phi)):
+        return under
+    if isinstance(phi, Assign):
+        if phi.var == x:
+            return None          # x is bound below; no free occurrences inside
+        if phi.var == y:
+            under = y
+    for kid in children(phi):
+        binder = _capturing_binder(kid, y, x, under)
+        if binder is not None:
+            return binder
+    return None
 
 
 def is_admissible(phi: Formula, y: str, x: str) -> bool:
@@ -606,38 +605,16 @@ def is_admissible(phi: Formula, y: str, x: str) -> bool:
     return _capturing_binder(phi, y, x) is None
 
 
-def _subst_term(t: Term, y: str, x: str) -> Term:
-    if isinstance(t, Var) and t.id == x:
-        return Var(y)
-    return t
-
-
 def _subst(phi: Formula, y: str, x: str) -> Formula:
-    match phi:
-        case Top() | Bot():
-            return phi
-        case Eq(lhs, rhs):
-            return Eq(_subst_term(lhs, y, x), _subst_term(rhs, y, x))
-        case Pred(sym, args):
-            return Pred(sym, tuple(_subst_term(a, y, x) for a in args))
-        case Not(body):
-            return Not(_subst(body, y, x))
-        case And(l, r):
-            return And(_subst(l, y, x), _subst(r, y, x))
-        case Or(l, r):
-            return Or(_subst(l, y, x), _subst(r, y, x))
-        case Implies(l, r):
-            return Implies(_subst(l, y, x), _subst(r, y, x))
-        case Iff(l, r):
-            return Iff(_subst(l, y, x), _subst(r, y, x))
-        case Knows(agent, body):
-            return Knows(_subst_term(agent, y, x), _subst(body, y, x))
-        case Assign(var, term, body):
-            term = _subst_term(term, y, x)   # the binder's term position is free
-            if var == x:
-                return Assign(var, term, body)
-            return Assign(var, term, _subst(body, y, x))
-    raise TypeError(f"not a formula: {phi!r}")
+    def fterm(t):        # the binder's term position is free as well
+        return Var(y) if isinstance(t, Var) and t.id == x else t
+
+    def walk(f):
+        kids = children(f)
+        if not (isinstance(f, Assign) and f.var == x):
+            kids = [walk(kid) for kid in kids]
+        return rebuild(f, kids, fterm)
+    return walk(phi)
 
 
 def substitute(phi: Formula, y: str, x: str) -> Formula:
@@ -684,31 +661,4 @@ def knows_who(knower: Term, named: str) -> Formula:
 def node_count(phi) -> int:
     """Number of AST nodes, counting terms; binder variables count with
     their binder node."""
-    match phi:
-        case Var(_) | Name(_) | Top() | Bot():
-            return 1
-        case Eq(lhs, rhs):
-            return 1 + node_count(lhs) + node_count(rhs)
-        case Pred(_, args):
-            return 1 + sum(node_count(a) for a in args)
-        case Not(body):
-            return 1 + node_count(body)
-        case And(l, r) | Or(l, r) | Implies(l, r) | Iff(l, r):
-            return 1 + node_count(l) + node_count(r)
-        case Knows(agent, body):
-            return 1 + node_count(agent) + node_count(body)
-        case Assign(_, term, body):
-            return 1 + node_count(term) + node_count(body)
-    raise TypeError(f"not a formula: {phi!r}")
-
-
-def subformulas(phi: Formula) -> Iterator[Formula]:
-    yield phi
-    match phi:
-        case Not(body) | Knows(_, body) | Assign(_, _, body):
-            yield from subformulas(body)
-        case And(l, r) | Or(l, r) | Implies(l, r) | Iff(l, r):
-            yield from subformulas(l)
-            yield from subformulas(r)
-        case _:
-            pass
+    return sum(1 + len(terms_of(f)) for f in subformulas(phi))

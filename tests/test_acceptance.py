@@ -143,7 +143,7 @@ def test_criterion_6_story_corpus():
     result = corpus_suite(bounds=BOUNDS)
     witnesses_ok = all(w["ok"] for w in result["witnesses"])
     ok = (result["ok"] and witnesses_ok and len(result["witnesses"]) == 4
-          and result["pairs_separated"] >= 3)
+          and result["pairs_separated"] == 6)
     report(6, "story formulas satisfiable and readings separated", ok)
 
 

@@ -82,6 +82,22 @@ class TestCheckCommand:
         code, out, _ = run(capsys, "check", str(path), "P(a)", "--world", "s2")
         assert (code, out.strip()) == (0, "true")
 
+    @pytest.mark.parametrize("change", [
+        {"agents": [["i"]]},
+        {"worlds": ["s1", "s1", "s2"]},
+        {"agents": ["i", "j", "i"]},
+        {"sigma": ["?x", "i"]},
+    ])
+    def test_malformed_model_file_exit_2(self, capsys, tmp_path, change):
+        doc = json.loads((FIXTURES / "m1.json").read_text())
+        doc.update(change)
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "check", str(path), "a = a",
+                             "--world", "s1")
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_story_fixture(self, capsys):
         code, out, _ = run(capsys, "check", str(FIXTURES / "witness.json"),
                            "[?x := b] [?y := a] (K{c} M(?x, ?y) & "

@@ -1,0 +1,152 @@
+"""Property tests for the formula-tree fold (children/rebuild) and for the
+model loader, generated with hypothesis."""
+
+import copy
+import json
+import random
+
+from hypothesis import assume, given, settings, strategies as st
+
+from conftest import FIXTURES
+
+from elas.proofkit import _mutants
+from elas.randgen import random_epistemic_model, random_sigma
+from elas.semantics import ModelError, _eval, model_from_dict
+from elas.syntax import (
+    BINARY, BOOLEAN, Assign, Bot, Eq, Knows, Name, Not, Pred, Signature, Top,
+    Var, children, free_vars, is_admissible, parse_formula, print_formula,
+    rebuild, subformulas, substitute, terms_of,
+)
+
+# Capped so that the whole module adds only a few seconds to the suite.
+PROPERTY = settings(max_examples=150, deadline=None)
+
+VARS = ("x", "y", "z")
+SIG = Signature({"P": 1, "Q": 2, "R": 0}, frozenset({"a", "b"}))
+
+terms = st.sampled_from([Var(v) for v in VARS] + [Name(n) for n in sorted(SIG.names)])
+atoms = st.one_of(
+    st.just(Top()), st.just(Bot()), st.just(Pred("R", ())),
+    st.builds(Eq, terms, terms),
+    st.builds(lambda t: Pred("P", (t,)), terms),
+    st.builds(lambda s, t: Pred("Q", (s, t)), terms, terms),
+)
+formulas = st.recursive(atoms, lambda sub: st.one_of(
+    st.builds(Not, sub),
+    *(st.builds(ctor, sub, sub) for ctor in BINARY),
+    st.builds(Knows, terms, sub),
+    st.builds(Assign, st.sampled_from(VARS), terms, sub),
+), max_leaves=12)
+
+
+def _pointed(seed):
+    rng = random.Random(seed)
+    model = random_epistemic_model(rng, SIG)
+    return model, rng.choice(model.worlds), random_sigma(rng, VARS, model)
+
+
+pointed = st.integers(0, 2 ** 32).map(_pointed)
+
+
+@PROPERTY
+@given(formulas)
+def test_print_parse_round_trip(phi):
+    assert parse_formula(print_formula(phi)) == phi
+
+
+@PROPERTY
+@given(formulas)
+def test_rebuild_from_own_children_is_identity(phi):
+    for f in subformulas(phi):
+        assert rebuild(f, children(f)) == f
+
+
+@PROPERTY
+@given(formulas, st.sampled_from(VARS), st.sampled_from(VARS), pointed)
+def test_substitution_lemma(phi, y, x, point):
+    assume(is_admissible(phi, y, x))
+    model, world, sigma = point
+    moved = {**sigma, x: sigma[y]}
+    result = substitute(phi, y, x)
+    assert _eval(model, world, sigma, result) == _eval(model, world, moved, phi)
+    free = free_vars(phi)
+    assert free_vars(result) == (free - {x}) | ({y} if x in free else set())
+
+
+@PROPERTY
+@given(formulas, pointed, st.integers(0, 2 ** 32))
+def test_coincidence_outside_free_variables(phi, point, seed):
+    model, world, sigma = point
+    rng = random.Random(seed)
+    free = free_vars(phi)
+    other = {v: a if v in free else rng.choice(model.agents)
+             for v, a in sigma.items()}
+    assert _eval(model, world, other, phi) == _eval(model, world, sigma, phi)
+
+
+def _differences(a, b) -> list:
+    """The highest positions at which two formula trees differ."""
+    if a == b:
+        return []
+    if (type(a) is not type(b) or terms_of(a) != terms_of(b)
+            or getattr(a, "var", None) != getattr(b, "var", None)):
+        return [(a, b)]
+    return [d for x, y in zip(children(a), children(b))
+            for d in _differences(x, y)]
+
+
+@PROPERTY
+@given(formulas)
+def test_mutants_flip_exactly_one_connective(phi):
+    mutants = list(_mutants(phi))
+    assert len(mutants) == sum(isinstance(f, BOOLEAN) for f in subformulas(phi))
+    for mutant in mutants:
+        [(old, new)] = _differences(phi, mutant)
+        dropped = isinstance(old, Not) and new == old.body
+        flipped = (isinstance(old, BINARY) and isinstance(new, BINARY)
+                   and children(old) == children(new))
+        assert dropped or flipped
+
+
+def _paths(value, prefix=()):
+    yield prefix
+    items = value.items() if isinstance(value, dict) else (
+        enumerate(value) if isinstance(value, list) else ())
+    for key, sub in items:
+        yield from _paths(sub, prefix + (key,))
+
+
+FIXTURE = json.loads((FIXTURES / "m1.json").read_text())
+PATHS = list(_paths(FIXTURE))
+
+words = st.sampled_from(["s1", "s2", "s3", "i", "j", "a", "P", ""])
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-1, 2) | words,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(words, inner, max_size=3),
+    max_leaves=8)
+
+
+@st.composite
+def documents(draw):
+    """The m1 fixture with one of its values, or the whole document,
+    replaced by random JSON."""
+    doc = copy.deepcopy(FIXTURE)
+    path = draw(st.sampled_from(PATHS))
+    value = draw(json_values)
+    if not path:
+        return value
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return doc
+
+
+@PROPERTY
+@given(documents())
+def test_loader_returns_or_raises_model_error(doc):
+    try:
+        model_from_dict(doc)
+    except ModelError:
+        pass
