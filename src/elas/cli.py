@@ -204,8 +204,14 @@ def _summarise_suite(report: dict) -> str:
     return "\n".join(lines)
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        """One `error:` line and exit 2, without the usage block."""
+        self.exit(USAGE_ERROR, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="elas",
         description="Parse, model-check, translate, search and proof-check "
                     "formulas of an epistemic logic with assignment "

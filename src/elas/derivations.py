@@ -17,7 +17,7 @@ from functools import lru_cache
 
 from .proofkit import (
     Axiom, Lemma, MP, NecAs, NecK, ProofScript, ProofStep, Taut, check_proof,
-    instantiate_lemma, print_script,
+    instantiate_axiom, instantiate_lemma, print_script,
 )
 from .syntax import (
     And, Assign, Eq, Formula, Iff, Implies, Knows, Name, Not, Or, Pred, Term,
@@ -40,8 +40,8 @@ class Builder:
     def formula(self, i: int) -> Formula:
         return self.steps[i - 1].formula
 
-    def axiom(self, axiom_id: str, formula: Formula) -> int:
-        return self._add(formula, Axiom(axiom_id))
+    def axiom(self, axiom_id: str, **binding) -> int:
+        return self._add(instantiate_axiom(axiom_id, binding), Axiom(axiom_id))
 
     def taut(self, formula: Formula) -> int:
         return self._add(formula, Taut())
@@ -120,9 +120,7 @@ class Builder:
         ab = self.formula(i)
         assert isinstance(ab, Implies)
         boxed = self.necas_prime(i, var, term)
-        box = lambda f: Assign(var, term, f)
-        kas = self.axiom("KAS", Implies(self.formula(boxed),
-                                        Implies(box(ab.lhs), box(ab.rhs))))
+        kas = self.axiom("KAS", x=var, t=term, p=ab.lhs, q=ab.rhs)
         return self.mp(boxed, kas)
 
     def box_iff(self, i: int, var: str, term: Term) -> int:
@@ -141,14 +139,12 @@ class Builder:
         box = lambda f: Assign(var, term, f)
         collapse = self.taut(Implies(Not(phi), Implies(phi, Not(Top()))))
         boxed = self.necas_prime(collapse, var, term)
-        kas1 = self.axiom("KAS", Implies(self.formula(boxed),
-                                         Implies(box(Not(phi)),
-                                                 box(Implies(phi, Not(Top()))))))
+        kas1 = self.axiom("KAS", x=var, t=term, p=Not(phi),
+                          q=Implies(phi, Not(Top())))
         chain1 = self.mp(boxed, kas1)
-        kas2 = self.axiom("KAS", Implies(box(Implies(phi, Not(Top()))),
-                                         Implies(box(phi), box(Not(Top())))))
+        kas2 = self.axiom("KAS", x=var, t=term, p=phi, q=Not(Top()))
         chain2 = self.imp_trans(chain1, kas2)
-        das = self.axiom("DAS", Not(box(Not(Top()))))
+        das = self.axiom("DAS", x=var, t=term)
         shuffle = self.taut(Implies(
             self.formula(chain2),
             Implies(Not(box(Not(Top()))),
@@ -161,14 +157,12 @@ class Builder:
         guard = Eq(Var(var), term)
         expand = self.taut(Implies(phi, Implies(guard, And(guard, phi))))
         boxed = self.necas_prime(expand, var, term)
-        kas1 = self.axiom("KAS", Implies(self.formula(boxed),
-                                         Implies(box(phi),
-                                                 box(Implies(guard, And(guard, phi))))))
+        kas1 = self.axiom("KAS", x=var, t=term, p=phi,
+                          q=Implies(guard, And(guard, phi)))
         step1 = self.mp(boxed, kas1)
-        kas2 = self.axiom("KAS", Implies(box(Implies(guard, And(guard, phi))),
-                                         Implies(box(guard), box(And(guard, phi)))))
+        kas2 = self.axiom("KAS", x=var, t=term, p=guard, q=And(guard, phi))
         step2 = self.imp_trans(step1, kas2)
-        efas = self.axiom("EFAS", box(guard))
+        efas = self.axiom("EFAS", x=var, t=term)
         shuffle = self.taut(Implies(self.formula(step2),
                                     Implies(box(guard),
                                             Implies(box(phi), box(And(guard, phi))))))
@@ -190,9 +184,8 @@ _a, _b, _c = Name("a"), Name("b"), Name("c")
 def _build_sym() -> ProofScript:
     b = Builder()
     goal = Implies(Eq(_a, _b), Eq(_b, _a))
-    subp = b.axiom("SUBP", Implies(And(Eq(_a, _b), Eq(_a, _a)),
-                                   Iff(Eq(_a, _a), Eq(_b, _a))))
-    ident = b.axiom("ID", Eq(_a, _a))
+    subp = b.axiom("SUBP", P="=", ts=(_a, _a), us=(_b, _a))
+    ident = b.axiom("ID", t=_a)
     shuffle = b.taut(Implies(b.formula(subp), Implies(Eq(_a, _a), goal)))
     b.mp(ident, b.mp(subp, shuffle))
     return b.script(goal)
@@ -201,10 +194,9 @@ def _build_sym() -> ProofScript:
 def _build_trans() -> ProofScript:
     b = Builder()
     goal = Implies(And(Eq(_a, _b), Eq(_b, _c)), Eq(_a, _c))
-    subp = b.axiom("SUBP", Implies(And(Eq(_b, _a), Eq(_c, _c)),
-                                   Iff(Eq(_b, _c), Eq(_a, _c))))
+    subp = b.axiom("SUBP", P="=", ts=(_b, _c), us=(_a, _c))
     sym = b.lemma("SYM", t1=_a, t2=_b)
-    ident = b.axiom("ID", Eq(_c, _c))
+    ident = b.axiom("ID", t=_c)
     shuffle = b.taut(Implies(b.formula(subp),
                              Implies(b.formula(sym),
                                      Implies(Eq(_c, _c), goal))))
@@ -214,10 +206,8 @@ def _build_trans() -> ProofScript:
 
 def _build_dbaseq() -> ProofScript:
     b = Builder()
-    box = Assign("x", _a, _Px)
-    diamond = Not(Assign("x", _a, Not(_Px)))
-    goal = Iff(diamond, box)
-    detas = b.axiom("DETAS", Implies(diamond, box))
+    goal = Iff(Not(Assign("x", _a, Not(_Px))), Assign("x", _a, _Px))
+    detas = b.axiom("DETAS", x="x", t=_a, p=_Px)
     back = b.box_to_diamond("x", _a, _Px)
     b.iff_intro(detas, back)
     return b.script(goal)
@@ -227,11 +217,9 @@ def _build_subaseq() -> ProofScript:
     b = Builder()
     phi = Knows(Var("x"), _Px)
     phi_y = Knows(Var("y"), Pred("P", (Var("y"),)))
-    box = Assign("x", Var("y"), phi)
-    box_neg = Assign("x", Var("y"), Not(phi))
-    goal = Iff(phi_y, box)
-    fwd = b.axiom("SUB2AS", Implies(phi_y, box))
-    neg = b.axiom("SUB2AS", Implies(Not(phi_y), box_neg))
+    goal = Iff(phi_y, Assign("x", Var("y"), phi))
+    fwd = b.axiom("SUB2AS", x="x", y="y", p=phi)
+    neg = b.axiom("SUB2AS", x="x", y="y", p=Not(phi))
     dual = b.lemma("DBASEQ", x="x", t=Var("y"), phi=phi)
     shuffle = b.taut(Implies(b.formula(fwd),
                              Implies(b.formula(neg),
@@ -264,21 +252,19 @@ def _build_t() -> ProofScript:
     guard = Eq(Var("z"), _a)
     box = lambda f: Assign("z", _a, f)
     goal = Implies(ka, _Pb)
-    subk = b.axiom("SUBK", Implies(guard, Iff(kz, ka)))
+    subk = b.axiom("SUBK", t=Var("z"), u=_a, p=_Pb)
     shuffle1 = b.taut(Implies(b.formula(subk), Implies(ka, Implies(guard, kz))))
     hypo = b.mp(subk, shuffle1)
     boxed = b.necas(hypo, "z", _a)
-    efas = b.axiom("EFAS", box(guard))
-    kas = b.axiom("KAS", Implies(box(Implies(guard, kz)),
-                                 Implies(box(guard), box(kz))))
+    efas = b.axiom("EFAS", x="z", t=_a)
+    kas = b.axiom("KAS", x="z", t=_a, p=guard, q=kz)
     shuffle2 = b.taut(Implies(b.formula(boxed),
                               Implies(b.formula(kas),
                                       Implies(box(guard), Implies(ka, box(kz))))))
     to_boxed_k = b.mp(efas, b.mp(kas, b.mp(boxed, shuffle2)))
-    tx = b.axiom("Tx", Implies(kz, _Pb))
+    tx = b.axiom("Tx", x="z", p=_Pb)
     tx_boxed = b.necas_prime(tx, "z", _a)
-    kas2 = b.axiom("KAS", Implies(box(Implies(kz, _Pb)),
-                                  Implies(box(kz), box(_Pb))))
+    kas2 = b.axiom("KAS", x="z", t=_a, p=kz, q=_Pb)
     unbox = b.mp(tx_boxed, kas2)
     chained = b.imp_trans(to_boxed_k, unbox)
     eas = b.lemma("EAS", x="z", t=_a, phi=_Pb)
@@ -332,7 +318,7 @@ def _build_reletter() -> ProofScript:
     sub = b.lemma("SUBASEQ", x="x", y="z", phi=phi)          # phi_z <-> renamed
     lifted = b.box_iff(sub, "z", _a)             # [z:=a]phi_z <-> [z:=a]renamed
     absorb = b.box_absorb_efas("z", _a, renamed)  # [z:=a]renamed <-> [z:=a](guard & renamed)
-    subas = b.axiom("SUBAS", Implies(guard, Iff(renamed, box_t)))
+    subas = b.axiom("SUBAS", t=Var("z"), u=_a, x="x", p=phi)
     inner = b.taut(Implies(b.formula(subas),
                            Iff(And(guard, renamed), And(guard, box_t))))
     inner_iff = b.mp(subas, inner)

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from .randgen import agent_labels, set_partitions, world_labels
 from .randgen import count_models  # noqa: F401  (part of this module's API)
 from .semantics import (
-    KripkeModel, PointedModel, eval_formula, make_model,
+    KripkeModel, PointedModel, eval_all_worlds, eval_formula, make_model,
 )
 from .syntax import (
     And, Assign, Bot, Eq, Formula, Iff, Implies, Knows, Name, Not, Or, Pred,
@@ -471,14 +471,16 @@ class _ProfileSpace:
         self.models = (p1.model, p2.model)
         self.cells = []          # (model index, world, sigma dict)
         self.cell_index = {}     # (model index, world, ranging values) -> cell
+        self.assignments = []    # (model index, ranging values, sigma dict)
         self.start = []
         for mi, pointed in enumerate((p1, p2)):
             model = pointed.model
             fixed = {v: pointed.sigma[v] for v in shared}
-            combos = list(itertools.product(model.agents, repeat=len(self.vars)))
+            sigmas = [(combo, {**fixed, **dict(zip(self.vars, combo))}) for combo
+                      in itertools.product(model.agents, repeat=len(self.vars))]
+            self.assignments += [(mi, combo, sigma) for combo, sigma in sigmas]
             for w in model.worlds:
-                for combo in combos:
-                    sigma = {**fixed, **dict(zip(self.vars, combo))}
+                for combo, sigma in sigmas:
                     self.cell_index[(mi, w, combo)] = len(self.cells)
                     if w == pointed.world and sigma == fixed:
                         self.start.append(len(self.cells))
@@ -494,9 +496,10 @@ class _ProfileSpace:
 
     def atom_profile(self, phi: Formula) -> int:
         bits = 0
-        for idx, (mi, w, sigma) in enumerate(self.cells):
-            if eval_formula(self.models[mi], w, sigma, phi):
-                bits |= 1 << idx
+        for mi, combo, sigma in self.assignments:
+            for w, value in eval_all_worlds(self.models[mi], sigma, phi).items():
+                if value:
+                    bits |= 1 << self.cell_index[(mi, w, combo)]
         return bits
 
     def negate(self, p: int) -> int:
@@ -555,6 +558,8 @@ def el_distinguishes(p1: PointedModel, p2: PointedModel, max_size: int,
     """
     if language not in ("el", "elas"):
         raise ValueError("language must be 'el' or 'elas'")
+    if max_size < 1:
+        raise ValueError(f"max_size must be at least 1, not {max_size}")
     sig1, sig2 = p1.model.signature, p2.model.signature
     if sig1.predicates != sig2.predicates or sig1.names != sig2.names:
         raise ValueError("pointed models must share a signature")
@@ -573,6 +578,9 @@ def el_distinguishes(p1: PointedModel, p2: PointedModel, max_size: int,
     for sym, arity in preds:
         atoms += [Pred(sym, args)
                   for args in itertools.product(terms, repeat=arity)]
+    atoms_by_size: dict = {}
+    for atom in atoms:
+        atoms_by_size.setdefault(node_count(atom), []).append(atom)
 
     knows_ops = [(t, space.knows_map(t)) for t in terms]
     assign_ops = [(v, t, space.assign_map(v, t))
@@ -591,11 +599,10 @@ def el_distinguishes(p1: PointedModel, p2: PointedModel, max_size: int,
         return None
 
     for size in range(1, max_size + 1):
-        for atom in atoms:
-            if node_count(atom) == size:
-                found = consider(space.atom_profile(atom), atom, size)
-                if found is not None:
-                    return _verified(found, p1, p2)
+        for atom in atoms_by_size.get(size, ()):
+            found = consider(space.atom_profile(atom), atom, size)
+            if found is not None:
+                return _verified(found, p1, p2)
         for profile in list(by_size.get(size - 1, [])):
             sub, _ = best[profile]
             found = consider(space.negate(profile), Not(sub), size)

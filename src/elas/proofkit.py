@@ -6,25 +6,9 @@ ponens, necessitation for ``K{t}``, necessitation for ``[?x := t]`` (with
 its freshness side condition), or a citation of a previously established
 derived theorem instantiated at concrete formulas and terms.
 
-Axiom schemas, with their side conditions:
-
-====== =======================================================
-DISTK  K{t}(p -> q) -> (K{t}p -> K{t}q)
-Tx     K{?x}p -> p
-4x     K{?x}p -> K{?x}K{?x}p
-5x     ~K{?x}p -> K{?x}~K{?x}p
-ID     t = t
-SUBP   pointwise equalities -> (P(ts) <-> P(ts'));  P may be =
-SUBK   t = t' -> (K{t}p <-> K{t'}p)
-SUBAS  t = t' -> ([?x := t]p <-> [?x := t']p)
-RIGIDP ?x = ?y -> K{t} ?x = ?y          (variables only)
-RIGIDN ~(?x = ?y) -> K{t} ~(?x = ?y)    (variables only)
-KAS    [?x := t](p -> q) -> ([?x := t]p -> [?x := t]q)
-DETAS  <?x := t>p -> [?x := t]p
-DAS    <?x := t>true
-EFAS   [?x := t] ?x = t
-SUB2AS p[?y/?x] -> [?x := ?y]p          (substitution admissible)
-====== =======================================================
+The axiom schemas are the table ``AXIOMS`` and the derived theorems the
+table ``LEMMAS``, both written in the formula syntax; SUBP, SUB2AS,
+SUBASEQ and RELETTER take any arity or substitute, and are built in code.
 
 Rules: ``mp i j`` (step j must be step i -> this step), ``neck i K{t}``
 (this step must be K{t} of step i), ``necas i [?x := t]`` (step i must be
@@ -43,14 +27,15 @@ Script text format, one step per line; ``#`` starts a comment::
 
 from __future__ import annotations
 
+import functools
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .syntax import (
     BOOLEAN, And, Assign, Bot, Eq, Formula, Iff, Implies, Knows, Name, Not,
-    Or, Pred, Term, Top, Var, all_vars, children, free_vars, is_admissible,
-    parse_formula, parse_term, print_formula, print_term, rebuild,
-    substitute, term_vars,
+    Or, Pred, Term, Top, Var, all_vars, children, free_vars,
+    is_admissible, parse_formula, parse_term, print_formula, print_term,
+    rebuild, reletter, subformulas, substitute, terms_of,
 )
 
 
@@ -68,81 +53,127 @@ AXIOM_IDS = ("DISTK", "Tx", "4x", "5x", "ID", "SUBP", "SUBK", "SUBAS",
 
 
 # ---------------------------------------------------------------------------
-# Axiom-schema matching
+# Schemas: matching and instantiation
 
-def _flatten_and(phi: Formula) -> list:
-    if isinstance(phi, And):
-        return _flatten_and(phi.lhs) + _flatten_and(phi.rhs)
-    return [phi]
+# A name is a term metavariable, a variable (free or binding) a
+# variable-only one and a 0-ary predicate a formula metavariable keyed by
+# its lower-cased symbol.  Built in code: SUBP, t1 = u1 & ... & tn = un ->
+# (P(t1..tn) <-> P(u1..un)) with P possibly =, and SUB2AS, p[?y/?x] ->
+# [?x := ?y] p with the substitution admissible.
+AXIOMS = {
+    "DISTK": "K{t} (P -> Q) -> (K{t} P -> K{t} Q)",
+    "Tx": "K{?x} P -> P",
+    "4x": "K{?x} P -> K{?x} K{?x} P",
+    "5x": "~K{?x} P -> K{?x} ~K{?x} P",
+    "ID": "t = t",
+    "SUBK": "t = u -> (K{t} P <-> K{u} P)",
+    "SUBAS": "t = u -> ([?x := t] P <-> [?x := u] P)",
+    "RIGIDP": "?x = ?y -> K{t} ?x = ?y",
+    "RIGIDN": "~(?x = ?y) -> K{t} ~(?x = ?y)",
+    "KAS": "[?x := t] (P -> Q) -> ([?x := t] P -> [?x := t] Q)",
+    "DETAS": "<?x := t> P -> [?x := t] P",
+    "DAS": "<?x := t> true",
+    "EFAS": "[?x := t] ?x = t",
+}
+
+# Derived theorems citable by `lemma`; EAS needs ?x not free in phi.  Built
+# in code: SUBASEQ, phi[?y/?x] <-> [?x := ?y] phi with the substitution
+# admissible, and RELETTER, [?x := t] phi <-> [?z := t] phi[?z/?x], ?z fresh.
+LEMMAS = {
+    "SYM": "t1 = t2 -> t2 = t1",
+    "TRANS": "t1 = t2 & t2 = t3 -> t1 = t3",
+    "DBASEQ": "<?x := t> PHI <-> [?x := t] PHI",
+    "EAS": "[?x := t] PHI <-> PHI",
+    "T": "K{t} PHI -> PHI",
+    "EX": "[?x := ?x] PHI <-> PHI",
+}
+
+
+def _metavariables(schema: Formula) -> dict:
+    """Each metavariable mapped to "variable", "term" or "formula", in order
+    of first occurrence."""
+    kinds = {}
+    for f in subformulas(schema):
+        if isinstance(f, Pred):
+            kinds.setdefault(f.sym.lower(), "formula")
+        if isinstance(f, Assign):
+            kinds.setdefault(f.var, "variable")
+        for t in terms_of(f):
+            kinds.setdefault(t.id, "variable" if isinstance(t, Var) else "term")
+    return kinds
+
+
+_AXIOM_SCHEMAS = {key: parse_formula(text) for key, text in AXIOMS.items()}
+_LEMMA_SCHEMAS = {key: parse_formula(text) for key, text in LEMMAS.items()}
+
+
+def _match(schema: Formula, phi, binding: dict) -> bool:
+    """Extend binding so that the schema instantiates to phi."""
+    node = type(schema)
+    if node is Pred:
+        bound = binding.setdefault(schema.sym.lower(), phi)
+        return (bound is phi or bound == phi) and not isinstance(phi, (Var, Name))
+    if type(phi) is not node or (
+            node is Assign and binding.setdefault(schema.var, phi.var) != phi.var):
+        return False
+    for meta, t in zip(terms_of(schema), terms_of(phi)):
+        if type(meta) is Var:
+            if type(t) is not Var:
+                return False
+            t = t.id
+        bound = binding.setdefault(meta.id, t)
+        if bound is not t and bound != t:
+            return False
+    for s, f in zip(children(schema), children(phi)):
+        if not _match(s, f, binding):
+            return False
+    return True
+
+
+def _fill(schema: Formula, values: dict) -> Formula:
+    """The schema with every metavariable replaced by its value."""
+    if isinstance(schema, Pred):
+        return values[schema.sym.lower()]
+    phi = rebuild(schema, [_fill(kid, values) for kid in children(schema)],
+                  lambda t: Var(values[t.id]) if isinstance(t, Var) else values[t.id])
+    return Assign(values[phi.var], phi.term, phi.body) if isinstance(phi, Assign) else phi
 
 
 def match_axiom(axiom_id: str, phi: Formula):
-    """A metavariable binding when phi instantiates the schema, else None.
-
-    Schema metavariables t, t' range over terms, x, y over variables only,
-    p, q over formulas; all side conditions are enforced here.
-    """
+    """A metavariable binding (a variable as its id) when phi instantiates
+    the schema, else None; all side conditions are enforced here."""
     if axiom_id not in AXIOM_IDS:
         raise ValueError(f"unknown axiom {axiom_id}")
+    if axiom_id in _AXIOM_SCHEMAS:
+        binding = {}
+        return binding if _match(_AXIOM_SCHEMAS[axiom_id], phi, binding) else None
     match axiom_id, phi:
-        case "DISTK", Implies(Knows(t1, Implies(p, q)),
-                              Implies(Knows(t2, p2), Knows(t3, q2))):
-            if t1 == t2 == t3 and p == p2 and q == q2:
-                return {"t": t1, "p": p, "q": q}
-        case "Tx", Implies(Knows(Var(x), p), p2):
-            if p == p2:
-                return {"x": x, "p": p}
-        case "4x", Implies(Knows(Var(x1), p),
-                           Knows(Var(x2), Knows(Var(x3), p2))):
-            if x1 == x2 == x3 and p == p2:
-                return {"x": x1, "p": p}
-        case "5x", Implies(Not(Knows(Var(x1), p)),
-                           Knows(Var(x2), Not(Knows(Var(x3), p2)))):
-            if x1 == x2 == x3 and p == p2:
-                return {"x": x1, "p": p}
-        case "ID", Eq(lhs, rhs):
-            if lhs == rhs:
-                return {"t": lhs}
-        case "SUBP", Implies(lhs, Iff(Pred(sym1, ts), Pred(sym2, ts2))):
-            if sym1 == sym2 and len(ts) == len(ts2) and len(ts) >= 1:
-                want = [Eq(a, b) for a, b in zip(ts, ts2)]
-                if _flatten_and(lhs) == want:
-                    return {"P": sym1, "ts": ts, "ts'": ts2}
-        case "SUBP", Implies(lhs, Iff(Eq(a1, a2), Eq(b1, b2))):
-            # the predicate position may itself be equality (arity 2)
-            if _flatten_and(lhs) == [Eq(a1, b1), Eq(a2, b2)]:
-                return {"P": "=", "ts": (a1, a2), "ts'": (b1, b2)}
-        case "SUBK", Implies(Eq(t1, t2), Iff(Knows(t3, p), Knows(t4, p2))):
-            if t1 == t3 and t2 == t4 and p == p2:
-                return {"t": t1, "t'": t2, "p": p}
-        case "SUBAS", Implies(Eq(t1, t2),
-                              Iff(Assign(x1, t3, p), Assign(x2, t4, p2))):
-            if t1 == t3 and t2 == t4 and x1 == x2 and p == p2:
-                return {"t": t1, "t'": t2, "x": x1, "p": p}
-        case "RIGIDP", Implies(Eq(Var(x1), Var(y1)),
-                               Knows(t, Eq(Var(x2), Var(y2)))):
-            if x1 == x2 and y1 == y2:
-                return {"x": x1, "y": y1, "t": t}
-        case "RIGIDN", Implies(Not(Eq(Var(x1), Var(y1))),
-                               Knows(t, Not(Eq(Var(x2), Var(y2))))):
-            if x1 == x2 and y1 == y2:
-                return {"x": x1, "y": y1, "t": t}
-        case "KAS", Implies(Assign(x1, t1, Implies(p, q)),
-                            Implies(Assign(x2, t2, p2), Assign(x3, t3, q2))):
-            if x1 == x2 == x3 and t1 == t2 == t3 and p == p2 and q == q2:
-                return {"x": x1, "t": t1, "p": p, "q": q}
-        case "DETAS", Implies(Not(Assign(x1, t1, Not(p))), Assign(x2, t2, p2)):
-            if x1 == x2 and t1 == t2 and p == p2:
-                return {"x": x1, "t": t1, "p": p}
-        case "DAS", Not(Assign(x, t, Not(Top()))):
-            return {"x": x, "t": t}
-        case "EFAS", Assign(x, t, Eq(Var(x2), t2)):
-            if x == x2 and t == t2:
-                return {"x": x, "t": t}
+        case "SUBP", Implies(lhs, Iff(Eq() | Pred() as left, right)):
+            sym, ts, us = getattr(left, "sym", "="), terms_of(left), terms_of(right)
+            conjuncts = [f for f in subformulas(lhs) if not isinstance(f, And)]
+            if (type(right) is type(left) and getattr(right, "sym", "=") == sym and ts
+                    and len(ts) == len(us) and conjuncts == list(map(Eq, ts, us))):
+                return {"P": sym, "ts": ts, "us": us}
         case "SUB2AS", Implies(p_sub, Assign(x, Var(y), p)):
             if is_admissible(p, y, x) and substitute(p, y, x) == p_sub:
                 return {"x": x, "y": y, "p": p}
     return None
+
+
+def instantiate_axiom(axiom_id: str, binding: dict) -> Formula:
+    """The instance of the schema at the metavariable values (a variable as
+    its id), the inverse of match_axiom; keys the schema does not use are
+    ignored."""
+    if axiom_id == "SUBP":
+        sym, ts, us = binding["P"], tuple(binding["ts"]), tuple(binding["us"])
+        sides = (Eq(*ts), Eq(*us)) if sym == "=" else (Pred(sym, ts), Pred(sym, us))
+        return Implies(functools.reduce(And, map(Eq, ts, us)), Iff(*sides))
+    if axiom_id == "SUB2AS":           # SubstitutionError when not admissible
+        x, y, p = binding["x"], binding["y"], binding["p"]
+        return Implies(substitute(p, y, x), Assign(x, Var(y), p))
+    if axiom_id not in _AXIOM_SCHEMAS:
+        raise ValueError(f"unknown axiom {axiom_id}")
+    return _fill(_AXIOM_SCHEMAS[axiom_id], binding)
 
 
 # ---------------------------------------------------------------------------
@@ -264,119 +295,49 @@ class ProofReport:
 
 
 # ---------------------------------------------------------------------------
-# Derived-theorem schemas (citable via `lemma`)
+# Derived theorems (citable via `lemma`)
 
-@dataclass(frozen=True)
-class LemmaSchema:
-    name: str
-    params: tuple                  # ((param name, "var" | "term" | "formula"), ...)
-    build: object = field(compare=False)       # bindings dict -> Formula
-    side: object = field(compare=False, default=None)   # bindings -> error or None
-
-
-def _schema_sym(b):
-    return Implies(Eq(b["t1"], b["t2"]), Eq(b["t2"], b["t1"]))
-
-
-def _schema_trans(b):
-    return Implies(And(Eq(b["t1"], b["t2"]), Eq(b["t2"], b["t3"])),
-                   Eq(b["t1"], b["t3"]))
-
-
-def _schema_dbaseq(b):
-    return Iff(Not(Assign(b["x"], b["t"], Not(b["phi"]))),
-               Assign(b["x"], b["t"], b["phi"]))
-
-
-def _schema_subaseq(b):
-    return Iff(substitute(b["phi"], b["y"], b["x"]),
-               Assign(b["x"], Var(b["y"]), b["phi"]))
-
-
-def _side_subaseq(b):
-    if not is_admissible(b["phi"], b["y"], b["x"]):
-        return f"substituting ?{b['y']} for ?{b['x']} is not admissible here"
-    return None
-
-
-def _schema_eas(b):
-    return Iff(Assign(b["x"], b["t"], b["phi"]), b["phi"])
-
-
-def _side_eas(b):
-    if b["x"] in free_vars(b["phi"]):
-        return f"?{b['x']} must not occur free in the body"
-    return None
-
-
-def _schema_t(b):
-    return Implies(Knows(b["t"], b["phi"]), b["phi"])
-
-
-def _schema_ex(b):
-    return Iff(Assign(b["x"], Var(b["x"]), b["phi"]), b["phi"])
-
-
-def _schema_reletter(b):
-    return Iff(Assign(b["x"], b["t"], b["phi"]),
-               Assign(b["z"], b["t"], substitute(b["phi"], b["z"], b["x"])))
-
-
-def _side_reletter(b):
-    if b["z"] in all_vars(b["phi"]) | term_vars(b["t"]) | {b["x"]}:
-        return f"?{b['z']} must be fresh for the formula and the term"
-    return None
-
-
-LEMMA_SCHEMAS = {
-    "SYM": LemmaSchema("SYM", (("t1", "term"), ("t2", "term")), _schema_sym),
-    "TRANS": LemmaSchema("TRANS", (("t1", "term"), ("t2", "term"), ("t3", "term")),
-                         _schema_trans),
-    "DBASEQ": LemmaSchema("DBASEQ", (("x", "var"), ("t", "term"), ("phi", "formula")),
-                          _schema_dbaseq),
-    "SUBASEQ": LemmaSchema("SUBASEQ", (("x", "var"), ("y", "var"), ("phi", "formula")),
-                           _schema_subaseq, _side_subaseq),
-    "EAS": LemmaSchema("EAS", (("x", "var"), ("t", "term"), ("phi", "formula")),
-                       _schema_eas, _side_eas),
-    "T": LemmaSchema("T", (("t", "term"), ("phi", "formula")), _schema_t),
-    "EX": LemmaSchema("EX", (("x", "var"), ("phi", "formula")), _schema_ex),
-    "RELETTER": LemmaSchema("RELETTER",
-                            (("x", "var"), ("t", "term"), ("z", "var"),
-                             ("phi", "formula")),
-                            _schema_reletter, _side_reletter),
+# name -> (metavariable kinds, goal builder)
+_LEMMA_BUILDERS = {
+    **{name: (_metavariables(schema), functools.partial(_fill, schema))
+       for name, schema in _LEMMA_SCHEMAS.items()},
+    "SUBASEQ": ({"x": "variable", "y": "variable", "phi": "formula"},
+                lambda v: Iff(*children(instantiate_axiom("SUB2AS", {**v, "p": v["phi"]})))),
+    "RELETTER": ({"x": "variable", "t": "term", "z": "variable", "phi": "formula"},
+                 lambda v: Iff(Assign(v["x"], v["t"], v["phi"]),
+                               reletter(Assign(v["x"], v["t"], v["phi"]), v["z"]))),
 }
 
 
 def instantiate_lemma(name: str, bindings: dict) -> Formula:
     """The goal of a named derived theorem at the given metavariable values."""
-    schema = LEMMA_SCHEMAS.get(name)
-    if schema is None:
+    if name not in _LEMMA_BUILDERS:
         raise ScriptError(f"unknown lemma {name}")
-    values = {}
-    for param, kind in schema.params:
-        if param not in bindings:
-            raise ScriptError(f"lemma {name} needs a binding for {param}")
-        value = bindings[param]
-        if kind == "var":
-            if isinstance(value, Var):
-                value = value.id
-            if not isinstance(value, str):
-                raise ScriptError(f"{param} of lemma {name} must be a variable")
-        elif kind == "term":
-            if not isinstance(value, (Var, Name)):
-                raise ScriptError(f"{param} of lemma {name} must be a term")
-        elif kind == "formula":
-            if isinstance(value, (Var, Name)):
-                raise ScriptError(f"{param} of lemma {name} must be a formula")
-        values[param] = value
-    extra = set(bindings) - {p for p, _ in schema.params}
+    kinds, build = _LEMMA_BUILDERS[name]
+    v = {}                              # the values, a variable as its id
+    for key, kind in kinds.items():
+        if key not in bindings:
+            raise ScriptError(f"lemma {name} needs a binding for {key}")
+        value = bindings[key]
+        if kind == "variable" and isinstance(value, Var):
+            value = value.id
+        is_term = isinstance(value, (Var, Name))
+        if not {"variable": isinstance(value, str), "term": is_term,
+                "formula": not is_term}[kind]:
+            raise ScriptError(f"{key} of lemma {name} must be a {kind}")
+        v[key] = value
+    extra = set(bindings) - set(kinds)
     if extra:
         raise ScriptError(f"lemma {name} does not take {sorted(extra)}")
-    if schema.side is not None:
-        problem = schema.side(values)
-        if problem:
-            raise ScriptError(f"lemma {name}: {problem}")
-    return schema.build(values)
+    if name == "EAS" and v["x"] in free_vars(v["phi"]):
+        raise ScriptError(f"lemma EAS: ?{v['x']} must not occur free in the body")
+    if name == "SUBASEQ" and not is_admissible(v["phi"], v["y"], v["x"]):
+        raise ScriptError(f"lemma SUBASEQ: substituting ?{v['y']} for ?{v['x']} "
+                          "is not admissible here")
+    if name == "RELETTER" and v["z"] in all_vars(Assign(v["x"], v["t"], v["phi"])):
+        raise ScriptError(f"lemma RELETTER: ?{v['z']} must be fresh for the "
+                          "formula and the term")
+    return build(v)
 
 
 # ---------------------------------------------------------------------------

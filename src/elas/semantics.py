@@ -16,14 +16,15 @@ Truth at a pointed model (model, world, sigma):
 * ``[?x := t] phi`` iff phi holds at the same world once sigma maps x to
   the current denotation of t.
 
-Models are immutable after construction and evaluation is pure, so a model
-may be shared freely between threads.
+Models are immutable after construction (their mappings are read-only) and
+evaluation is pure, so a model may be shared freely between threads.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 from .syntax import (
     And, Assign, Bot, Eq, Formula, Iff, Implies, Knows, Not, Or, Pred,
@@ -42,20 +43,25 @@ class ModelError(Exception):
 
 @dataclass(frozen=True)
 class KripkeModel:
+    """Built by make_model; the mappings are read-only."""
     worlds: tuple
     agents: tuple
-    relations: dict          # agent -> frozenset of (world, world)
-    rho: dict                # (predicate, world) -> frozenset of agent tuples
-    eta: dict                # (name, world) -> agent
+    relations: MappingProxyType   # agent -> frozenset of (world, world)
+    rho: MappingProxyType         # (predicate, world) -> frozenset of agent tuples
+    eta: MappingProxyType         # (name, world) -> agent
     signature: Signature
-    _succ: dict = field(default_factory=dict, repr=False, compare=False)
+    _succ: dict = field(repr=False, compare=False)   # (agent, world) -> sorted successors
+
+    def __hash__(self):
+        return hash((self.worlds, self.agents, *(frozenset(m.items()) for m in (
+            self.relations, self.rho, self.eta))))
+
+    def __reduce__(self):
+        return make_model, (self.worlds, self.agents, dict(self.relations),
+                            dict(self.rho), dict(self.eta), self.signature)
 
     def successors(self, agent: str, world: str) -> tuple:
-        key = (agent, world)
-        if key not in self._succ:
-            rel = self.relations.get(agent, frozenset())
-            self._succ[key] = tuple(sorted(v for (u, v) in rel if u == world))
-        return self._succ[key]
+        return self._succ.get((agent, world), ())
 
     def rho_at(self, pred: str, world: str) -> frozenset:
         return self.rho.get((pred, world), frozenset())
@@ -64,14 +70,20 @@ class KripkeModel:
 def make_model(worlds, agents, relations, rho, eta, signature) -> KripkeModel:
     """Normalise plain containers into a KripkeModel (worlds and agents are
     kept sorted so iteration order is deterministic)."""
-    normalised = {k: frozenset(map(tuple, v)) for k, v in rho.items()}
+    relations = {a: frozenset(map(tuple, rel)) for a, rel in relations.items()}
+    succ: dict = {}
+    for agent, rel in relations.items():
+        for u, v in rel:
+            succ.setdefault((agent, u), []).append(v)
     return KripkeModel(
         worlds=tuple(sorted(worlds)),
         agents=tuple(sorted(agents)),
-        relations={a: frozenset(map(tuple, rel)) for a, rel in relations.items()},
-        rho={k: v for k, v in normalised.items() if v},   # empty is the default
-        eta=dict(eta),
+        relations=MappingProxyType(relations),
+        rho=MappingProxyType({k: frozenset(map(tuple, v))
+                              for k, v in rho.items() if v}),   # empty is the default
+        eta=MappingProxyType(dict(eta)),
         signature=signature,
+        _succ={key: tuple(sorted(vs)) for key, vs in succ.items()},
     )
 
 

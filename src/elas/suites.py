@@ -26,16 +26,15 @@ from .modelsearch import (
     Countermodel, NoCountermodelUpTo, SearchBounds, Witness, el_distinguishes,
     find_countermodel, find_witness,
 )
-from .proofkit import AXIOM_IDS, match_axiom
+from .proofkit import AXIOM_IDS, instantiate_axiom, match_axiom
 from .randgen import random_epistemic_model, random_model, random_sigma
 from .semantics import (
     KripkeModel, PointedModel, Signature, eval_formula, make_model,
     model_to_dict,
 )
 from .syntax import (
-    And, Assign, Eq, Formula, Iff, Implies, Knows, Name, Not, Pred, Top, Var,
-    formula_signature, free_vars, is_admissible, knows_who, parse_formula,
-    print_formula, substitute,
+    And, Eq, Formula, Iff, Name, Not, Pred, Var, formula_signature, free_vars,
+    is_admissible, knows_who, parse_formula, print_formula,
 )
 
 DEFAULT_BOUNDS = SearchBounds(3, 3, True)
@@ -115,12 +114,18 @@ def _random_valid_trials(phi: Formula, trials: int, rng: random.Random) -> int:
     return trials
 
 
+def _check_trials(trials: int) -> None:
+    if trials < 0:
+        raise ValueError(f"trials must be at least 0, not {trials}")
+
+
 def validity_table_suite(bounds: SearchBounds = DEFAULT_BOUNDS,
                          trials: int = 10000, seed: int = 0,
                          jobs: int = 1) -> dict:
     """Check every table entry; invalid rows must yield verified
     countermodels, valid rows must exhaust the bounds and survive the
     random trials."""
+    _check_trials(trials)
     rng = random.Random(seed)
     entries = []
     all_ok = True
@@ -240,60 +245,26 @@ def _rand_formula(rng, depth=2):
 
 def random_axiom_instance(axiom_id: str, rng: random.Random) -> Formula:
     """A random instance of the schema with its side conditions satisfied."""
-    t, t2 = _rand_term(rng), _rand_term(rng)
+    t, u = _rand_term(rng), _rand_term(rng)
     x, y = rng.choice(_VARS), rng.choice(_VARS)
     p, q = _rand_formula(rng), _rand_formula(rng)
-    if axiom_id == "DISTK":
-        return Implies(Knows(t, Implies(p, q)),
-                       Implies(Knows(t, p), Knows(t, q)))
-    if axiom_id == "Tx":
-        return Implies(Knows(Var(x), p), p)
-    if axiom_id == "4x":
-        return Implies(Knows(Var(x), p), Knows(Var(x), Knows(Var(x), p)))
-    if axiom_id == "5x":
-        return Implies(Not(Knows(Var(x), p)),
-                       Knows(Var(x), Not(Knows(Var(x), p))))
-    if axiom_id == "ID":
-        return Eq(t, t)
+    binding = {"t": t, "u": u, "x": x, "y": y, "p": p, "q": q}
     if axiom_id == "SUBP":
         if rng.random() < 0.25:
-            ts = [_rand_term(rng) for _ in range(2)]
-            ts2 = [_rand_term(rng) for _ in range(2)]
-            lhs = And(Eq(ts[0], ts2[0]), Eq(ts[1], ts2[1]))
-            return Implies(lhs, Iff(Eq(ts[0], ts[1]), Eq(ts2[0], ts2[1])))
-        sym, arity = rng.choice(sorted(_PREDS.items()))
+            sym, arity = "=", 2
+        else:
+            sym, arity = rng.choice(sorted(_PREDS.items()))
         ts = [_rand_term(rng) for _ in range(arity)]
-        ts2 = [_rand_term(rng) for _ in range(arity)]
-        lhs = Eq(ts[0], ts2[0])
-        for u, v in zip(ts[1:], ts2[1:]):
-            lhs = And(lhs, Eq(u, v))
-        return Implies(lhs, Iff(Pred(sym, tuple(ts)), Pred(sym, tuple(ts2))))
-    if axiom_id == "SUBK":
-        return Implies(Eq(t, t2), Iff(Knows(t, p), Knows(t2, p)))
-    if axiom_id == "SUBAS":
-        return Implies(Eq(t, t2), Iff(Assign(x, t, p), Assign(x, t2, p)))
-    if axiom_id == "RIGIDP":
-        return Implies(Eq(Var(x), Var(y)), Knows(t, Eq(Var(x), Var(y))))
-    if axiom_id == "RIGIDN":
-        return Implies(Not(Eq(Var(x), Var(y))),
-                       Knows(t, Not(Eq(Var(x), Var(y)))))
-    if axiom_id == "KAS":
-        return Implies(Assign(x, t, Implies(p, q)),
-                       Implies(Assign(x, t, p), Assign(x, t, q)))
-    if axiom_id == "DETAS":
-        return Implies(Not(Assign(x, t, Not(p))), Assign(x, t, p))
-    if axiom_id == "DAS":
-        return Not(Assign(x, t, Not(Top())))
-    if axiom_id == "EFAS":
-        return Assign(x, t, Eq(Var(x), t))
-    if axiom_id == "SUB2AS":
+        binding = {"P": sym, "ts": ts, "us": [_rand_term(rng) for _ in range(arity)]}
+    elif axiom_id == "SUB2AS":
         for _ in range(50):
             if is_admissible(p, y, x):
-                return Implies(substitute(p, y, x), Assign(x, Var(y), p))
+                break
             p = _rand_formula(rng)
-        p = Pred("P", (Var(x),))
-        return Implies(substitute(p, y, x), Assign(x, Var(y), p))
-    raise ValueError(f"unknown axiom {axiom_id}")
+        else:
+            p = Pred("P", (Var(x),))
+        binding["p"] = p
+    return instantiate_axiom(axiom_id, binding)
 
 
 _S5_ONLY = ("Tx", "4x", "5x")
@@ -331,6 +302,7 @@ def _exhibit_name_introspection_failure(shape: str, rng) -> dict:
 def soundness_suite(trials: int = 10000, seed: int = 7) -> dict:
     """Every axiom schema, random instances on random epistemic models; the
     matcher must accept each instance and the evaluator must find it true."""
+    _check_trials(trials)
     rng = random.Random(seed)
     per_axiom = {axiom_id: 0 for axiom_id in AXIOM_IDS}
     violations = []

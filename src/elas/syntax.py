@@ -485,16 +485,14 @@ def children(phi: Formula) -> tuple:
 def terms_of(phi: Formula) -> tuple:
     """The terms the node holds itself: the arguments of an atom, the index
     of K{t}, the term of a binder."""
-    match phi:
-        case Eq(lhs, rhs):
-            return (lhs, rhs)
-        case Pred(_, args):
-            return args
-        case Knows(agent, _):
-            return (agent,)
-        case Assign(_, term, _):
-            return (term,)
-    return ()
+    node = type(phi)
+    if node is Eq:
+        return (phi.lhs, phi.rhs)
+    if node is Pred:
+        return phi.args
+    if node is Knows:
+        return (phi.agent,)
+    return (phi.term,) if node is Assign else ()
 
 
 def _same(t: Term) -> Term:

@@ -229,6 +229,22 @@ class TestUsage:
         assert code == 2 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("argv", [
+        ("suite", "soundness", "--trials", "-5"),
+        ("suite", "validity-table", "--trials", "-5"),
+        ("suite", "prop24", "--max-size", "-1"),
+        ("valid", "a = a", "--worlds", "x"),
+        ("translate", "a = a", "--form", "both"),
+    ])
+    def test_malformed_flags_one_error_line(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_help_keeps_usage(self, capsys):
+        code, out, _ = run(capsys, "valid", "-h")
+        assert code == 0 and out.startswith("usage: elas valid")
+
 
 class TestConsoleScript:
     def test_installed_entry_point(self):

@@ -1,15 +1,20 @@
-"""Property tests for the formula-tree fold (children/rebuild) and for the
-model loader, generated with hypothesis."""
+"""Property tests for the formula-tree fold (children/rebuild), the schema
+table of the proof checker and the model loader, generated with
+hypothesis."""
 
 import copy
 import json
 import random
 
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from conftest import FIXTURES
 
-from elas.proofkit import _mutants
+from elas.proofkit import (
+    AXIOM_IDS, AXIOMS, _LEMMA_BUILDERS, ScriptError, _mutants,
+    instantiate_axiom, instantiate_lemma, match_axiom,
+)
 from elas.randgen import random_epistemic_model, random_sigma
 from elas.semantics import ModelError, _eval, model_from_dict
 from elas.syntax import (
@@ -106,6 +111,69 @@ def test_mutants_flip_exactly_one_connective(phi):
         flipped = (isinstance(old, BINARY) and isinstance(new, BINARY)
                    and children(old) == children(new))
         assert dropped or flipped
+
+
+def _replace(phi, old, new):
+    """phi with every subformula or term equal to old replaced by new,
+    however malformed the result."""
+    if phi == old:
+        return new
+    return rebuild(phi, [_replace(kid, old, new) for kid in children(phi)],
+                   lambda t: new if t == old else t)
+
+
+@st.composite
+def axiom_bindings(draw, ids=AXIOM_IDS):
+    axiom_id = draw(st.sampled_from(ids))
+    if axiom_id == "SUBP":
+        sym, arity = draw(st.sampled_from([("=", 2), ("P", 1), ("Q", 2)]))
+        vector = st.lists(terms, min_size=arity, max_size=arity).map(tuple)
+        return axiom_id, {"P": sym, "ts": draw(vector), "us": draw(vector)}
+    binding = {"t": draw(terms), "u": draw(terms), "x": draw(st.sampled_from(VARS)),
+               "y": draw(st.sampled_from(VARS)), "p": draw(formulas), "q": draw(formulas)}
+    if axiom_id == "SUB2AS":
+        assume(is_admissible(binding["p"], binding["y"], binding["x"]))
+    return axiom_id, binding
+
+
+@PROPERTY
+@given(axiom_bindings())
+def test_match_axiom_inverts_instantiate_axiom(case):
+    axiom_id, binding = case
+    phi = instantiate_axiom(axiom_id, binding)
+    found = match_axiom(axiom_id, phi)
+    assert found is not None
+    assert instantiate_axiom(axiom_id, found) == phi
+
+
+@PROPERTY
+@given(axiom_bindings(sorted(AXIOMS)))
+def test_match_axiom_rejects_wrong_kinds(case):
+    axiom_id, binding = case
+    # ?w occurs nowhere else, and W stands for both formula metavariables
+    sentinel = Pred("W", ())
+    phi = instantiate_axiom(axiom_id, {**binding, "x": "w", "p": sentinel, "q": sentinel})
+    named = _replace(phi, Var("w"), Name("a"))          # a name for ?x
+    term_for_formula = _replace(phi, sentinel, Name("a"))
+    assume(named != phi or term_for_formula != phi)
+    for wrong in {named, term_for_formula} - {phi}:
+        assert match_axiom(axiom_id, wrong) is None
+
+
+WRONG = {"variable": Name("a"), "term": Top(), "formula": Name("a")}
+
+
+@PROPERTY
+@given(st.sampled_from(sorted(_LEMMA_BUILDERS)), st.data())
+def test_instantiate_lemma_rejects_wrong_kinds(name, data):
+    kinds = _LEMMA_BUILDERS[name][0]
+    draws = {"variable": st.sampled_from(VARS), "term": terms, "formula": formulas}
+    binding = {key: data.draw(draws[kind]) for key, kind in kinds.items()}
+    key = data.draw(st.sampled_from(sorted(kinds)))
+    binding[key] = WRONG[kinds[key]]
+    with pytest.raises(ScriptError) as raised:
+        instantiate_lemma(name, binding)
+    assert str(raised.value) == f"{key} of lemma {name} must be a {kinds[key]}"
 
 
 def _paths(value, prefix=()):

@@ -1,4 +1,5 @@
 import json
+import pickle
 import random
 
 import pytest
@@ -57,6 +58,32 @@ class TestValidation:
 
     def test_round_trip_dict(self, m1):
         assert model_from_dict(model_to_dict(m1)) == m1
+
+
+class TestImmutability:
+    def test_mappings_are_read_only(self, m1):
+        for mapping, key in ((m1.eta, ("a", "s1")), (m1.rho, ("P", "s2")),
+                             (m1.relations, "i")):
+            with pytest.raises(TypeError):
+                mapping[key] = mapping[key]
+
+    def test_successors_filled_at_construction(self):
+        m = random_model(random.Random(4), small_sig(), 4, 3)
+        for agent in m.agents:
+            for w in m.worlds:
+                expected = tuple(sorted(v for u, v in m.relations.get(agent, ())
+                                        if u == w))
+                assert m.successors(agent, w) == expected
+
+    def test_hash_agrees_with_equality(self, m1, m2):
+        again = load_model(str(FIXTURES / "m1.json"))
+        assert again == m1 and hash(again) == hash(m1)
+        assert len({m1, again, m2}) == 2
+
+    def test_pickle_round_trip(self, m1):
+        back = pickle.loads(pickle.dumps(m1))
+        assert back == m1 and hash(back) == hash(m1)
+        assert back.successors("j", "s1") == m1.successors("j", "s1")
 
 
 class TestEpistemic:

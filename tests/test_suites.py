@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 from elas.modelsearch import SearchBounds
@@ -73,3 +74,24 @@ class TestReportSchemas:
                     inst.pop("elapsed_ms", None)
             return rep
         assert drop_elapsed(r1) == drop_elapsed(r2)
+
+
+def _digest(report) -> str:
+    return hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
+
+
+class TestSeededOutputPinned:
+    """Seeded suite JSON must not drift: these digests guard the RNG draw
+    order of the random models and of random_axiom_instance."""
+
+    def test_soundness(self):
+        assert _digest(soundness_suite(trials=300, seed=7)) == (
+            "b93a62a4ca5550d656bc86bb9c425c7af37f1bbda263eb97518f73868849fdab")
+
+    def test_validity_table_apart_from_elapsed_ms(self):
+        report = validity_table_suite(SearchBounds(2, 2, True), trials=50, seed=3)
+        for entry in report["entries"]:
+            for instance in entry["instances"]:
+                del instance["elapsed_ms"]
+        assert _digest(report) == (
+            "bdd763869de52cae4aa3ebbaa08196521dae67c82a673c045257e96cfa7e99d9")
