@@ -23,6 +23,9 @@ Script text format, one step per line; ``#`` starts a comment::
     4. <formula> ; neck 1 K{a}
     5. <formula> ; necas 3 [?x := a]
     6. <formula> ; lemma EAS with x := ?z, t := a, phi := P(b)
+
+The ten bundled derivations are scripts in this format, shipped as package
+data under ``elas/proofs/``; ``bundled_theorems`` loads and checks them.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
+from importlib.resources import files
 
 from .syntax import (
     BOOLEAN, And, Assign, Bot, Eq, Formula, Iff, Implies, Knows, Name, Not,
@@ -512,16 +516,24 @@ def _parse_justification(text: str):
             raise ScriptError("necas binder must be a variable")
         return NecAs(int(i), var_part[1:], parse_term(term_part.strip()))
     if head == "lemma":
-        name, _, with_part = rest.partition(" with ")
-        name = name.strip()
-        bindings = []
-        if with_part.strip():
-            for item in _split_top_level(with_part):
-                param, sep, value = item.partition(":=")
-                if not sep:
-                    raise ScriptError(f"malformed lemma binding {item!r}")
-                bindings.append((param.strip(), _parse_binding_value(value)))
-        return Lemma(name, tuple(bindings))
+        name, _, more = rest.partition(" ")
+        if name not in _LEMMA_BUILDERS:
+            raise ScriptError(f"unknown lemma {name!r}")
+        keyword, _, with_part = more.strip().partition(" ")
+        if not keyword:
+            return Lemma(name, ())
+        if keyword != "with":
+            raise ScriptError(f"expected 'with' after lemma {name}")
+        bindings = {}
+        for item in _split_top_level(with_part):
+            param, sep, value = item.partition(":=")
+            param = param.strip()
+            if not sep or not param:
+                raise ScriptError(f"malformed lemma binding {item!r}")
+            if param in bindings:
+                raise ScriptError(f"lemma {name} binds {param} twice")
+            bindings[param] = _parse_binding_value(value)
+        return Lemma(name, tuple(bindings.items()))
     raise ScriptError(f"unknown justification {text!r}")
 
 
@@ -583,11 +595,8 @@ def print_justification(just) -> str:
     raise TypeError(f"unknown justification {just!r}")
 
 
-def print_script(script: ProofScript, header: str = None) -> str:
-    lines = []
-    if header:
-        lines.extend("# " + h for h in header.splitlines())
-    lines.append(f"goal: {print_formula(script.goal)}")
+def print_script(script: ProofScript) -> str:
+    lines = [f"goal: {print_formula(script.goal)}"]
     for step in script.steps:
         lines.append(f"{step.index}. {print_formula(step.formula)} ; "
                      f"{print_justification(step.just)}")
@@ -597,6 +606,32 @@ def print_script(script: ProofScript, header: str = None) -> str:
 def load_script(path: str) -> ProofScript:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_script(fh.read())
+
+
+# ---------------------------------------------------------------------------
+# Bundled derivations
+
+# Fully elaborated derivations of representative instances, shipped as
+# elas/proofs/<name>.selas; routine binder reasoning is spelled out as
+# KAS / taut / mp steps so that every line is machine-checkable.  A script
+# cites by `lemma` only theorems established before it in this order.
+BUNDLED = ("SYM", "TRANS", "DBASEQ", "SUBASEQ", "EAS", "T", "EX",
+           "NECAS_PRIME", "CNECAS_PATTERN", "RELETTER")
+
+
+@functools.lru_cache(maxsize=None)
+def bundled_theorems() -> dict:
+    """Name -> bundled script, in BUNDLED order; every script passes
+    check_proof."""
+    out, proofs = {}, files("elas") / "proofs"
+    for name in BUNDLED:
+        script = parse_script((proofs / f"{name.lower()}.selas").read_text(encoding="utf-8"))
+        report = check_proof(script)
+        if not report.ok:
+            bad = ", ".join(f"{v.index}: {v.message}" for v in report.failures())
+            raise AssertionError(f"bundled script {name} failed: {bad or report.message}")
+        out[name] = script
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -29,9 +29,10 @@ happen).  Seeds are fixed here; nothing is left to later calibration.
 import random
 import time
 
-from elas.derivations import bundled_theorems
 from elas.modelsearch import SearchBounds, el_distinguishes
-from elas.proofkit import check_proof, check_step, connective_mutations
+from elas.proofkit import (
+    bundled_theorems, check_proof, check_step, connective_mutations,
+)
 from elas.randgen import random_epistemic_model, random_formula, random_sigma
 from elas.semantics import (
     PointedModel, Signature, eval_formula, model_to_dict,

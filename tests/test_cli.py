@@ -5,8 +5,7 @@ import pytest
 from conftest import FIXTURES, PROOFS
 
 from elas.cli import main
-from elas.derivations import bundled_theorems
-from elas.proofkit import ProofScript, ProofStep, print_script
+from elas.proofkit import ProofScript, ProofStep, bundled_theorems, print_script
 
 
 DISTINGUISHER = "[?x := a] Kh{a} P(?x)"
@@ -184,6 +183,14 @@ class TestProveCommand:
         path.write_text("goal: a = a\n1. a = ; axiom ID\n")
         code, _, err = run(capsys, "prove", str(path))
         assert code == 2
+
+    def test_duplicate_lemma_binding_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "dup.selas"
+        path.write_text((PROOFS / "trans.selas").read_text().replace(
+            "t2 := b", "t2 := b, t1 := c"))
+        code, _, err = run(capsys, "prove", str(path))
+        assert code == 2
+        assert err.startswith("error: ") and "t1 twice" in err
 
 
 class TestSuiteCommand:

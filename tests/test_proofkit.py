@@ -1,15 +1,17 @@
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
-from conftest import PROOFS
+from conftest import PROOFS, ROOT
 
-from elas.derivations import bundled_theorems
 from elas.proofkit import (
-    AXIOM_IDS, AtomBudgetError, Axiom, Lemma, MP, NecAs, NecK, ProofScript,
-    ProofStep, ScriptError, Taut, check_proof, check_step, check_taut,
-    connective_mutations, instantiate_lemma, load_script, match_axiom,
-    parse_script, print_script,
+    AXIOM_IDS, BUNDLED, _LEMMA_BUILDERS, AtomBudgetError, Axiom, Lemma, MP,
+    NecAs, NecK, ProofScript, ProofStep, ScriptError, Taut, bundled_theorems,
+    check_proof, check_step, check_taut, connective_mutations,
+    instantiate_lemma, load_script, match_axiom, parse_script, print_script,
 )
 from elas.randgen import random_epistemic_model, random_sigma
 from elas.semantics import Signature, eval_formula
@@ -170,10 +172,12 @@ class TestBundledScripts:
         assert goals["RELETTER"] == parse_formula(
             "[?x := a] K{?x} P(?x) <-> [?z := a] K{?z} P(?z)")
 
-    def test_shipped_files_match(self):
-        for name, script in bundled_theorems().items():
-            path = PROOFS / (name.lower() + ".selas")
-            assert parse_script(path.read_text()) == script
+    def test_lemmas_cite_only_earlier_scripts(self):
+        assert set(_LEMMA_BUILDERS) <= set(BUNDLED)
+        for pos, (name, script) in enumerate(bundled_theorems().items()):
+            for step in script.steps:
+                if isinstance(step.just, Lemma):
+                    assert step.just.name in BUNDLED[:pos], (name, step.index)
 
     def test_every_step_is_used(self):
         for name, script in bundled_theorems().items():
@@ -303,10 +307,40 @@ class TestScriptText:
             parse_script("goal: a = a\n1. a = a ; axiom NOPE\n")
         with pytest.raises(ScriptError):
             parse_script("goal: a = a\n")                # no steps
+        for just in ("lemma SYM with t1 := a, t2 := b, t1 := c",  # key twice
+                     "lemma SYM with",                # no bindings
+                     "lemma SYM t1 := a, t2 := b",    # no 'with'
+                     "lemma SYM with t1 := a, := b",  # empty key
+                     "lemma",                         # no name
+                     "lemma NOPE with t := a"):       # unknown name
+            with pytest.raises(ScriptError):
+                parse_script(f"goal: a = b -> b = a\n1. a = b -> b = a ; {just}\n")
 
     def test_load_shipped_file(self):
         script = load_script(str(PROOFS / "sym.selas"))
         assert check_proof(script).ok
+
+
+class TestInstalledLayout:
+    def test_root_proofs_is_the_package_copy(self):
+        assert PROOFS.resolve() == (ROOT / "src" / "elas" / "proofs").resolve()
+
+    def test_build_ships_the_scripts(self, tmp_path):
+        pytest.importorskip("setuptools")
+        lib, egg_base = tmp_path / "lib", tmp_path / "egg"
+        egg_base.mkdir()
+        subprocess.run(
+            [sys.executable, "-c", "from setuptools import setup; setup()", "-q",
+             "egg_info", "-e", str(egg_base), "build_py", "-d", str(lib)],
+            cwd=ROOT, check=True, capture_output=True, timeout=120)
+        shipped = sorted(p.name for p in (lib / "elas" / "proofs").iterdir())
+        assert shipped == sorted(f"{name.lower()}.selas" for name in BUNDLED)
+        loaded = subprocess.run(
+            [sys.executable, "-c", "import elas.proofkit as p; "
+             "print(p.__file__); print(*p.bundled_theorems())"],
+            env={**os.environ, "PYTHONPATH": str(lib)},
+            check=True, capture_output=True, text=True, timeout=120).stdout.splitlines()
+        assert loaded == [str(lib / "elas" / "proofkit.py"), " ".join(BUNDLED)]
 
 
 class TestMutationRobustness:

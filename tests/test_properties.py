@@ -1,18 +1,22 @@
 """Property tests for the formula-tree fold (children/rebuild), the schema
-table of the proof checker and the model loader, generated with
-hypothesis."""
+table of the proof checker, the model loader and the `prove` command,
+generated with hypothesis."""
 
+import contextlib
 import copy
+import io
 import json
 import random
+import string
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from conftest import FIXTURES
+from conftest import FIXTURES, PROOFS
 
+from elas.cli import main
 from elas.proofkit import (
-    AXIOM_IDS, AXIOMS, _LEMMA_BUILDERS, ScriptError, _mutants,
+    AXIOM_IDS, AXIOMS, BUNDLED, _LEMMA_BUILDERS, ScriptError, _mutants,
     instantiate_axiom, instantiate_lemma, match_axiom,
 )
 from elas.randgen import random_epistemic_model, random_sigma
@@ -218,3 +222,34 @@ def test_loader_returns_or_raises_model_error(doc):
         model_from_dict(doc)
     except ModelError:
         pass
+
+
+SCRIPTS = {name: (PROOFS / f"{name.lower()}.selas").read_text() for name in BUNDLED}
+
+
+@st.composite
+def edited_scripts(draw):
+    """A bundled script with one character deleted, duplicated or replaced."""
+    text = SCRIPTS[draw(st.sampled_from(BUNDLED))]
+    pos = draw(st.integers(0, len(text) - 1))
+    edit = draw(st.sampled_from(["delete", "duplicate", "replace"]))
+    if edit == "delete":
+        return text[:pos] + text[pos + 1:]
+    if edit == "duplicate":
+        return text[:pos + 1] + text[pos:]
+    new = draw(st.sampled_from(";.:=,()[]{}?~ " + string.ascii_letters))
+    return text[:pos] + new + text[pos + 1:]
+
+
+@settings(max_examples=200, deadline=None)
+@given(edited_scripts())
+def test_prove_on_edited_script_exits_cleanly(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("fuzz") / "edited.selas"
+    path.write_text(text)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["prove", str(path)])
+    assert code in (0, 1, 2)
+    if code == 2:
+        [line] = err.getvalue().splitlines()
+        assert line.startswith("error: ")
