@@ -91,38 +91,28 @@ def _parse_sigma_json(raw: dict) -> dict:
     return {(k[1:] if k.startswith("?") else k): v for k, v in raw.items()}
 
 
-def cmd_valid(args) -> int:
-    phi = parse_formula(args.formula)
-    verdict = find_countermodel(phi, _bounds(args), jobs=args.jobs)
-    if isinstance(verdict, Countermodel):
-        payload = {"verdict": "countermodel",
-                   "countermodel": _pointed_to_dict(verdict.pointed)}
-        text = ("countermodel found:\n"
-                + json.dumps(payload["countermodel"], indent=2, sort_keys=True))
-    else:
-        payload = {"verdict": "no-countermodel-up-to",
-                   "bounds": {"worlds": args.worlds, "agents": args.agents,
-                              "epistemic": not args.any_frames}}
-        text = (f"no countermodel up to {args.worlds} worlds / "
-                f"{args.agents} agents"
-                + ("" if args.any_frames else " (epistemic frames)"))
-    _emit(args, payload, text)
-    return 0
+# command -> (help, search, hit type, hit verdict, negative verdict, its text)
+_SEARCHES = {
+    "valid": ("bounded countermodel search", find_countermodel, Countermodel,
+              "countermodel", "no-countermodel-up-to", "no countermodel"),
+    "sat": ("bounded witness search", find_witness, Witness,
+            "witness", "unsatisfiable-up-to", "unsatisfiable"),
+}
 
 
-def cmd_sat(args) -> int:
+def cmd_search(args) -> int:
+    _, search, hit, found, negative, none_found = _SEARCHES[args.command]
     phi = parse_formula(args.formula)
-    verdict = find_witness(phi, _bounds(args), jobs=args.jobs)
-    if isinstance(verdict, Witness):
-        payload = {"verdict": "witness",
-                   "witness": _pointed_to_dict(verdict.pointed)}
-        text = ("witness found:\n"
-                + json.dumps(payload["witness"], indent=2, sort_keys=True))
+    verdict = search(phi, _bounds(args), jobs=args.jobs)
+    if isinstance(verdict, hit):
+        payload = {"verdict": found, found: _pointed_to_dict(verdict.pointed)}
+        text = (f"{found} found:\n"
+                + json.dumps(payload[found], indent=2, sort_keys=True))
     else:
-        payload = {"verdict": "unsatisfiable-up-to",
+        payload = {"verdict": negative,
                    "bounds": {"worlds": args.worlds, "agents": args.agents,
                               "epistemic": not args.any_frames}}
-        text = (f"unsatisfiable up to {args.worlds} worlds / "
+        text = (f"{none_found} up to {args.worlds} worlds / "
                 f"{args.agents} agents"
                 + ("" if args.any_frames else " (epistemic frames)"))
     _emit(args, payload, text)
@@ -245,17 +235,12 @@ def build_parser() -> argparse.ArgumentParser:
     add_json(p)
     p.set_defaults(run=cmd_check)
 
-    p = sub.add_parser("valid", help="bounded countermodel search")
-    p.add_argument("formula")
-    add_bounds(p)
-    add_json(p)
-    p.set_defaults(run=cmd_valid)
-
-    p = sub.add_parser("sat", help="bounded witness search")
-    p.add_argument("formula")
-    add_bounds(p)
-    add_json(p)
-    p.set_defaults(run=cmd_sat)
+    for command, (help_text, *_) in _SEARCHES.items():
+        p = sub.add_parser(command, help=help_text)
+        p.add_argument("formula")
+        add_bounds(p)
+        add_json(p)
+        p.set_defaults(run=cmd_search)
 
     p = sub.add_parser("translate", help="standard translation to two-sorted "
                                          "first-order logic")

@@ -97,7 +97,6 @@ class _Layout:
         self.agents = agent_labels(k)
         self.preds = sorted(sig.predicates.items())
         self.names = sorted(sig.names)
-        self.epistemic = epistemic
 
         # rho bit layout: blocks in (predicate, world) order, first block in
         # the most significant position so that the integer enumeration of

@@ -27,7 +27,9 @@ from .modelsearch import (
     find_countermodel, find_witness,
 )
 from .proofkit import AXIOM_IDS, instantiate_axiom, match_axiom
-from .randgen import random_epistemic_model, random_model, random_sigma
+from .randgen import (
+    random_epistemic_model, random_formula, random_model, random_sigma,
+)
 from .semantics import (
     KripkeModel, PointedModel, Signature, eval_formula, make_model,
     model_to_dict,
@@ -103,7 +105,7 @@ def _random_valid_trials(phi: Formula, trials: int, rng: random.Random) -> int:
     """Evaluate phi on random epistemic models; returns how many trials ran
     before a failure (== trials when none failed)."""
     sig = formula_signature(phi)
-    sig = Signature(dict(sig.predicates) or {}, sig.names)
+    sig = Signature(dict(sig.predicates), sig.names)
     fv = sorted(free_vars(phi))
     for t in range(trials):
         model = random_epistemic_model(rng, sig, *RANDOM_TRIAL_BOUNDS)
@@ -239,7 +241,6 @@ def _rand_term(rng):
 
 
 def _rand_formula(rng, depth=2):
-    from .randgen import random_formula
     return random_formula(rng, _VARS, _NAMES, _PREDS, depth)
 
 

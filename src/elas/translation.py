@@ -3,7 +3,10 @@
 The target language has a world sort and an agent sort, a ternary relation
 ``R(w, v, i)`` (world v is accessible from w for agent i), one function
 symbol ``f_a`` per name (the agent named a at a world) and one relation
-symbol ``Q_P`` per predicate, taking a world followed by agents.
+symbol ``Q_P`` per predicate, taking a world followed by agents.  The
+Boolean layer carries over unchanged: target formulas are built from the
+same ``Top``, ``Bot``, ``Not``, ``And``, ``Or``, ``Implies`` and ``Iff``
+nodes as ``elas.syntax``, over the first-order atoms and quantifiers below.
 
 The interesting clauses, for a current world term w:
 
@@ -25,9 +28,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import syntax
 from .semantics import KripkeModel
-from .syntax import Assign, Formula, Knows, Name, Pred, Term, Var
+from .syntax import (
+    BINARY, BOOLEAN, And, Assign, Bot, Eq, Formula, Iff, Implies, Knows, Not,
+    Or, Pred, Term, Top, Var, children,
+)
 
 
 class SortError(Exception):
@@ -39,7 +44,11 @@ class FolEvalError(Exception):
 
 
 # ---------------------------------------------------------------------------
-# Two-sorted first-order syntax
+# Two-sorted first-order syntax: the atoms, terms and quantifiers; the
+# connectives are those of elas.syntax.
+
+_CONNECTIVES = (Top, Bot) + BOOLEAN
+
 
 @dataclass(frozen=True)
 class WorldVar:
@@ -78,45 +87,6 @@ class RelApp:
     src: FOLTerm
     dst: FOLTerm
     agent: FOLTerm
-
-
-@dataclass(frozen=True)
-class FTop:
-    pass
-
-
-@dataclass(frozen=True)
-class FBot:
-    pass
-
-
-@dataclass(frozen=True)
-class FNot:
-    body: "FOLFormula"
-
-
-@dataclass(frozen=True)
-class FAnd:
-    lhs: "FOLFormula"
-    rhs: "FOLFormula"
-
-
-@dataclass(frozen=True)
-class FOr:
-    lhs: "FOLFormula"
-    rhs: "FOLFormula"
-
-
-@dataclass(frozen=True)
-class FImplies:
-    lhs: "FOLFormula"
-    rhs: "FOLFormula"
-
-
-@dataclass(frozen=True)
-class FIff:
-    lhs: "FOLFormula"
-    rhs: "FOLFormula"
 
 
 @dataclass(frozen=True)
@@ -165,29 +135,17 @@ class _Translator:
         return NameApp(t.id, WorldVar(w))
 
     def formula(self, phi: Formula, w: str) -> FOLFormula:
+        if isinstance(phi, _CONNECTIVES):
+            return type(phi)(*[self.formula(kid, w) for kid in children(phi)])
         match phi:
-            case syntax.Top():
-                return FTop()
-            case syntax.Bot():
-                return FBot()
-            case syntax.Eq(lhs, rhs):
+            case Eq(lhs, rhs):
                 return AgentEq(self.term(lhs, w), self.term(rhs, w))
             case Pred(sym, args):
                 return PredApp(sym, WorldVar(w), tuple(self.term(a, w) for a in args))
-            case syntax.Not(body):
-                return FNot(self.formula(body, w))
-            case syntax.And(l, r):
-                return FAnd(self.formula(l, w), self.formula(r, w))
-            case syntax.Or(l, r):
-                return FOr(self.formula(l, w), self.formula(r, w))
-            case syntax.Implies(l, r):
-                return FImplies(self.formula(l, w), self.formula(r, w))
-            case syntax.Iff(l, r):
-                return FIff(self.formula(l, w), self.formula(r, w))
             case Knows(agent, body):
                 v = self.fresh_world()
                 guard = RelApp(WorldVar(w), WorldVar(v), self.term(agent, w))
-                return ForallWorld(v, FImplies(guard, self.formula(body, v)))
+                return ForallWorld(v, Implies(guard, self.formula(body, v)))
             case Assign(var, term, body):
                 self.seen.add(var)
                 if isinstance(term, Var) and term.id == var:
@@ -195,12 +153,14 @@ class _Translator:
                 value = self.term(term, w)
                 inner = self.formula(body, w)
                 if self.universal:
-                    return ForallAgent(var, FImplies(AgentEq(AgentVar(var), value), inner))
-                return ExistsAgent(var, FAnd(AgentEq(AgentVar(var), value), inner))
+                    return ForallAgent(var, Implies(AgentEq(AgentVar(var), value), inner))
+                return ExistsAgent(var, And(AgentEq(AgentVar(var), value), inner))
         raise TypeError(f"not a formula: {phi!r}")
 
 
 def _translate(phi: Formula, world_var: str, universal_assign: bool) -> FOLFormula:
+    if not world_var.isidentifier():
+        raise ValueError(f"world variable must be an identifier, not {world_var!r}")
     # One pass avoids only world_var; if a generated name turns out to be a
     # variable of phi, a second pass avoids all of them.  Both give what
     # avoiding all_vars(phi) from the start gives, without that extra walk.
@@ -310,9 +270,9 @@ def fol_eval(s: FOLStructure, valuation: dict, phi: FOLFormula) -> bool:
 
 def _holds(s: FOLStructure, worlds: dict, agents: dict, phi: FOLFormula) -> bool:
     match phi:
-        case FTop():
+        case Top():
             return True
-        case FBot():
+        case Bot():
             return False
         case AgentEq(lhs, rhs):
             return (_eval_term(s, worlds, agents, lhs)
@@ -328,15 +288,15 @@ def _holds(s: FOLStructure, worlds: dict, agents: dict, phi: FOLFormula) -> bool
                       _eval_term(s, worlds, agents, dst),
                       _eval_term(s, worlds, agents, agent))
             return triple in s.rel
-        case FNot(body):
+        case Not(body):
             return not _holds(s, worlds, agents, body)
-        case FAnd(l, r):
+        case And(l, r):
             return _holds(s, worlds, agents, l) and _holds(s, worlds, agents, r)
-        case FOr(l, r):
+        case Or(l, r):
             return _holds(s, worlds, agents, l) or _holds(s, worlds, agents, r)
-        case FImplies(l, r):
+        case Implies(l, r):
             return (not _holds(s, worlds, agents, l)) or _holds(s, worlds, agents, r)
-        case FIff(l, r):
+        case Iff(l, r):
             return _holds(s, worlds, agents, l) == _holds(s, worlds, agents, r)
         case ForallWorld(var, body):
             return all(_holds(s, {**worlds, var: w}, agents, body) for w in s.worlds)
@@ -358,13 +318,18 @@ def print_fol_term(t: FOLTerm) -> str:
     raise TypeError(f"not a first-order term: {t!r}")
 
 
+_SYMBOLS = {And: "&", Or: "|", Implies: "->", Iff: "<->"}
+
+
 def print_fol(phi: FOLFormula) -> str:
     """Fixed text rendering: binary connectives always parenthesised,
     quantifiers written forall_w / exists_a / forall_a."""
+    if isinstance(phi, BINARY):
+        return f"({print_fol(phi.lhs)} {_SYMBOLS[type(phi)]} {print_fol(phi.rhs)})"
     match phi:
-        case FTop():
+        case Top():
             return "true"
-        case FBot():
+        case Bot():
             return "false"
         case AgentEq(lhs, rhs):
             return f"{print_fol_term(lhs)} = {print_fol_term(rhs)}"
@@ -373,19 +338,11 @@ def print_fol(phi: FOLFormula) -> str:
             return f"Q_{sym}({inner})"
         case RelApp(src, dst, agent):
             return f"R({print_fol_term(src)}, {print_fol_term(dst)}, {print_fol_term(agent)})"
-        case FNot(body):
+        case Not(body):
             inner = print_fol(body)
-            if isinstance(body, (FAnd, FOr, FImplies, FIff, AgentEq)):
+            if isinstance(body, (*BINARY, AgentEq)):
                 inner = "(" + inner + ")"
             return "~" + inner
-        case FAnd(l, r):
-            return f"({print_fol(l)} & {print_fol(r)})"
-        case FOr(l, r):
-            return f"({print_fol(l)} | {print_fol(r)})"
-        case FImplies(l, r):
-            return f"({print_fol(l)} -> {print_fol(r)})"
-        case FIff(l, r):
-            return f"({print_fol(l)} <-> {print_fol(r)})"
         case ForallWorld(var, body):
             return f"forall_w {var}. {_quant_body(body)}"
         case ExistsAgent(var, body):
@@ -426,9 +383,11 @@ def check_sorts(phi: FOLFormula, world_vars=frozenset(), agent_vars=frozenset())
             problems.append(f"unknown term {t!r}")
 
     def walk(f, worlds, agents):
+        if isinstance(f, _CONNECTIVES):
+            for kid in children(f):
+                walk(kid, worlds, agents)
+            return
         match f:
-            case FTop() | FBot():
-                pass
             case AgentEq(lhs, rhs):
                 term(lhs, "agent", worlds, agents)
                 term(rhs, "agent", worlds, agents)
@@ -440,11 +399,6 @@ def check_sorts(phi: FOLFormula, world_vars=frozenset(), agent_vars=frozenset())
                 term(src, "world", worlds, agents)
                 term(dst, "world", worlds, agents)
                 term(agent, "agent", worlds, agents)
-            case FNot(body):
-                walk(body, worlds, agents)
-            case FAnd(l, r) | FOr(l, r) | FImplies(l, r) | FIff(l, r):
-                walk(l, worlds, agents)
-                walk(r, worlds, agents)
             case ForallWorld(var, body):
                 walk(body, worlds | {var}, agents)
             case ExistsAgent(var, body) | ForallAgent(var, body):

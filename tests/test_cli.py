@@ -158,6 +158,22 @@ class TestTranslateCommand:
         _, out2, _ = run(capsys, "translate", "K{a} P(b)", "--form", "forall")
         assert out1 == out2
 
+    @pytest.mark.parametrize("world_var", ["", "a b", "?x", "1x"])
+    def test_malformed_world_var_exit_2(self, capsys, world_var):
+        code, out, err = run(capsys, "translate", "K{a} P(?x)",
+                             "--world-var", world_var)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("world_var, fol", [
+        ("x", "forall_w v0. (R(x, v0, f_a(x)) -> Q_P(v0, x))"),
+        ("v0", "forall_w v1. (R(v0, v1, f_a(v0)) -> Q_P(v1, x))"),
+    ])
+    def test_world_var_in_its_own_namespace(self, capsys, world_var, fol):
+        code, out, _ = run(capsys, "translate", "K{a} P(?x)",
+                           "--world-var", world_var)
+        assert (code, out.strip()) == (0, fol)
+
 
 class TestProveCommand:
     def test_bundled_scripts_accepted(self, capsys):

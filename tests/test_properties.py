@@ -1,6 +1,6 @@
 """Property tests for the formula-tree fold (children/rebuild), the schema
-table of the proof checker, the model loader and the `prove` command,
-generated with hypothesis."""
+table of the proof checker, the model loader, the first-order translation
+and the command line, generated with hypothesis."""
 
 import contextlib
 import copy
@@ -19,12 +19,16 @@ from elas.proofkit import (
     AXIOM_IDS, AXIOMS, BUNDLED, _LEMMA_BUILDERS, ScriptError, _mutants,
     instantiate_axiom, instantiate_lemma, match_axiom,
 )
-from elas.randgen import random_epistemic_model, random_sigma
-from elas.semantics import ModelError, _eval, model_from_dict
+from elas.randgen import random_epistemic_model, random_model, random_sigma
+from elas.semantics import ModelError, _eval, eval_formula, model_from_dict
 from elas.syntax import (
     BINARY, BOOLEAN, Assign, Bot, Eq, Knows, Name, Not, Pred, Signature, Top,
-    Var, children, free_vars, is_admissible, parse_formula, print_formula,
-    rebuild, subformulas, substitute, terms_of,
+    Var, all_vars, children, free_vars, is_admissible, parse_formula,
+    print_formula, rebuild, subformulas, substitute, terms_of,
+)
+from elas.translation import (
+    AgentVar, ExistsAgent, ForallAgent, ForallWorld, WorldVar, check_sorts,
+    fol_eval, induce_structure, translate, translate_universal,
 )
 
 # Capped so that the whole module adds only a few seconds to the suite.
@@ -33,19 +37,30 @@ PROPERTY = settings(max_examples=150, deadline=None)
 VARS = ("x", "y", "z")
 SIG = Signature({"P": 1, "Q": 2, "R": 0}, frozenset({"a", "b"}))
 
-terms = st.sampled_from([Var(v) for v in VARS] + [Name(n) for n in sorted(SIG.names)])
-atoms = st.one_of(
-    st.just(Top()), st.just(Bot()), st.just(Pred("R", ())),
-    st.builds(Eq, terms, terms),
-    st.builds(lambda t: Pred("P", (t,)), terms),
-    st.builds(lambda s, t: Pred("Q", (s, t)), terms, terms),
-)
-formulas = st.recursive(atoms, lambda sub: st.one_of(
-    st.builds(Not, sub),
-    *(st.builds(ctor, sub, sub) for ctor in BINARY),
-    st.builds(Knows, terms, sub),
-    st.builds(Assign, st.sampled_from(VARS), terms, sub),
-), max_leaves=12)
+
+def term_strategy(variables, sig):
+    return st.sampled_from([Var(v) for v in variables]
+                           + [Name(n) for n in sorted(sig.names)])
+
+
+def formula_strategy(variables, sig):
+    """Formulas over the variables, names and predicates given."""
+    terms = term_strategy(variables, sig)
+    atoms = st.one_of(
+        st.just(Top()), st.just(Bot()), st.builds(Eq, terms, terms),
+        *(st.tuples(*[terms] * arity).map(lambda args, sym=sym: Pred(sym, args))
+          for sym, arity in sorted(sig.predicates.items())),
+    )
+    return st.recursive(atoms, lambda sub: st.one_of(
+        st.builds(Not, sub),
+        *(st.builds(ctor, sub, sub) for ctor in BINARY),
+        st.builds(Knows, terms, sub),
+        st.builds(Assign, st.sampled_from(variables), terms, sub),
+    ), max_leaves=12)
+
+
+terms = term_strategy(VARS, SIG)
+formulas = formula_strategy(VARS, SIG)
 
 
 def _pointed(seed):
@@ -224,21 +239,41 @@ def test_loader_returns_or_raises_model_error(doc):
         pass
 
 
+def _run_cli(argv) -> None:
+    """Run the command line; nothing may raise, and exit 2 prints exactly
+    one `error:` line."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    if code == 2:
+        [line] = err.getvalue().splitlines()
+        assert line.startswith("error: ")
+
+
 SCRIPTS = {name: (PROOFS / f"{name.lower()}.selas").read_text() for name in BUNDLED}
+
+
+def _edit(draw, text, alphabet, tokens=()):
+    """text with one character deleted, duplicated or replaced by one of
+    alphabet, or with one of tokens inserted."""
+    pos = draw(st.integers(0, len(text) - 1))
+    edits = ["delete", "duplicate", "replace"] + (["insert"] if tokens else [])
+    edit = draw(st.sampled_from(edits))
+    if edit == "delete":
+        return text[:pos] + text[pos + 1:]
+    if edit == "duplicate":
+        return text[:pos + 1] + text[pos:]
+    if edit == "replace":
+        return text[:pos] + draw(st.sampled_from(alphabet)) + text[pos + 1:]
+    return text[:pos] + draw(st.sampled_from(tokens)) + text[pos:]
 
 
 @st.composite
 def edited_scripts(draw):
     """A bundled script with one character deleted, duplicated or replaced."""
     text = SCRIPTS[draw(st.sampled_from(BUNDLED))]
-    pos = draw(st.integers(0, len(text) - 1))
-    edit = draw(st.sampled_from(["delete", "duplicate", "replace"]))
-    if edit == "delete":
-        return text[:pos] + text[pos + 1:]
-    if edit == "duplicate":
-        return text[:pos + 1] + text[pos:]
-    new = draw(st.sampled_from(";.:=,()[]{}?~ " + string.ascii_letters))
-    return text[:pos] + new + text[pos + 1:]
+    return _edit(draw, text, ";.:=,()[]{}?~ " + string.ascii_letters)
 
 
 @settings(max_examples=200, deadline=None)
@@ -246,10 +281,105 @@ def edited_scripts(draw):
 def test_prove_on_edited_script_exits_cleanly(tmp_path_factory, text):
     path = tmp_path_factory.mktemp("fuzz") / "edited.selas"
     path.write_text(text)
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(["prove", str(path)])
-    assert code in (0, 1, 2)
-    if code == 2:
-        [line] = err.getvalue().splitlines()
-        assert line.startswith("error: ")
+    _run_cli(["prove", str(path)])
+
+
+# The world variables the translation generates are v0, v1, ...; formulas
+# that use ?v0 and ?v1 as agent variables send it through its second pass.
+TR_VARS = ("x", "w", "v0", "v1")
+TR_SIG = Signature({"P": 1, "Q": 2}, frozenset({"a", "b"}))
+
+
+def _bound_world_vars(f) -> set:
+    if isinstance(f, (ForallWorld, ExistsAgent, ForallAgent)):
+        own = {f.var} if isinstance(f, ForallWorld) else set()
+        return own | _bound_world_vars(f.body)
+    return set().union(*map(_bound_world_vars, children(f)))
+
+
+@PROPERTY
+@given(formula_strategy(TR_VARS, TR_SIG), st.sampled_from(["w", "v0", "v1", "x"]),
+       st.booleans(), st.integers(0, 2 ** 32))
+def test_translation_agrees_with_checker(phi, world_var, epistemic, seed):
+    rng = random.Random(seed)
+    sample = random_epistemic_model if epistemic else random_model
+    model = sample(rng, TR_SIG, 3, 3)
+    world = rng.choice(model.worlds)
+    sigma = random_sigma(rng, TR_VARS, model)
+    valuation = {WorldVar(world_var): world,
+                 **{AgentVar(v): a for v, a in sigma.items()}}
+    expected = eval_formula(model, world, sigma, phi)
+    structure = induce_structure(model)
+    for tr in (translate, translate_universal):
+        out = tr(phi, world_var)
+        assert fol_eval(structure, valuation, out) is expected
+        assert check_sorts(out, {world_var}, free_vars(phi)) == []
+        assert not _bound_world_vars(out) & ({world_var} | all_vars(phi))
+
+
+FORMULAS = (
+    "[?x := a] Kh{a} P(?x)",
+    "K{a} P(?x) -> ?x = a",
+    "<?y := a> (P(?y) <-> ~true) | false & a = ?y",
+    "[?x := ?y] K{?x} ~(P(a) & ?x = a)",
+)
+TOKENS = ("K{a}", "Kh{?x}", "[?x := a]", "<?y := ?x>", "->", "<->", "&", "|",
+          "~", "(", ")", "{", "}", "?", "?x", "a", "P", "P(a, a)", "=", ":=",
+          "true", " ")
+
+
+@st.composite
+def edited_formulas(draw):
+    """A formula text with one character deleted, duplicated or replaced,
+    or with one token inserted."""
+    text = draw(st.sampled_from(FORMULAS))
+    return _edit(draw, text, ";.:=,()[]{}<>?~&|- " + string.ascii_letters, TOKENS)
+
+
+COMMANDS = (
+    ("parse",), ("translate",), ("translate", "--form", "forall"),
+    ("valid", "--worlds", "1", "--agents", "2"),
+    ("sat", "--worlds", "1", "--agents", "2"),
+    ("check", str(FIXTURES / "m1.json"), "--world", "s1", "--sigma", "?x=i,?y=j"),
+)
+
+
+@PROPERTY
+@given(st.sampled_from(COMMANDS), edited_formulas())
+def test_cli_on_edited_formula_exits_cleanly(command, text):
+    name, *rest = command
+    if name == "check":
+        argv = [name, rest[0], text, *rest[1:]]
+    else:
+        argv = [name, text, *rest]
+    _run_cli(argv)
+
+
+FIXTURE_TEXT = (FIXTURES / "m1.json").read_text()
+KEY_PATHS = [path for path in PATHS if path and isinstance(path[-1], str)]
+
+
+@st.composite
+def edited_model_files(draw):
+    """The m1 fixture as text with one character edited, with one of its
+    values replaced by random JSON, or with one of its keys edited."""
+    edit = draw(st.sampled_from(["character", "value", "key"]))
+    if edit == "character":
+        return _edit(draw, FIXTURE_TEXT, '",:[]{}s1 ')
+    if edit == "value":
+        return json.dumps(draw(documents()))
+    doc = copy.deepcopy(FIXTURE)
+    *parents, key = draw(st.sampled_from(KEY_PATHS))
+    parent = doc
+    for step in parents:
+        parent = parent[step]
+    parent[draw(words) + key[1:]] = parent.pop(key)
+    return json.dumps(doc)
+
+
+@PROPERTY
+@given(edited_model_files(), st.sampled_from(FORMULAS[:2]))
+def test_check_on_edited_model_file_exits_cleanly(tmp_path_factory, text, phi):
+    path = tmp_path_factory.mktemp("fuzz") / "model.json"
+    path.write_text(text)
+    _run_cli(["check", str(path), phi, "--world", "s1", "--sigma", "?x=i"])

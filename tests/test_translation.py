@@ -6,9 +6,9 @@ from elas.randgen import (
     random_epistemic_model, random_formula, random_model, random_sigma,
 )
 from elas.semantics import Signature, eval_formula
-from elas.syntax import free_vars, is_el_fragment, parse_formula
+from elas.syntax import Top, free_vars, is_el_fragment, parse_formula
 from elas.translation import (
-    AgentVar, FolEvalError, ForallWorld, FTop, SortError, WorldVar,
+    AgentVar, FolEvalError, ForallWorld, SortError, WorldVar,
     check_sorts, fol_eval, induce_structure, print_fol, translate,
     translate_universal,
 )
@@ -76,7 +76,7 @@ class TestInducedStructure:
 class TestFolEval:
     def test_quantifier_over_empty_matrix(self, m1):
         s = induce_structure(m1)
-        assert fol_eval(s, {}, ForallWorld("u", FTop())) is True
+        assert fol_eval(s, {}, ForallWorld("u", Top())) is True
 
     def test_separating_formula(self, m1, m2):
         phi = translate(parse_formula("[?x := a] Kh{a} P(?x)"))
