@@ -30,6 +30,7 @@ for the models within the bounds, and verdicts say so.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import multiprocessing
 import os
@@ -39,11 +40,13 @@ from dataclasses import dataclass
 from .randgen import agent_labels, set_partitions, world_labels
 from .randgen import count_models  # noqa: F401  (part of this module's API)
 from .semantics import (
-    KripkeModel, PointedModel, eval_all_worlds, eval_formula, make_model,
+    BIT_OPS, KripkeModel, PointedModel, denote, eval_all_worlds, eval_formula,
+    make_model, periodic_mask,
 )
 from .syntax import (
-    And, Assign, Bot, Eq, Formula, Iff, Implies, Knows, Name, Not, Or, Pred,
-    Signature, Top, Var, all_vars, formula_signature, free_vars, node_count,
+    BINARY, And, Assign, Bot, Eq, Formula, Iff, Implies, Knows, Name, Not, Or,
+    Pred, Signature, Top, Var, all_vars, formula_signature, free_vars,
+    node_count,
 )
 
 _VECTOR_BITS = 16        # rho choices handled per bitmask chunk: 2**16
@@ -114,7 +117,7 @@ class _Layout:
         self.high_bits = self.rho_bits - self.vec_bits
         self.vec_size = 1 << self.vec_bits
         self.all_mask = (1 << self.vec_size) - 1
-        self.bit_masks = [self._periodic_mask(p) for p in range(self.vec_bits)]
+        self.bit_masks = [periodic_mask(p, self.vec_size) for p in range(self.vec_bits)]
 
         self.rel_pool = _relation_pool(n, epistemic)
 
@@ -133,15 +136,6 @@ class _Layout:
                 s += self.strides[self.var_pos[v]] * g
             self.free_cells.append((combo, s))
         self.eta_digits = len(self.names) * n
-
-    def _periodic_mask(self, p: int) -> int:
-        chunk = ((1 << (1 << p)) - 1) << (1 << p)
-        width = 1 << (p + 1)
-        mask = chunk
-        while width < self.vec_size:
-            mask |= mask << width
-            width *= 2
-        return mask
 
     def bit_position(self, sym: str, w: int, digits) -> int:
         index = 0
@@ -218,6 +212,7 @@ def _compile(phi: Formula, lay: _Layout):
                             out.append(ALL if (high >> (p - lay.vec_bits)) & 1 else 0)
                 return out
             return run
+        # Inline, not BIT_OPS: a call per cell cut exhaust ops_per_s 37 -> 31-33.
         case Not(body):
             sub = _compile(body, lay)
             return lambda ctx: [m ^ ALL for m in sub(ctx)]
@@ -488,11 +483,6 @@ class _ProfileSpace:
             raise ValueError("pointed assignments must cover the shared variables")
         self.all_mask = (1 << len(self.cells)) - 1
 
-    def _den(self, mi, w, sigma, term):
-        if isinstance(term, Var):
-            return sigma[term.id]
-        return self.models[mi].eta[(term.id, w)]
-
     def atom_profile(self, phi: Formula) -> int:
         bits = 0
         for mi, combo, sigma in self.assignments:
@@ -501,41 +491,31 @@ class _ProfileSpace:
                     bits |= 1 << self.cell_index[(mi, w, combo)]
         return bits
 
-    def negate(self, p: int) -> int:
-        return p ^ self.all_mask
-
     def knows_map(self, term) -> list:
-        """For each cell, the list of cell indices the box quantifies over."""
+        """For each cell, the mask of the cells the box quantifies over."""
         out = []
         for (mi, w, sigma) in self.cells:
-            agent = self._den(mi, w, sigma, term)
+            agent = denote(self.models[mi], sigma, w, term)
             key = tuple(sigma[v] for v in self.vars)
-            out.append([self.cell_index[(mi, v, key)]
-                        for v in self.models[mi].successors(agent, w)])
+            out.append(sum(1 << self.cell_index[(mi, v, key)]
+                           for v in self.models[mi].successors(agent, w)))
         return out
 
     def assign_map(self, var, term) -> list:
-        """For each cell, the cell the body is read at after the binding."""
+        """For each cell, the mask of the cell the binding moves it to."""
         out = []
         for (mi, w, sigma) in self.cells:
-            value = self._den(mi, w, sigma, term)
-            moved = dict(sigma)
-            moved[var] = value
-            key = tuple(moved[v] for v in self.vars)
-            out.append(self.cell_index[(mi, w, key)])
+            key = tuple(denote(self.models[mi], sigma, w, term) if v == var
+                        else sigma[v] for v in self.vars)
+            out.append(1 << self.cell_index[(mi, w, key)])
         return out
 
-    def apply_cellmap_all(self, p: int, cellmap: list) -> int:
+    @staticmethod
+    def apply(p: int, cellmap: list) -> int:
+        """Cell i is set iff p sets every cell of the mask cellmap[i]."""
         bits = 0
-        for idx, sources in enumerate(cellmap):
-            if all((p >> s) & 1 for s in sources):
-                bits |= 1 << idx
-        return bits
-
-    def apply_cellmap_move(self, p: int, cellmap: list) -> int:
-        bits = 0
-        for idx, source in enumerate(cellmap):
-            if (p >> source) & 1:
+        for idx, m in enumerate(cellmap):
+            if p & m == m:
                 bits |= 1 << idx
         return bits
 
@@ -570,69 +550,46 @@ def el_distinguishes(p1: PointedModel, p2: PointedModel, max_size: int,
 
     terms = [Var(v) for v in shared]
     terms += [Name(nm) for nm in sorted(sig1.names)]
-    preds = sorted(sig1.predicates.items())
 
     atoms = [Top(), Bot()]
     atoms += [Eq(a, b) for a in terms for b in terms]
-    for sym, arity in preds:
+    for sym, arity in sorted(sig1.predicates.items()):
         atoms += [Pred(sym, args)
                   for args in itertools.product(terms, repeat=arity)]
     atoms_by_size: dict = {}
     for atom in atoms:
         atoms_by_size.setdefault(node_count(atom), []).append(atom)
 
-    knows_ops = [(t, space.knows_map(t)) for t in terms]
-    assign_ops = [(v, t, space.assign_map(v, t))
-                  for v in variables for t in terms]
+    ops = [(functools.partial(Knows, t), space.knows_map(t)) for t in terms]
+    ops += [(functools.partial(Assign, v, t), space.assign_map(v, t))
+            for v in variables for t in terms]
+    full = space.all_mask
+    by_size: dict = {}         # size -> [(formula, profile)], first found first
 
-    best: dict = {}
-    by_size: dict = {}
-
-    def consider(profile, formula, size):
-        if profile in best:
-            return None
-        best[profile] = (formula, size)
-        by_size.setdefault(size, []).append(profile)
-        if space.distinguishes(profile):
-            return formula
-        return None
-
-    for size in range(1, max_size + 1):
+    def candidates(size):
         for atom in atoms_by_size.get(size, ()):
-            found = consider(space.atom_profile(atom), atom, size)
-            if found is not None:
-                return _verified(found, p1, p2)
-        for profile in list(by_size.get(size - 1, [])):
-            sub, _ = best[profile]
-            found = consider(space.negate(profile), Not(sub), size)
-            if found is not None:
-                return _verified(found, p1, p2)
-        for profile in list(by_size.get(size - 2, [])):
-            sub, _ = best[profile]
-            for term, cellmap in knows_ops:
-                found = consider(space.apply_cellmap_all(profile, cellmap),
-                                 Knows(term, sub), size)
-                if found is not None:
-                    return _verified(found, p1, p2)
-            for var, term, cellmap in assign_ops:
-                found = consider(space.apply_cellmap_move(profile, cellmap),
-                                 Assign(var, term, sub), size)
-                if found is not None:
-                    return _verified(found, p1, p2)
+            yield atom, space.atom_profile(atom)
+        for sub, p in by_size.get(size - 1, ()):
+            yield Not(sub), BIT_OPS[Not](full, p)
+        for sub, p in by_size.get(size - 2, ()):
+            for ctor, cellmap in ops:
+                yield ctor(sub), space.apply(p, cellmap)
         for left_size in range(1, size - 1):
-            right_size = size - 1 - left_size
-            for pl in list(by_size.get(left_size, [])):
-                fl, _ = best[pl]
-                for pr in list(by_size.get(right_size, [])):
-                    fr, _ = best[pr]
-                    for ctor, profile in (
-                            (And, pl & pr),
-                            (Or, pl | pr),
-                            (Implies, space.negate(pl) | pr),
-                            (Iff, space.negate(pl ^ pr))):
-                        found = consider(profile, ctor(fl, fr), size)
-                        if found is not None:
-                            return _verified(found, p1, p2)
+            for fl, pl in by_size.get(left_size, ()):
+                for fr, pr in by_size.get(size - 1 - left_size, ()):
+                    for ctor in BINARY:
+                        yield ctor(fl, fr), BIT_OPS[ctor](full, pl, pr)
+
+    seen = set()
+    for size in range(1, max_size + 1):
+        by_size[size] = []
+        for formula, profile in candidates(size):
+            if profile in seen:
+                continue
+            if space.distinguishes(profile):
+                return _verified(formula, p1, p2)
+            seen.add(profile)
+            by_size[size].append((formula, profile))
     return None
 
 

@@ -4,7 +4,9 @@ A proof script is a numbered list of steps, each carrying a formula and a
 justification: an axiom-schema instance, a propositional tautology, modus
 ponens, necessitation for ``K{t}``, necessitation for ``[?x := t]`` (with
 its freshness side condition), or a citation of a previously established
-derived theorem instantiated at concrete formulas and terms.
+derived theorem instantiated at concrete formulas and terms.  A tautology
+is checked on the truth table over its maximal non-Boolean subformulas (at
+most ``MAX_ATOMS``, 16), evaluated over bit vectors.
 
 The axiom schemas are the table ``AXIOMS`` and the derived theorems the
 table ``LEMMAS``, both written in the formula syntax; SUBP, SUB2AS,
@@ -31,10 +33,10 @@ data under ``elas/proofs/``; ``bundled_theorems`` loads and checks them.
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
 from importlib.resources import files
 
+from .semantics import BIT_OPS, periodic_mask
 from .syntax import (
     BOOLEAN, And, Assign, Bot, Eq, Formula, Iff, Implies, Knows, Name, Not,
     Or, Pred, Term, Top, Var, all_vars, children, free_vars,
@@ -51,6 +53,8 @@ class AtomBudgetError(Exception):
     """The tautology check would need more than the supported number of
     distinct atoms."""
 
+
+MAX_ATOMS = 16           # check_taut's truth table has up to 2 ** 16 rows
 
 AXIOM_IDS = ("DISTK", "Tx", "4x", "5x", "ID", "SUBP", "SUBK", "SUBAS",
              "RIGIDP", "RIGIDN", "KAS", "DETAS", "DAS", "EFAS", "SUB2AS")
@@ -194,40 +198,23 @@ def _abstract(phi: Formula, atoms: dict):
     return Pred(f"@{atoms[phi]}", ())
 
 
-def _truth(phi: Formula, row: dict) -> bool:
-    match phi:
-        case Top():
-            return True
-        case Bot():
-            return False
-        case Pred(sym, ()):
-            return row[sym]
-        case Not(body):
-            return not _truth(body, row)
-        case And(l, r):
-            return _truth(l, row) and _truth(r, row)
-        case Or(l, r):
-            return _truth(l, row) or _truth(r, row)
-        case Implies(l, r):
-            return (not _truth(l, row)) or _truth(r, row)
-        case Iff(l, r):
-            return _truth(l, row) == _truth(r, row)
-    raise TypeError(f"unexpected abstracted formula: {phi!r}")
-
-
-def check_taut(phi: Formula, max_atoms: int = 16) -> bool:
-    """Truth-table check over the abstracted atoms; identical subformulas
-    share an atom."""
+def check_taut(phi: Formula) -> bool:
+    """Truth-table check over the abstracted atoms, identical subformulas
+    sharing one; the skeleton is evaluated once, with a bit per row."""
     atoms: dict = {}
     skeleton = _abstract(phi, atoms)
-    if len(atoms) > max_atoms:
+    if len(atoms) > MAX_ATOMS:
         raise AtomBudgetError(
-            f"{len(atoms)} distinct atoms exceed the budget of {max_atoms}")
-    syms = [f"@{i}" for i in range(len(atoms))]
-    for values in itertools.product((False, True), repeat=len(syms)):
-        if not _truth(skeleton, dict(zip(syms, values))):
-            return False
-    return True
+            f"{len(atoms)} distinct atoms exceed the budget of {MAX_ATOMS}")
+    rows = 1 << len(atoms)
+    full = (1 << rows) - 1
+
+    def value(f):
+        if type(f) is Pred:
+            return periodic_mask(int(f.sym[1:]), rows)
+        return BIT_OPS[type(f)](full, *map(value, children(f)))
+
+    return value(skeleton) == full
 
 
 # ---------------------------------------------------------------------------

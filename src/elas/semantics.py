@@ -238,6 +238,30 @@ def eval_all_worlds(m: KripkeModel, sigma: dict, phi: Formula) -> dict:
     return {w: _eval(m, w, sigma, phi) for w in m.worlds}
 
 
+# The connectives over bit vectors: an int holds one truth value per row,
+# and full has a bit for every row.
+BIT_OPS = {
+    Top: lambda full: full,
+    Bot: lambda full: 0,
+    Not: lambda full, p: p ^ full,
+    And: lambda full, p, q: p & q,
+    Or: lambda full, p, q: p | q,
+    Implies: lambda full, p, q: (p ^ full) | q,
+    Iff: lambda full, p, q: p ^ q ^ full,
+}
+
+
+def periodic_mask(p: int, rows: int) -> int:
+    """Bit vector of the rows whose number has bit p set: atom p's column
+    when row r gives atom i bit i of r.  rows is a power of two > 2 ** p."""
+    width = 2 << p
+    mask = ((1 << (1 << p)) - 1) << (1 << p)
+    while width < rows:
+        mask |= mask << width
+        width *= 2
+    return mask
+
+
 # ---------------------------------------------------------------------------
 # Model files
 

@@ -12,17 +12,17 @@ from elas.modelsearch import (
     find_countermodel, find_witness,
 )
 from elas.semantics import (
-    PointedModel, Signature, eval_formula, is_epistemic, model_to_dict,
-    validate_model,
+    PointedModel, Signature, eval_formula, is_epistemic, make_model,
+    model_to_dict, validate_model,
 )
 from elas.randgen import random_formula
 from elas.suites import (
     VALIDITY_TABLE, corpus_formulas, robot_readings, separation_models,
 )
 from elas.syntax import (
-    And, Bot, Iff, Implies, Knows, Name, Not, Var, formula_signature,
-    free_vars, is_el_fragment, knows_who, node_count, parse_formula,
-    print_formula,
+    And, Assign, Bot, Eq, Iff, Implies, Knows, Name, Not, Or, Pred, Top, Var,
+    formula_signature, free_vars, is_el_fragment, knows_who, node_count,
+    parse_formula, print_formula,
 )
 
 EPISTEMIC33 = SearchBounds(3, 3, True)
@@ -318,45 +318,80 @@ class TestElDistinguishes:
             el_distinguishes(self.p1, PointedModel(foreign, "u", {"x": "g"}), 5)
 
     def test_brute_force_agreement(self):
-        # independent oracle: enumerate every formula up to 6 nodes over the
-        # shared symbols and evaluate both sides directly
-        from elas.syntax import And, Assign, Eq, Iff, Implies, Knows, Or, Pred
-        terms = (Name("a"), )
-        var_terms = (parse_formula("?x = ?x").lhs,)        # Var("x")
-        pool = var_terms + terms
-
-        by_size = {1: [parse_formula("true"), parse_formula("false")]}
-
-        def formulas(size):
-            if size in by_size:
-                return by_size[size]
-            out = []
-            if size == 2:
-                out += [Pred("P", (t,)) for t in pool]
-            if size == 3:
-                out += [Eq(s, t) for s in pool for t in pool]
-            out += [Not(f) for f in formulas(size - 1)]
-            if size >= 3:
-                for f in formulas(size - 2):
-                    out += [Knows(t, f) for t in pool]
-                    out += [Assign("x", t, f) for t in pool]
-            for ls in range(1, size - 1):
-                for fl in formulas(ls):
-                    for fr in formulas(size - 1 - ls):
-                        out += [And(fl, fr), Or(fl, fr),
-                                Implies(fl, fr), Iff(fl, fr)]
-            by_size[size] = out
-            return out
-
-        for size in range(1, 7):
-            for phi in formulas(size):
-                v1 = eval_formula(self.p1.model, "s1", {"x": "i"}, phi)
-                v2 = eval_formula(self.p2.model, "s1", {"x": "i"}, phi)
-                assert v1 == v2, print_formula(phi)
+        # independent oracle: every formula up to 6 nodes over the shared
+        # symbols agrees on both sides
+        assert _brute_force_minimum(self.p1, self.p2, 6, binders=True) is None
         # consistent with the profile search: the smallest distinguisher has
         # 7 nodes and uses a binder
         found = el_distinguishes(self.p1, self.p2, 9, language="elas")
         assert node_count(found) == 7
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_minimal_on_seeded_pairs(self, seed):
+        rng = random.Random(seed)
+        p1 = _random_pointed(rng)
+        p2 = _random_pointed(rng, like=p1)
+        for language, binders in (("el", False), ("elas", True)):
+            found = el_distinguishes(p1, p2, 6, language=language)
+            expected = _brute_force_minimum(p1, p2, 6, binders)
+            assert (found and node_count(found)) == expected, language
+
+
+PAIR_SIG = Signature({"P": 1}, frozenset({"a"}))
+
+
+def _random_pointed(rng, like=None):
+    """A model over P/1 and the name a with two worlds, two agents and
+    arbitrary relations, pointed at w1 with a value for ?x.  Given like,
+    it agrees with like at w1 on P, a and ?x, so that no atom tells the
+    two apart."""
+    worlds, agents = ("w1", "w2"), ("i", "j")
+    relations = {g: {(u, v) for u in worlds for v in worlds if rng.random() < 0.5}
+                 for g in agents}
+    rho = {("P", w): {(g,) for g in agents if rng.random() < 0.5} for w in worlds}
+    eta = {("a", w): rng.choice(agents) for w in worlds}
+    sigma = {"x": rng.choice(agents)}
+    if like is not None:
+        rho["P", "w1"] = like.model.rho_at("P", "w1")
+        eta["a", "w1"] = like.model.eta["a", "w1"]
+        sigma = like.sigma
+    model = make_model(worlds, agents, relations, rho, eta, PAIR_SIG)
+    return PointedModel(model, "w1", sigma)
+
+
+def _formulas_by_size(max_size, binders):
+    """Every formula over ?x, the name a and P/1 with at most max_size
+    nodes, by node count, written out by hand."""
+    pool = (Var("x"), Name("a"))
+    by_size = {1: [Top(), Bot()]}
+    for size in range(2, max_size + 1):
+        out = []
+        if size == 2:
+            out += [Pred("P", (t,)) for t in pool]
+        if size == 3:
+            out += [Eq(s, t) for s in pool for t in pool]
+        out += [Not(f) for f in by_size[size - 1]]
+        for f in by_size.get(size - 2, ()):
+            out += [Knows(t, f) for t in pool]
+            if binders:
+                out += [Assign("x", t, f) for t in pool]
+        for ls in range(1, size - 1):
+            for fl in by_size[ls]:
+                for fr in by_size[size - 1 - ls]:
+                    out += [And(fl, fr), Or(fl, fr), Implies(fl, fr), Iff(fl, fr)]
+        by_size[size] = out
+    return by_size
+
+
+def _brute_force_minimum(p1, p2, max_size, binders):
+    """Node count of the smallest formula that tells the pointed models
+    apart, found by evaluating every formula on both sides, or None."""
+    for size, formulas in _formulas_by_size(max_size, binders).items():
+        for phi in formulas:
+            if (eval_formula(p1.model, p1.world, p1.sigma, phi)
+                    != eval_formula(p2.model, p2.world, p2.sigma, phi)):
+                return size
+    return None
 
 
 class TestFastScanAgainstSlowScan:

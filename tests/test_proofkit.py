@@ -2,6 +2,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -149,6 +150,14 @@ class TestCheckTaut:
         text = "(" + "& ".join(literals) + ") -> P(a0)"
         with pytest.raises(AtomBudgetError):
             check_taut(parse_formula(text))
+
+    def test_sixteen_atoms_within_budget(self):
+        # the 2 ** 16-row table is evaluated in one pass over bit vectors
+        conjunction = "(" + " & ".join(f"P(a{i})" for i in range(16)) + ")"
+        start = time.perf_counter()
+        assert check_taut(parse_formula(conjunction + " -> P(a15)"))
+        assert not check_taut(parse_formula(conjunction + " -> ~P(a0)"))
+        assert time.perf_counter() - start < 0.5
 
     def test_modal_subformulas_are_opaque(self):
         # K{a}(P & Q) -> K{a}P is valid but not propositionally so

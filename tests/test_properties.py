@@ -5,7 +5,9 @@ and the command line, generated with hypothesis."""
 import contextlib
 import copy
 import io
+import itertools
 import json
+import operator
 import random
 import string
 
@@ -17,14 +19,14 @@ from conftest import FIXTURES, PROOFS
 from elas.cli import main
 from elas.proofkit import (
     AXIOM_IDS, AXIOMS, BUNDLED, _LEMMA_BUILDERS, ScriptError, _mutants,
-    instantiate_axiom, instantiate_lemma, match_axiom,
+    check_taut, instantiate_axiom, instantiate_lemma, match_axiom,
 )
 from elas.randgen import random_epistemic_model, random_model, random_sigma
 from elas.semantics import ModelError, _eval, eval_formula, model_from_dict
 from elas.syntax import (
-    BINARY, BOOLEAN, Assign, Bot, Eq, Knows, Name, Not, Pred, Signature, Top,
-    Var, all_vars, children, free_vars, is_admissible, parse_formula,
-    print_formula, rebuild, subformulas, substitute, terms_of,
+    BINARY, BOOLEAN, And, Assign, Bot, Eq, Iff, Implies, Knows, Name, Not, Or,
+    Pred, Signature, Top, Var, all_vars, children, free_vars, is_admissible,
+    parse_formula, print_formula, rebuild, subformulas, substitute, terms_of,
 )
 from elas.translation import (
     AgentVar, ExistsAgent, ForallAgent, ForallWorld, WorldVar, check_sorts,
@@ -130,6 +132,67 @@ def test_mutants_flip_exactly_one_connective(phi):
         flipped = (isinstance(old, BINARY) and isinstance(new, BINARY)
                    and children(old) == children(new))
         assert dropped or flipped
+
+
+@st.composite
+def boolean_combinations(draw):
+    """Boolean combinations of up to six opaque atoms, each usable any
+    number of times: two or three atomic, modal or binder formulas, and one
+    to three K{t} or [?x := t] over one of those."""
+    base = draw(st.lists(st.one_of(
+        st.builds(Eq, terms, terms),
+        st.builds(Pred, st.just("P"), st.tuples(terms)),
+        st.builds(Knows, terms, formulas),
+        st.builds(Assign, st.sampled_from(VARS), terms, formulas),
+    ), min_size=2, max_size=3))
+    inner = st.sampled_from(base)
+    opaque = base + draw(st.lists(st.one_of(
+        st.builds(Knows, terms, inner),
+        st.builds(Assign, st.sampled_from(VARS), terms, inner),
+    ), min_size=1, max_size=3))
+    # Join neighbouring parts until one formula is left.
+    parts = draw(st.lists(st.sampled_from(opaque + [Top(), Bot()]),
+                          min_size=1, max_size=12))
+    while len(parts) > 1:
+        i = draw(st.integers(0, len(parts) - 2))
+        parts[i:i + 2] = [draw(st.sampled_from(BINARY))(parts[i], parts[i + 1])]
+        if draw(st.booleans()):
+            parts[i] = Not(parts[i])
+    return parts[0]
+
+
+_CONNECTIVES = {Not: operator.not_, And: operator.and_, Or: operator.or_,
+                Implies: lambda p, q: q or not p, Iff: operator.eq}
+
+
+def _maximal_atoms(phi) -> list:
+    if isinstance(phi, (Top, Bot)):
+        return []
+    if isinstance(phi, BOOLEAN):
+        return [f for kid in children(phi) for f in _maximal_atoms(kid)]
+    return [phi]
+
+
+def _taut_by_rows(phi) -> bool:
+    """check_taut's reference: the maximal non-Boolean subformulas are the
+    atoms, and every row of their truth table is evaluated on its own."""
+    atoms = list(dict.fromkeys(_maximal_atoms(phi)))
+
+    def truth(f, row):
+        if isinstance(f, (Top, Bot)):
+            return isinstance(f, Top)
+        if isinstance(f, BOOLEAN):
+            return _CONNECTIVES[type(f)](*(truth(kid, row) for kid in children(f)))
+        return row[f]
+
+    return all(truth(phi, dict(zip(atoms, values)))
+               for values in itertools.product((False, True), repeat=len(atoms)))
+
+
+@PROPERTY
+@given(boolean_combinations())
+def test_check_taut_agrees_with_row_by_row_table(phi):
+    assert check_taut(phi) == _taut_by_rows(phi)
 
 
 def _replace(phi, old, new):

@@ -1,6 +1,9 @@
+import ast
 import random
 
 import pytest
+
+from conftest import ROOT
 
 from elas.randgen import (
     random_epistemic_model, random_formula, random_model, random_sigma,
@@ -151,3 +154,30 @@ class TestSortChecker:
         phi = translate(parse_formula("P(?w)"))
         assert check_sorts(phi, world_vars={"w"}) == [
             "agent variable w is not bound at agent sort"]
+
+
+class TestEvaluatorLayering:
+    """fol_eval and the tests' naive_eval stay independent of the reference
+    evaluator: neither module may take anything else from semantics."""
+
+    @staticmethod
+    def _from_semantics(path) -> set:
+        names = set()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                if (node.module or "").rpartition(".")[2] == "semantics":
+                    names |= {alias.name for alias in node.names}
+                else:
+                    names |= {"semantics" for alias in node.names
+                              if alias.name == "semantics"}
+            elif isinstance(node, ast.Import):
+                names |= {"semantics" for alias in node.names
+                          if alias.name.rpartition(".")[2] == "semantics"}
+        return names
+
+    def test_translation_takes_only_the_model_type(self):
+        assert self._from_semantics(ROOT / "src" / "elas" / "translation.py") == {"KripkeModel"}
+
+    def test_naive_eval_takes_only_the_loader(self):
+        # the m1/m2 fixtures load their files with load_model
+        assert self._from_semantics(ROOT / "tests" / "conftest.py") <= {"load_model"}
