@@ -6,6 +6,8 @@ requested bounds.  Enumeration order is fixed and documented: world count,
 then agent count, then the per-agent relations, then the predicate
 interpretation, then the name interpretation, each lexicographically; a
 model's worlds and then the covering assignments are scanned in order too.
+For a fixed relation tuple, the predicate and name interpretations are
+numbered by one scan index, rho_index * k ** (names * worlds) + eta_pos.
 
 ``enumerate_models`` materialises that stream.  ``find_countermodel`` and
 ``find_witness`` walk the same order but skip every tuple of per-agent
@@ -16,13 +18,12 @@ This is exact: an isomorphic copy of a hit is a hit, because every world,
 predicate and name interpretation and free assignment is scanned, and the
 relation tuple is the outermost key of the order, so the first hit always
 lies on an orbit-minimal tuple.  They also keep the candidate model in a
-compact form: for a fixed choice of relations and name interpretation the
-truth value of the formula at every (world, assignment) cell is computed
-for *all* predicate interpretations at once, as a bitmask indexed by the
-interpretation's position in the enumeration (Python integers as bit
-vectors).  The first hit in canonical order is rebuilt as a real model and
-re-verified with the reference evaluator before it is returned; the fast
-path is never trusted on its own.
+compact form: for a fixed relation tuple the formula's truth value at
+every (world, assignment) cell is computed for a chunk of consecutive scan
+indices at once, one bitmask lane per index (Python integers as bit
+vectors), so the lowest set bit of a cell is its first hit.  That hit is
+rebuilt as a real model and re-verified with the reference evaluator
+before it is returned; the fast path is never trusted on its own.
 
 Bounded search is deliberately incomplete: a negative answer only speaks
 for the models within the bounds, and verdicts say so.
@@ -33,6 +34,7 @@ from __future__ import annotations
 import functools
 import itertools
 import multiprocessing
+import operator
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -40,8 +42,8 @@ from dataclasses import dataclass
 from .randgen import agent_labels, set_partitions, world_labels
 from .randgen import count_models  # noqa: F401  (part of this module's API)
 from .semantics import (
-    BIT_OPS, KripkeModel, PointedModel, denote, eval_all_worlds, eval_formula,
-    make_model, periodic_mask,
+    BIT_OPS, KripkeModel, PointedModel, denote, digit_mask, eval_all_worlds,
+    eval_formula, make_model,
 )
 from .syntax import (
     BINARY, And, Assign, Bot, Eq, Formula, Iff, Implies, Knows, Name, Not, Or,
@@ -49,13 +51,16 @@ from .syntax import (
     node_count,
 )
 
-_VECTOR_BITS = 16        # rho choices handled per bitmask chunk: 2**16
+_LANES = 1 << 16         # scan indices per compiled pass, at most
 
-# Blocks whose estimated scan work (see _scan_work) is below this are
-# scanned in-process even with jobs > 1: a scan gets through 1.5-9 million
-# units a second on a 2-core machine, and a spawned worker pool costs about
-# 0.3 s to start, so smaller blocks finish before a pool would pay off.
-_PARALLEL_WORK = 2_000_000
+# A compiled node costs about as much Python overhead per cell as a bit
+# operation on this many lanes.  Blocks whose estimated scan work (see
+# _scan_work) is below _PARALLEL_WORK are scanned in-process even with
+# jobs > 1: a scan gets through about 3e10 lane operations a second on a
+# 2-core machine, and a spawned worker pool costs about 0.3 s to start,
+# so smaller blocks finish before a pool would pay off.
+_OP_LANES = 1 << 14
+_PARALLEL_WORK = 20_000_000_000
 
 
 @dataclass(frozen=True)
@@ -113,11 +118,30 @@ class _Layout:
             self.offsets[(sym, w)] = position
             position += len(self.tuples[sym])
         self.rho_bits = position
-        self.vec_bits = min(self.rho_bits, _VECTOR_BITS)
-        self.high_bits = self.rho_bits - self.vec_bits
-        self.vec_size = 1 << self.vec_bits
-        self.all_mask = (1 << self.vec_size) - 1
-        self.bit_masks = [periodic_mask(p, self.vec_size) for p in range(self.vec_bits)]
+        # eta digit ni * n + w, base k, is name ni's agent at world w; the
+        # first digit is the most significant.
+        self.eta_digits = len(self.names) * n
+        self.etas = k ** self.eta_digits
+
+        # A chunk is `lanes` consecutive scan indices.  Its lane digits are the
+        # lowest digits of the index (the eta digits, last first, then the rho
+        # bits) whose product stays within the cap; every higher digit, of
+        # weight >= lanes, is constant within a chunk.
+        lanes = 1
+        for base in [k] * self.eta_digits + [2] * self.rho_bits:
+            if lanes * base > _LANES:
+                break
+            lanes *= base
+        self.lanes, self.all_mask = lanes, (1 << lanes) - 1
+        self.chunks = (self.etas << self.rho_bits) // lanes
+        # Per eta digit its weight and, for a lane digit, its (lane mask, agent)
+        # pairs, None for a mask meaning every lane; per rho bit its weight and
+        # lane mask.
+        self.eta_lanes = [(w, tuple((digit_mask(lanes, w, k, j), j) for j in range(k))
+                           if w < lanes else None)
+                          for w in (k ** e for e in reversed(range(self.eta_digits)))]
+        self.rho_lanes = [(w, digit_mask(lanes, w, 2, 1) if w < lanes else None)
+                          for w in (self.etas << p for p in range(self.rho_bits))]
 
         self.rel_pool = _relation_pool(n, epistemic)
 
@@ -129,87 +153,93 @@ class _Layout:
         self.S = len(self.sigmas)
         self.strides = [k ** (len(self.vars) - 1 - i) for i in range(len(self.vars))]
         self.free = sorted(free)
-        self.free_cells = []
-        for combo in itertools.product(range(k), repeat=len(self.free)):
-            s = 0
-            for v, g in zip(self.free, combo):
-                s += self.strides[self.var_pos[v]] * g
-            self.free_cells.append((combo, s))
-        self.eta_digits = len(self.names) * n
+        self.free_cells = [sum(self.strides[self.var_pos[v]] * g for v, g in zip(self.free, combo))
+                           for combo in itertools.product(range(k), repeat=len(self.free))]
 
-    def bit_position(self, sym: str, w: int, digits) -> int:
-        index = 0
-        for d in digits:
-            index = index * self.k + d
-        return self.offsets[(sym, w)] + index
+    def chunk_digits(self, chunk: int):
+        """Per eta digit its (lane mask, agent) pairs and per rho bit its
+        lane mask, within the given chunk."""
+        first = chunk * self.lanes
+        eta = [pairs or ((None, first // w % self.k),) for w, pairs in self.eta_lanes]
+        rho = [mask if mask is not None else self.all_mask if first // w & 1 else 0
+               for w, mask in self.rho_lanes]
+        return eta, rho
 
-    # -- materialisation ---------------------------------------------------
-
-    def relation_pairs(self, pool_index: int) -> frozenset:
-        succ = self.rel_pool[pool_index]
-        return frozenset((self.worlds[w], self.worlds[v])
-                         for w in range(self.n) for v in succ[w])
-
-    def build_model(self, sig: Signature, rel_combo, rho_index: int, eta) -> KripkeModel:
-        relations = {agent: self.relation_pairs(rel_combo[i])
-                     for i, agent in enumerate(self.agents)}
+    def build_model(self, sig: Signature, rel_combo, index: int) -> KripkeModel:
+        """The model at a scan index under the given relation tuple."""
+        relations = {agent: frozenset((self.worlds[w], self.worlds[v])
+                                      for w, succ in enumerate(self.rel_pool[r])
+                                      for v in succ)
+                     for agent, r in zip(self.agents, rel_combo)}
+        rho_index, eta_pos = divmod(index, self.etas)
         rho = {}
-        for sym, _arity in self.preds:
-            for w in range(self.n):
-                offset = self.offsets[(sym, w)]
-                chosen = []
-                for t, digits in enumerate(self.tuples[sym]):
-                    if (rho_index >> (offset + t)) & 1:
-                        chosen.append(tuple(self.agents[d] for d in digits))
-                if chosen:
-                    rho[(sym, self.worlds[w])] = frozenset(chosen)
-        eta_map = {}
-        for ni, name in enumerate(self.names):
-            for w in range(self.n):
-                eta_map[(name, self.worlds[w])] = self.agents[eta[ni * self.n + w]]
+        for (sym, w), offset in self.offsets.items():
+            chosen = frozenset(tuple(self.agents[d] for d in digits)
+                               for t, digits in enumerate(self.tuples[sym])
+                               if rho_index >> (offset + t) & 1)
+            if chosen:
+                rho[(sym, self.worlds[w])] = chosen
+        eta_map = {(self.names[d // self.n], self.worlds[d % self.n]):
+                   self.agents[eta_pos // weight % self.k]
+                   for d, (weight, _) in enumerate(self.eta_lanes)}
         return make_model(self.worlds, self.agents, relations, rho, eta_map, sig)
 
 
+def _meet(a, b):
+    """Intersection of two lane masks, None standing for every lane."""
+    return b if a is None else a if b is None else a & b
+
+
+def _join(parts: list, full: int) -> int:
+    """Union of lane masks, None standing for every lane."""
+    if None in parts:
+        return full
+    return functools.reduce(operator.or_, parts) if parts else 0
+
+
 def _compile(phi: Formula, lay: _Layout):
-    """Compile a formula to a function (eta, succ_by_agent, high) -> list of
-    per-cell bitmasks over the low chunk of the rho enumeration."""
+    """Compile a formula to a function (succ_by_agent, eta, rho) -> list of
+    per-cell bitmasks over one chunk's lanes, eta and rho as chunk_digits
+    gives them."""
     n, S, k = lay.n, lay.S, lay.k
-    cells = n * S
+    grid = [(w, s) for w in range(n) for s in range(S)]
     ALL = lay.all_mask
 
     def den(term):
+        """(eta, w, s) -> the term's (lane mask, agent) pairs."""
         if isinstance(term, Var):
             pos = lay.var_pos[term.id]
-            return lambda eta, w, s: lay.sigmas[s][pos]
+            by_s = [((None, sigma[pos]),) for sigma in lay.sigmas]
+            return lambda eta, w, s: by_s[s]
         ni = lay.names.index(term.id)
         return lambda eta, w, s: eta[ni * n + w]
 
     match phi:
         case Top():
-            return lambda ctx: [ALL] * cells
+            return lambda ctx: [ALL] * len(grid)
         case Bot():
-            return lambda ctx: [0] * cells
+            return lambda ctx: [0] * len(grid)
         case Eq(lhs, rhs):
             d1, d2 = den(lhs), den(rhs)
-
-            def run(ctx):
-                eta, _, _ = ctx
-                return [ALL if d1(eta, w, s) == d2(eta, w, s) else 0
-                        for w in range(n) for s in range(S)]
-            return run
+            return lambda ctx: [
+                _join([_meet(m1, m2) for m1, a1 in d1(ctx[1], w, s)
+                       for m2, a2 in d2(ctx[1], w, s) if a1 == a2], ALL)
+                for w, s in grid]
         case Pred(sym, args):
             dens = [den(a) for a in args]
+            offsets = [lay.offsets[(sym, w)] for w in range(n)]
 
             def run(ctx):
-                eta, _, high = ctx
+                _, eta, rho = ctx
                 out = []
-                for w in range(n):
-                    for s in range(S):
-                        p = lay.bit_position(sym, w, [d(eta, w, s) for d in dens])
-                        if p < lay.vec_bits:
-                            out.append(lay.bit_masks[p])
-                        else:
-                            out.append(ALL if (high >> (p - lay.vec_bits)) & 1 else 0)
+                for w, s in grid:
+                    parts = []
+                    for combo in itertools.product(*(d(eta, w, s) for d in dens)):
+                        mask, t = None, 0
+                        for m, a in combo:
+                            mask, t = _meet(mask, m), t * k + a
+                        parts.append(_meet(mask, rho[offsets[w] + t]))
+                    out.append(_join(parts, ALL))
                 return out
             return run
         # Inline, not BIT_OPS: a call per cell cut exhaust ops_per_s 37 -> 31-33.
@@ -229,39 +259,34 @@ def _compile(phi: Formula, lay: _Layout):
             sl, sr = _compile(l, lay), _compile(r, lay)
             return lambda ctx: [(a ^ b) ^ ALL for a, b in zip(sl(ctx), sr(ctx))]
         case Knows(agent, body):
-            d = den(agent)
-            sub = _compile(body, lay)
+            d, sub = den(agent), _compile(body, lay)
 
             def run(ctx):
-                eta, succ, _ = ctx
+                succ, eta, _ = ctx
                 bm = sub(ctx)
                 out = []
-                for w in range(n):
-                    for s in range(S):
-                        m = ALL
-                        for v in succ[d(eta, w, s)][w]:
-                            m &= bm[v * S + s]
-                            if not m:
+                for w, s in grid:
+                    parts = []
+                    for m, a in d(eta, w, s):
+                        for v in succ[a][w]:
+                            m = bm[v * S + s] if m is None else m & bm[v * S + s]
+                            if m == 0:
                                 break
-                        out.append(m)
+                        parts.append(m)
+                    out.append(_join(parts, ALL))
                 return out
             return run
         case Assign(var, term, body):
-            d = den(term)
+            d, sub = den(term), _compile(body, lay)
             pos = lay.var_pos[var]
             stride = lay.strides[pos]
-            sub = _compile(body, lay)
+            base = [w * S + s - lay.sigmas[s][pos] * stride for w, s in grid]
 
             def run(ctx):
-                eta, _, _ = ctx
                 bm = sub(ctx)
-                out = []
-                for w in range(n):
-                    for s in range(S):
-                        g = d(eta, w, s)
-                        s2 = s - lay.sigmas[s][pos] * stride + g * stride
-                        out.append(bm[w * S + s2])
-                return out
+                return [_join([_meet(m, bm[base[c] + g * stride])
+                               for m, g in d(ctx[1], w, s)], ALL)
+                        for c, (w, s) in enumerate(grid)]
             return run
     raise TypeError(f"not a formula: {phi!r}")
 
@@ -313,52 +338,37 @@ def _scan_slice(phi, sig, n, k, epistemic, want_false, rel_combos=None):
     """Scan the given relation tuples of one block in order (by default
     every orbit-minimal one); return the canonically first hit, or None.
 
-    The hit is (relation tuple, rho index, eta position, world index,
-    free-assignment position), which is its position in the canonical
-    order, followed by the eta digits and free-assignment digits needed to
-    rebuild it.
+    The hit is (relation tuple, scan index, world index, free-assignment
+    position), its position in the canonical order, paired with the
+    pointed model it names.
     """
     lay = _Layout(sig, n, k, epistemic, all_vars(phi), free_vars(phi))
-    run = _compile(phi, lay)
-    ALL = lay.all_mask
+    run = _compile(Not(phi) if want_false else phi, lay)
     if rel_combos is None:
         rel_combos = _representatives(lay.rel_pool, n, k)
     for rel_combo in rel_combos:
         succ = tuple(lay.rel_pool[i] for i in rel_combo)
-        for high in range(1 << lay.high_bits):
-            best = None
-            for eta_pos, eta in enumerate(
-                    itertools.product(range(k), repeat=lay.eta_digits)):
-                masks = run((eta, succ, high))
-                for w in range(lay.n):
-                    for cell_pos, (combo, s) in enumerate(lay.free_cells):
-                        m = masks[w * lay.S + s]
-                        hits = (m ^ ALL) if want_false else m
-                        if hits:
-                            low = (hits & -hits).bit_length() - 1
-                            key = (low, eta_pos, w, cell_pos)
-                            if best is None or key < best[0]:
-                                best = (key, eta, combo)
-            if best is not None:
-                (low, eta_pos, w, cell_pos), eta, combo = best
-                rho_index = (high << lay.vec_bits) | low
-                return (rel_combo, rho_index, eta_pos, w, cell_pos, eta, combo)
+        for chunk in range(lay.chunks):
+            masks = run((succ, *lay.chunk_digits(chunk)))
+            keys = [((m & -m).bit_length() - 1, w, cell_pos)
+                    for w in range(n) for cell_pos, s in enumerate(lay.free_cells)
+                    if (m := masks[w * lay.S + s])]
+            if keys:
+                lane, w, cell_pos = min(keys)
+                index = chunk * lay.lanes + lane
+                s = lay.sigmas[lay.free_cells[cell_pos]]
+                sigma = {v: lay.agents[s[lay.var_pos[v]]] for v in lay.free}
+                model = lay.build_model(sig, rel_combo, index)
+                return (rel_combo, index, w, cell_pos), PointedModel(model, lay.worlds[w], sigma)
     return None
 
 
-def _materialize(phi, sig, n, k, epistemic, hit) -> PointedModel:
-    lay = _Layout(sig, n, k, epistemic, all_vars(phi), free_vars(phi))
-    rel_combo, rho_index, _etapos, w, _cellpos, eta, combo = hit
-    model = lay.build_model(sig, rel_combo, rho_index, eta)
-    sigma = {v: lay.agents[g] for v, g in zip(lay.free, combo)}
-    return PointedModel(model, lay.worlds[w], sigma)
-
-
 def _scan_work(lay: _Layout, n_reps: int, phi: Formula) -> int:
-    """Estimated work of scanning n_reps relation tuples: compiled passes
-    times (world, assignment) cells times formula nodes."""
-    passes = (n_reps << lay.high_bits) * lay.k ** lay.eta_digits
-    return passes * lay.n * lay.S * node_count(phi)
+    """Estimated work of scanning n_reps relation tuples, in lane
+    operations: compiled passes times (world, assignment) cells times
+    formula nodes, each costing its lanes plus _OP_LANES."""
+    passes = n_reps * lay.chunks
+    return passes * lay.n * lay.S * node_count(phi) * (lay.lanes + _OP_LANES)
 
 
 def _stride_slices(reps: list, jobs: int) -> list:
@@ -380,8 +390,7 @@ def _search(phi: Formula, bounds: SearchBounds, want_false: bool,
             task = (phi, sig, n, k, bounds.epistemic, want_false)
             reps, slices = None, []
             if jobs > 1:
-                lay = _Layout(sig, n, k, bounds.epistemic, all_vars(phi),
-                              free_vars(phi))
+                lay = _Layout(sig, n, k, bounds.epistemic, all_vars(phi), free_vars(phi))
                 reps = list(_representatives(lay.rel_pool, n, k))
                 if _scan_work(lay, len(reps), phi) >= _PARALLEL_WORK:
                     slices = _stride_slices(reps, jobs)
@@ -392,10 +401,11 @@ def _search(phi: Formula, bounds: SearchBounds, want_false: bool,
                     pool = ProcessPoolExecutor(
                         max_workers=min(jobs, os.cpu_count() or 1),
                         mp_context=multiprocessing.get_context("spawn"))
-                hits = pool.map(_scan_worker, [task + (sl,) for sl in slices])
-                hit = min((h for h in hits if h is not None), default=None)
+                hits = pool.map(functools.partial(_scan_slice, *task), slices)
+                hit = min((h for h in hits if h is not None), default=None,
+                          key=lambda h: h[0])
             if hit is not None:
-                pointed = _materialize(phi, sig, n, k, bounds.epistemic, hit)
+                pointed = hit[1]
                 value = eval_formula(pointed.model, pointed.world, pointed.sigma, phi)
                 if value == want_false:
                     raise RuntimeError(
@@ -405,10 +415,6 @@ def _search(phi: Formula, bounds: SearchBounds, want_false: bool,
         if pool is not None:
             pool.shutdown(cancel_futures=True)
     return None
-
-
-def _scan_worker(args):
-    return _scan_slice(*args)
 
 
 def find_countermodel(phi: Formula, bounds: SearchBounds,
@@ -440,9 +446,8 @@ def enumerate_models(sig: Signature, bounds: SearchBounds):
         lay = _Layout(sig, n, k, bounds.epistemic, (), ())
         rel_indices = range(len(lay.rel_pool))
         for rel_combo in itertools.product(rel_indices, repeat=k):
-            for rho_index in range(1 << lay.rho_bits):
-                for eta in itertools.product(range(k), repeat=lay.eta_digits):
-                    yield lay.build_model(sig, rel_combo, rho_index, eta)
+            for index in range(lay.etas << lay.rho_bits):
+                yield lay.build_model(sig, rel_combo, index)
 
 
 # ---------------------------------------------------------------------------

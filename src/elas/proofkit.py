@@ -36,7 +36,7 @@ import functools
 from dataclasses import dataclass
 from importlib.resources import files
 
-from .semantics import BIT_OPS, periodic_mask
+from .semantics import BIT_OPS, digit_mask
 from .syntax import (
     BOOLEAN, And, Assign, Bot, Eq, Formula, Iff, Implies, Knows, Name, Not,
     Or, Pred, Term, Top, Var, all_vars, children, free_vars,
@@ -211,7 +211,7 @@ def check_taut(phi: Formula) -> bool:
 
     def value(f):
         if type(f) is Pred:
-            return periodic_mask(int(f.sym[1:]), rows)
+            return digit_mask(rows, 1 << int(f.sym[1:]), 2, 1)
         return BIT_OPS[type(f)](full, *map(value, children(f)))
 
     return value(skeleton) == full

@@ -78,7 +78,7 @@ def _draw_block(rng: random.Random, sig: Signature, max_worlds: int,
 def _assemble(sig: Signature, worlds, agents, relations, rng) -> KripkeModel:
     rho = {}
     for pred, arity in sorted(sig.predicates.items()):
-        tuples = list(_agent_tuples(agents, arity))
+        tuples = list(itertools.product(agents, repeat=arity))
         for w in worlds:
             chosen = frozenset(t for t in tuples if rng.random() < 0.5)
             if chosen:
@@ -88,13 +88,6 @@ def _assemble(sig: Signature, worlds, agents, relations, rng) -> KripkeModel:
         for w in worlds:
             eta[(name, w)] = rng.choice(agents)
     return make_model(worlds, agents, relations, rho, eta, sig)
-
-
-def _agent_tuples(agents, arity):
-    if arity == 0:
-        yield ()
-        return
-    yield from itertools.product(agents, repeat=arity)
 
 
 def random_epistemic_model(rng: random.Random, sig: Signature,

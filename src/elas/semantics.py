@@ -251,15 +251,16 @@ BIT_OPS = {
 }
 
 
-def periodic_mask(p: int, rows: int) -> int:
-    """Bit vector of the rows whose number has bit p set: atom p's column
-    when row r gives atom i bit i of r.  rows is a power of two > 2 ** p."""
-    width = 2 << p
-    mask = ((1 << (1 << p)) - 1) << (1 << p)
+def digit_mask(rows: int, weight: int, base: int, value: int) -> int:
+    """Bit vector of the rows r < rows whose digit of the given weight,
+    (r // weight) % base, equals value.  Atom p's truth-table column, row r
+    giving atom i bit i of r, is digit_mask(rows, 2 ** p, 2, 1)."""
+    width = weight * base
+    mask = ((1 << weight) - 1) << (value * weight)
     while width < rows:
         mask |= mask << width
         width *= 2
-    return mask
+    return mask if width == rows else mask & ((1 << rows) - 1)
 
 
 # ---------------------------------------------------------------------------

@@ -21,8 +21,8 @@ from elas.suites import (
 )
 from elas.syntax import (
     And, Assign, Bot, Eq, Iff, Implies, Knows, Name, Not, Or, Pred, Top, Var,
-    formula_signature, free_vars, is_el_fragment, knows_who, node_count,
-    parse_formula, print_formula,
+    all_vars, formula_signature, free_vars, is_el_fragment, knows_who,
+    node_count, parse_formula, print_formula,
 )
 
 EPISTEMIC33 = SearchBounds(3, 3, True)
@@ -182,6 +182,14 @@ class TestFindCountermodel:
         phi = parse_formula(text)
         serial = _first_point(phi, ARBITRARY22, target)
         assert _first_point(phi, ARBITRARY22, target, jobs=2) == serial
+
+    def test_wide_block_reaches_parallel_threshold(self):
+        # the (4, 3) block of a two-name formula is seconds of scanning
+        phi = parse_formula("a = b -> (P(a) -> P(b))")
+        lay = modelsearch._Layout(formula_signature(phi), 4, 3, True, (), ())
+        reps = list(modelsearch._representatives(lay.rel_pool, 4, 3))
+        assert modelsearch._scan_work(lay, len(reps), phi) >= \
+            modelsearch._PARALLEL_WORK
 
     def test_small_blocks_start_no_workers(self, monkeypatch):
         def no_pool(*args, **kwargs):
@@ -407,8 +415,7 @@ class TestFastScanAgainstSlowScan:
             hit = modelsearch._scan_slice(phi, sig, n, k, bounds.epistemic,
                                           not target, every)
             if hit is not None:
-                pointed = modelsearch._materialize(
-                    phi, sig, n, k, bounds.epistemic, hit)
+                pointed = hit[1]
                 return model_to_dict(pointed.model), pointed.world, pointed.sigma
         return None
 
@@ -460,6 +467,38 @@ class TestFastScanAgainstSlowScan:
         else:
             assert fast is not None
             assert (model_to_dict(fast.model), fast.world, fast.sigma) == slow
+
+    @pytest.mark.parametrize("lanes", [1, 5, 64])
+    @pytest.mark.parametrize("text, target", [
+        ("a = b -> K{c} a = b", False),
+        ("P(a) & K{b} ~P(c) & ~K{?x} P(?x)", True),
+        ("K{a} P(?x) -> K{a} K{a} P(?x)", False),
+        ("[?x := a] K{b} P(?x) -> K{b} P(a)", False),
+        ("K{?x} ~P(?x) & P(a)", True),
+    ])
+    def test_first_hits_agree_across_chunks(self, text, target, lanes,
+                                            monkeypatch):
+        # A small lane cap splits the scan index into many chunks, and
+        # with three names into chunks narrower than the eta digits.
+        monkeypatch.setattr(modelsearch, "_LANES", lanes)
+        phi = parse_formula(text)
+        for bounds in (EPISTEMIC22, ARBITRARY22):
+            fast = _first_point(phi, bounds, target)
+            assert fast == self._slow_first_point(phi, bounds, target)
+
+    @pytest.mark.parametrize("lanes", [1, 5, 64, 1 << 16])
+    @pytest.mark.parametrize("text", [
+        "true", "P(a) & Q(?x, b)", "a = b -> K{c} a = b", "R & P(a)",
+    ])
+    def test_layout_covers_the_index(self, text, lanes, monkeypatch):
+        monkeypatch.setattr(modelsearch, "_LANES", lanes)
+        phi = parse_formula(text)
+        for n, k in modelsearch._blocks(SearchBounds(4, 3, True)):
+            lay = modelsearch._Layout(formula_signature(phi), n, k, True,
+                                      all_vars(phi), free_vars(phi))
+            assert lay.lanes <= lanes
+            assert lay.lanes * lay.chunks == \
+                k ** lay.eta_digits * 2 ** lay.rho_bits
 
     @pytest.mark.parametrize("label, phi, target", SEARCH_CASES,
                              ids=[case[0] for case in SEARCH_CASES])

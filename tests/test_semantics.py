@@ -10,9 +10,9 @@ from elas.randgen import (
     random_epistemic_model, random_formula, random_model, random_sigma,
 )
 from elas.semantics import (
-    EvalError, ModelError, Signature, denote, eval_all_worlds, eval_formula,
-    is_epistemic, load_model, make_model, model_from_dict, model_to_dict,
-    validate_model,
+    EvalError, ModelError, Signature, denote, digit_mask, eval_all_worlds,
+    eval_formula, is_epistemic, load_model, make_model, model_from_dict,
+    model_to_dict, validate_model,
 )
 from elas.syntax import (
     Assign, Name, Not, Var, all_vars, free_vars, parse_formula, reletter,
@@ -161,6 +161,22 @@ class TestEval:
         # no default value: missing sigma entries fail loudly
         with pytest.raises(EvalError):
             eval_formula(m1, "s1", {}, parse_formula("P(?x) | ~P(?x)"))
+
+
+class TestDigitMask:
+    @pytest.mark.parametrize("rows, weight, base, value", [
+        # truth-table columns: atom p over 2 ** atoms rows
+        (2, 1, 2, 1), (8, 1, 2, 1), (8, 4, 2, 1), (1 << 16, 1 << 15, 2, 1),
+        (1 << 16, 1, 2, 1),
+        # scan-index digits: any base, any value, rows a multiple of the period
+        (3, 1, 3, 0), (3, 1, 3, 2), (27, 3, 3, 1), (54, 27, 2, 1),
+        (72, 8, 3, 2), (59049, 6561, 3, 1), (64, 1, 1, 0),
+        # rows below the period, and rows no power of two times it
+        (5, 4, 2, 1), (45, 1, 3, 2),
+    ])
+    def test_matches_row_by_row(self, rows, weight, base, value):
+        expected = sum(1 << r for r in range(rows) if r // weight % base == value)
+        assert digit_mask(rows, weight, base, value) == expected
 
 
 class TestAgainstIndependentEvaluator:
