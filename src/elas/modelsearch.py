@@ -25,6 +25,30 @@ vectors), so the lowest set bit of a cell is its first hit.  That hit is
 rebuilt as a real model and re-verified with the reference evaluator
 before it is returned; the fast path is never trusted on its own.
 
+The searches also skip every pointed world that the formula cannot tell
+from a smaller model.  Names, predicates and assignments never move the
+point of evaluation; only K{t} does, to a successor.  So a formula of
+modal depth d (its deepest nesting of K) sees, at w, only the ball of
+worlds within d steps of w along the union of the agents' relations.
+Proof sketch, by induction on the formula: cut the model down to the
+ball (relations, names and predicates restricted to its worlds); then a
+subformula of modal depth at most d - i has the same value at every
+world v within i steps of w, under every assignment.  Atoms, binders and
+connectives read v only; K{t} psi at v has i < d, so every successor of
+v lies in the ball, within i + 1 steps, and psi has depth at most
+d - i - 1.  The cut-down model has the same agents and symbols and stays
+in the frame class (an equivalence relation restricted to a subset is
+one), so if the ball misses a world, a hit at w is also a hit, after
+renaming the worlds, in a block with fewer worlds and the same agents,
+which comes earlier in the order.  A search that reaches block (n, k)
+therefore has no hit at such a w: only a tuple's centres, the worlds
+whose ball holds every world, are pointed worlds, a tuple without one is
+skipped, and at depth 0 (the ball is {w}) the search stops after the
+one-world blocks.  The first hit is unchanged.  A subformula without K
+reads no relation at all, so its masks depend on the chunk of scan
+indices alone: the compiled scan keeps them for the last chunk index it
+saw instead of recomputing them for every relation tuple.
+
 Bounded search is deliberately incomplete: a negative answer only speaks
 for the models within the bounds, and verdicts say so.
 """
@@ -36,6 +60,7 @@ import itertools
 import multiprocessing
 import operator
 import os
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -47,8 +72,8 @@ from .semantics import (
 )
 from .syntax import (
     BINARY, And, Assign, Bot, Eq, Formula, Iff, Implies, Knows, Name, Not, Or,
-    Pred, Signature, Top, Var, all_vars, formula_signature, free_vars,
-    node_count,
+    Pred, Signature, Top, Var, all_vars, children, formula_signature,
+    free_vars, node_count,
 )
 
 _LANES = 1 << 16         # scan indices per compiled pass, at most
@@ -197,10 +222,28 @@ def _join(parts: list, full: int) -> int:
     return functools.reduce(operator.or_, parts) if parts else 0
 
 
-def _compile(phi: Formula, lay: _Layout):
-    """Compile a formula to a function (succ_by_agent, eta, rho) -> list of
-    per-cell bitmasks over one chunk's lanes, eta and rho as chunk_digits
-    gives them."""
+def _last_chunk(run):
+    """run, keeping its masks for the last chunk index it was called on."""
+    seen = [None, None]
+
+    def cached(ctx):
+        if seen[0] != ctx[3]:
+            seen[:] = ctx[3], run(ctx)
+        return seen[1]
+    return cached
+
+
+def _compile(phi: Formula, lay: _Layout, hoisted=frozenset()):
+    """Compile a formula to a function (succ_by_agent, eta, rho, chunk) ->
+    list of per-cell bitmasks over one chunk's lanes, eta and rho as
+    chunk_digits gives them for that chunk index.
+
+    A node of phi whose id is in hoisted (ids, since hashing a formula
+    walks all of it) has no K, so its masks depend on the chunk alone: it
+    computes them once per run of equal chunk indices, not once per
+    relation tuple."""
+    if id(phi) in hoisted:
+        return _last_chunk(_compile(phi, lay))
     n, S, k = lay.n, lay.S, lay.k
     grid = [(w, s) for w in range(n) for s in range(S)]
     ALL = lay.all_mask
@@ -230,7 +273,7 @@ def _compile(phi: Formula, lay: _Layout):
             offsets = [lay.offsets[(sym, w)] for w in range(n)]
 
             def run(ctx):
-                _, eta, rho = ctx
+                _, eta, rho, _ = ctx
                 out = []
                 for w, s in grid:
                     parts = []
@@ -244,25 +287,25 @@ def _compile(phi: Formula, lay: _Layout):
             return run
         # Inline, not BIT_OPS: a call per cell cut exhaust ops_per_s 37 -> 31-33.
         case Not(body):
-            sub = _compile(body, lay)
+            sub = _compile(body, lay, hoisted)
             return lambda ctx: [m ^ ALL for m in sub(ctx)]
         case And(l, r):
-            sl, sr = _compile(l, lay), _compile(r, lay)
+            sl, sr = _compile(l, lay, hoisted), _compile(r, lay, hoisted)
             return lambda ctx: [a & b for a, b in zip(sl(ctx), sr(ctx))]
         case Or(l, r):
-            sl, sr = _compile(l, lay), _compile(r, lay)
+            sl, sr = _compile(l, lay, hoisted), _compile(r, lay, hoisted)
             return lambda ctx: [a | b for a, b in zip(sl(ctx), sr(ctx))]
         case Implies(l, r):
-            sl, sr = _compile(l, lay), _compile(r, lay)
+            sl, sr = _compile(l, lay, hoisted), _compile(r, lay, hoisted)
             return lambda ctx: [(a ^ ALL) | b for a, b in zip(sl(ctx), sr(ctx))]
         case Iff(l, r):
-            sl, sr = _compile(l, lay), _compile(r, lay)
+            sl, sr = _compile(l, lay, hoisted), _compile(r, lay, hoisted)
             return lambda ctx: [(a ^ b) ^ ALL for a, b in zip(sl(ctx), sr(ctx))]
         case Knows(agent, body):
-            d, sub = den(agent), _compile(body, lay)
+            d, sub = den(agent), _compile(body, lay, hoisted)
 
             def run(ctx):
-                succ, eta, _ = ctx
+                succ, eta, _, _ = ctx
                 bm = sub(ctx)
                 out = []
                 for w, s in grid:
@@ -277,7 +320,7 @@ def _compile(phi: Formula, lay: _Layout):
                 return out
             return run
         case Assign(var, term, body):
-            d, sub = den(term), _compile(body, lay)
+            d, sub = den(term), _compile(body, lay, hoisted)
             pos = lay.var_pos[var]
             stride = lay.strides[pos]
             base = [w * S + s - lay.sigmas[s][pos] * stride for w, s in grid]
@@ -334,24 +377,72 @@ def _representatives(pool: list, n: int, k: int):
             yield rels
 
 
-def _scan_slice(phi, sig, n, k, epistemic, want_false, rel_combos=None):
+@dataclass(frozen=True)
+class _Target:
+    """What a search scans for, and what every block needs to know of it."""
+    formula: Formula        # phi, or ~phi when looking for a countermodel
+    variables: frozenset    # every variable of phi, bound ones included
+    free: frozenset
+    depth: int              # modal depth: the radius of the visible ball
+    hoisted: tuple          # the maximal subtrees without K, as nodes of formula
+
+
+def _target(phi: Formula, want_false: bool) -> _Target:
+    """The target of a search for phi false (want_false) or true."""
+    formula = Not(phi) if want_false else phi
+    hoisted = []
+
+    def depth(f):
+        kids = children(f)
+        depths = [depth(kid) for kid in kids]
+        d = max(depths, default=0) + isinstance(f, Knows)
+        if d:
+            hoisted.extend(kid for kid, kd in zip(kids, depths) if kd == 0)
+        return d
+
+    md = depth(formula)
+    return _Target(formula, all_vars(phi), free_vars(phi), md,
+                   tuple(hoisted) if md else (formula,))
+
+
+def _centres(succ, depth: int) -> list:
+    """The worlds w from which every world lies within depth steps along
+    the union of the relations succ (one successor tuple per agent): the
+    only pointed worlds a formula of modal depth `depth` needs."""
+    n = len(succ[0])
+    out = []
+    for w in range(n):
+        ball = frontier = {w}
+        for _ in range(depth):
+            frontier = {v for u in frontier for rel in succ for v in rel[u]} - ball
+            ball = ball | frontier
+        if len(ball) == n:
+            out.append(w)
+    return out
+
+
+def _scan_slice(target: _Target, sig, n, k, epistemic, rel_combos=None):
     """Scan the given relation tuples of one block in order (by default
     every orbit-minimal one); return the canonically first hit, or None.
 
+    Only the tuple's centres are pointed worlds (see the module docstring).
     The hit is (relation tuple, scan index, world index, free-assignment
     position), its position in the canonical order, paired with the
     pointed model it names.
     """
-    lay = _Layout(sig, n, k, epistemic, all_vars(phi), free_vars(phi))
-    run = _compile(Not(phi) if want_false else phi, lay)
+    lay = _Layout(sig, n, k, epistemic, target.variables, target.free)
+    run = _compile(target.formula, lay, {id(h) for h in target.hoisted})
     if rel_combos is None:
         rel_combos = _representatives(lay.rel_pool, n, k)
     for rel_combo in rel_combos:
         succ = tuple(lay.rel_pool[i] for i in rel_combo)
+        centres = _centres(succ, target.depth)
+        if not centres:
+            continue
         for chunk in range(lay.chunks):
-            masks = run((succ, *lay.chunk_digits(chunk)))
+            masks = run((succ, *lay.chunk_digits(chunk), chunk))
             keys = [((m & -m).bit_length() - 1, w, cell_pos)
-                    for w in range(n) for cell_pos, s in enumerate(lay.free_cells)
+                    for w in centres for cell_pos, s in enumerate(lay.free_cells)
                     if (m := masks[w * lay.S + s])]
             if keys:
                 lane, w, cell_pos = min(keys)
@@ -378,20 +469,36 @@ def _stride_slices(reps: list, jobs: int) -> list:
     return [reps[i::workers] for i in range(workers)]
 
 
+def _main_spawnable() -> bool:
+    """Whether a spawned worker can re-create the main module: it imports
+    it by module name or runs its file again, and a script read from
+    standard input has neither."""
+    main = sys.modules.get("__main__")
+    if getattr(getattr(main, "__spec__", None), "name", None):
+        return True
+    path = getattr(main, "__file__", None)
+    return path is None or os.path.isfile(path)
+
+
 def _search(phi: Formula, bounds: SearchBounds, want_false: bool,
             jobs: int = 1):
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, not {jobs}")
     sig = formula_signature(phi)
     sig = Signature(sig.predicates, sig.names)   # variables live in sigma
+    target = _target(phi, want_false)
+    parallel = jobs > 1 and _main_spawnable()
     pool = None
     try:
         for n, k in _blocks(bounds):
-            task = (phi, sig, n, k, bounds.epistemic, want_false)
+            if n > 1 and target.depth == 0:
+                break       # a depth-0 ball is {w}: no world is a centre
+            task = (target, sig, n, k, bounds.epistemic)
             reps, slices = None, []
-            if jobs > 1:
-                lay = _Layout(sig, n, k, bounds.epistemic, all_vars(phi), free_vars(phi))
-                reps = list(_representatives(lay.rel_pool, n, k))
+            if parallel:
+                lay = _Layout(sig, n, k, bounds.epistemic, target.variables, target.free)
+                reps = [r for r in _representatives(lay.rel_pool, n, k)
+                        if _centres([lay.rel_pool[i] for i in r], target.depth)]
                 if _scan_work(lay, len(reps), phi) >= _PARALLEL_WORK:
                     slices = _stride_slices(reps, jobs)
             if len(slices) < 2:

@@ -1,5 +1,10 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -27,6 +32,7 @@ from elas.syntax import (
 
 EPISTEMIC33 = SearchBounds(3, 3, True)
 EPISTEMIC22 = SearchBounds(2, 2, True)
+EPISTEMIC32 = SearchBounds(3, 2, True)
 ARBITRARY22 = SearchBounds(2, 2, False)
 
 
@@ -184,12 +190,38 @@ class TestFindCountermodel:
         assert _first_point(phi, ARBITRARY22, target, jobs=2) == serial
 
     def test_wide_block_reaches_parallel_threshold(self):
-        # the (4, 3) block of a two-name formula is seconds of scanning
-        phi = parse_formula("a = b -> (P(a) -> P(b))")
+        # the (4, 3) block of a two-name formula of modal depth 2 is seconds
+        # of scanning, counting only the tuples with a centre
+        phi = parse_formula("K{a} P(b) -> K{a} K{a} P(b)")
         lay = modelsearch._Layout(formula_signature(phi), 4, 3, True, (), ())
-        reps = list(modelsearch._representatives(lay.rel_pool, 4, 3))
+        reps = [r for r in modelsearch._representatives(lay.rel_pool, 4, 3)
+                if modelsearch._centres([lay.rel_pool[i] for i in r], 2)]
+        assert len(reps) == 56
         assert modelsearch._scan_work(lay, len(reps), phi) >= \
             modelsearch._PARALLEL_WORK
+
+    def test_script_on_stdin_scans_in_process(self):
+        # A spawned worker cannot re-run a main module read from standard
+        # input, so the search must not start one.
+        script = textwrap.dedent("""
+            from elas import modelsearch
+            from elas.semantics import model_to_dict
+            from elas.syntax import parse_formula
+            modelsearch._PARALLEL_WORK = 0
+            phi = parse_formula("K{a} P(b) -> K{a} K{a} P(b)")
+            for jobs in (1, 2):
+                verdict = modelsearch.find_countermodel(
+                    phi, modelsearch.SearchBounds(3, 3), jobs=jobs)
+                p = verdict.pointed
+                print(model_to_dict(p.model), p.world, p.sigma)
+        """)
+        src = str(Path(modelsearch.__file__).resolve().parents[1])
+        done = subprocess.run([sys.executable, "-"], input=script, text=True,
+                              capture_output=True, timeout=120,
+                              env={**os.environ, "PYTHONPATH": src})
+        assert done.returncode == 0, done.stderr
+        serial, parallel = done.stdout.splitlines()
+        assert parallel == serial
 
     def test_small_blocks_start_no_workers(self, monkeypatch):
         def no_pool(*args, **kwargs):
@@ -198,6 +230,15 @@ class TestFindCountermodel:
         phi = parse_formula("K{a} P(b) -> K{a} K{a} P(b)")
         assert _first_point(phi, EPISTEMIC33, False, jobs=2) == \
             _first_point(phi, EPISTEMIC33, False)
+
+    def test_valid_table_formulas_survive_four_worlds(self):
+        valid = [text for entry in VALIDITY_TABLE
+                 if entry["expectation"] == "valid" for text in entry["formulas"]]
+        assert len(valid) == 14
+        bounds = SearchBounds(4, 3, True)
+        for text in valid:
+            assert find_countermodel(parse_formula(text), bounds) == \
+                NoCountermodelUpTo(bounds), text
 
     def test_jobs_below_one_rejected(self):
         with pytest.raises(ValueError):
@@ -256,6 +297,20 @@ class TestOrbitRepresentatives:
         assert modelsearch._stride_slices(reps, 1) == [reps]
         monkeypatch.setattr(modelsearch.os, "cpu_count", lambda: None)
         assert modelsearch._stride_slices(reps, 8) == [reps]
+
+
+class TestCentres:
+    def test_every_world_within_depth_steps(self):
+        centres = modelsearch._centres
+        chain = ((1,), (2,), ())                  # w1 -> w2 -> w3
+        assert [centres((chain,), d) for d in range(4)] == [[], [], [0], [0]]
+        # the union of the relations: a takes w1 to w2, b takes w2 to w3
+        a, b = ((1,), (), ()), ((), (2,), ())
+        assert [centres((a, b), d) for d in range(3)] == [[], [], [0]]
+        # S5, a = {w1, w2}{w3}, b = {w1}{w2, w3}
+        a, b = ((0, 1), (0, 1), (2,)), ((0,), (1, 2), (1, 2))
+        assert [centres((a, b), d) for d in range(3)] == [[], [1], [0, 1, 2]]
+        assert centres((((),),), 0) == [0]
 
 
 class TestFindWitness:
@@ -406,14 +461,16 @@ class TestFastScanAgainstSlowScan:
     @staticmethod
     def _unreduced_first_point(phi, bounds, target):
         """First hit of the compiled scan over every relation tuple, in
-        canonical order: the scan the orbit reduction leaves out."""
+        canonical order: the scan the orbit reduction leaves out.  It
+        prunes by modal depth like the search; _slow_first_point does not."""
         sig = formula_signature(phi)
         sig = Signature(dict(sig.predicates), sig.names)
+        wanted = modelsearch._target(phi, not target)
         for n, k in modelsearch._blocks(bounds):
             pool = modelsearch._relation_pool(n, bounds.epistemic)
             every = itertools.product(range(len(pool)), repeat=k)
-            hit = modelsearch._scan_slice(phi, sig, n, k, bounds.epistemic,
-                                          not target, every)
+            hit = modelsearch._scan_slice(wanted, sig, n, k, bounds.epistemic,
+                                          every)
             if hit is not None:
                 pointed = hit[1]
                 return model_to_dict(pointed.model), pointed.world, pointed.sigma
@@ -467,6 +524,28 @@ class TestFastScanAgainstSlowScan:
         else:
             assert fast is not None
             assert (model_to_dict(fast.model), fast.world, fast.sigma) == slow
+
+    @pytest.mark.parametrize("text, target, bounds, depth", [
+        # Modal depth 0: a hit lies in a one-world block or nowhere, and
+        # the search stops after those blocks.
+        ("[?x := a] P(?x) -> P(a)", False, EPISTEMIC32, 0),
+        ("[?x := a] P(?x) & ~P(?y)", True, ARBITRARY22, 0),
+        # Depth 1: the first hit has two worlds; on arbitrary frames only
+        # one of them sees the other.
+        ("?x = a -> K{b} ?x = a", False, EPISTEMIC32, 1),
+        ("~K{?x} P(?y) & P(?y)", True, ARBITRARY22, 1),
+        # Depth 2: on S5 the first hit has three worlds and its world sees
+        # the third only in two steps.
+        ("K{?x} P(?z) & K{?y} P(?z) & ~K{?x} K{?y} P(?z)", True, EPISTEMIC32, 2),
+        ("~K{?x} P(?y) -> K{?x} ~K{?x} P(?y)", False, ARBITRARY22, 2),
+    ])
+    def test_pruned_first_hits_agree(self, text, target, bounds, depth):
+        phi = parse_formula(text)
+        assert modelsearch._target(phi, not target).depth == depth
+        fast = _first_point(phi, bounds, target)
+        assert fast == self._slow_first_point(phi, bounds, target)
+        if depth:
+            assert len(fast[0]["worlds"]) >= 2
 
     @pytest.mark.parametrize("lanes", [1, 5, 64])
     @pytest.mark.parametrize("text, target", [
