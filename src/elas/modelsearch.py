@@ -47,7 +47,8 @@ skipped, and at depth 0 (the ball is {w}) the search stops after the
 one-world blocks.  The first hit is unchanged.  A subformula without K
 reads no relation at all, so its masks depend on the chunk of scan
 indices alone: the compiled scan keeps them for the last chunk index it
-saw instead of recomputing them for every relation tuple.
+saw instead of recomputing them for every relation tuple, once for all
+occurrences of the same subformula.
 
 Bounded search is deliberately incomplete: a negative answer only speaks
 for the models within the bounds, and verdicts say so.
@@ -233,17 +234,19 @@ def _last_chunk(run):
     return cached
 
 
-def _compile(phi: Formula, lay: _Layout, hoisted=frozenset()):
+def _compile(phi: Formula, lay: _Layout, hoisted: dict):
     """Compile a formula to a function (succ_by_agent, eta, rho, chunk) ->
     list of per-cell bitmasks over one chunk's lanes, eta and rho as
     chunk_digits gives them for that chunk index.
 
-    A node of phi whose id is in hoisted (ids, since hashing a formula
-    walks all of it) has no K, so its masks depend on the chunk alone: it
-    computes them once per run of equal chunk indices, not once per
-    relation tuple."""
-    if id(phi) in hoisted:
-        return _last_chunk(_compile(phi, lay))
+    A node of phi that is a key of hoisted has no K, so its masks depend on
+    the chunk alone: it computes them once per run of equal chunk indices,
+    not once per relation tuple.  Equal subformulas are one node, so every
+    occurrence of such a node shares the one function kept in hoisted."""
+    if phi in hoisted:
+        if hoisted[phi] is None:
+            hoisted[phi] = _last_chunk(_compile(phi, lay, {}))
+        return hoisted[phi]
     n, S, k = lay.n, lay.S, lay.k
     grid = [(w, s) for w in range(n) for s in range(S)]
     ALL = lay.all_mask
@@ -431,7 +434,7 @@ def _scan_slice(target: _Target, sig, n, k, epistemic, rel_combos=None):
     pointed model it names.
     """
     lay = _Layout(sig, n, k, epistemic, target.variables, target.free)
-    run = _compile(target.formula, lay, {id(h) for h in target.hoisted})
+    run = _compile(target.formula, lay, dict.fromkeys(target.hoisted))
     if rel_combos is None:
         rel_combos = _representatives(lay.rel_pool, n, k)
     for rel_combo in rel_combos:
@@ -679,30 +682,37 @@ def el_distinguishes(p1: PointedModel, p2: PointedModel, max_size: int,
     by_size: dict = {}         # size -> [(formula, profile)], first found first
 
     def candidates(size):
+        """(profile, constructor, arguments) per candidate, in order; the
+        formula itself is built only if its profile is new."""
         for atom in atoms_by_size.get(size, ()):
-            yield atom, space.atom_profile(atom)
+            yield space.atom_profile(atom), _same, (atom,)
         for sub, p in by_size.get(size - 1, ()):
-            yield Not(sub), BIT_OPS[Not](full, p)
+            yield BIT_OPS[Not](full, p), Not, (sub,)
         for sub, p in by_size.get(size - 2, ()):
             for ctor, cellmap in ops:
-                yield ctor(sub), space.apply(p, cellmap)
+                yield space.apply(p, cellmap), ctor, (sub,)
         for left_size in range(1, size - 1):
             for fl, pl in by_size.get(left_size, ()):
                 for fr, pr in by_size.get(size - 1 - left_size, ()):
                     for ctor in BINARY:
-                        yield ctor(fl, fr), BIT_OPS[ctor](full, pl, pr)
+                        yield BIT_OPS[ctor](full, pl, pr), ctor, (fl, fr)
 
     seen = set()
     for size in range(1, max_size + 1):
         by_size[size] = []
-        for formula, profile in candidates(size):
+        for profile, ctor, args in candidates(size):
             if profile in seen:
                 continue
+            formula = ctor(*args)
             if space.distinguishes(profile):
                 return _verified(formula, p1, p2)
             seen.add(profile)
             by_size[size].append((formula, profile))
     return None
+
+
+def _same(formula):
+    return formula
 
 
 def _verified(formula, p1, p2):

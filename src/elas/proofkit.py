@@ -6,7 +6,8 @@ ponens, necessitation for ``K{t}``, necessitation for ``[?x := t]`` (with
 its freshness side condition), or a citation of a previously established
 derived theorem instantiated at concrete formulas and terms.  A tautology
 is checked on the truth table over its maximal non-Boolean subformulas (at
-most ``MAX_ATOMS``, 16), evaluated over bit vectors.
+most ``MAX_ATOMS``, 16), evaluated over bit vectors once per distinct node:
+formulas are hash-consed, so equal subformulas are one node.
 
 The axiom schemas are the table ``AXIOMS`` and the derived theorems the
 table ``LEMMAS``, both written in the formula syntax; SUBP, SUB2AS,
@@ -38,8 +39,8 @@ from importlib.resources import files
 
 from .semantics import BIT_OPS, digit_mask
 from .syntax import (
-    BOOLEAN, And, Assign, Bot, Eq, Formula, Iff, Implies, Knows, Name, Not,
-    Or, Pred, Term, Top, Var, all_vars, children, free_vars,
+    And, Assign, Eq, Formula, Iff, Implies, Knows, Name, Not, Or, Pred,
+    Term, Var, all_vars, children, free_vars,
     is_admissible, parse_formula, parse_term, print_formula, print_term,
     rebuild, reletter, subformulas, substitute, terms_of,
 )
@@ -120,7 +121,7 @@ def _match(schema: Formula, phi, binding: dict) -> bool:
     node = type(schema)
     if node is Pred:
         bound = binding.setdefault(schema.sym.lower(), phi)
-        return (bound is phi or bound == phi) and not isinstance(phi, (Var, Name))
+        return bound is phi and not isinstance(phi, (Var, Name))
     if type(phi) is not node or (
             node is Assign and binding.setdefault(schema.var, phi.var) != phi.var):
         return False
@@ -187,34 +188,32 @@ def instantiate_axiom(axiom_id: str, binding: dict) -> Formula:
 # ---------------------------------------------------------------------------
 # Propositional tautologies
 
-def _abstract(phi: Formula, atoms: dict):
-    """Map maximal non-Boolean subformulas to shared atom indices."""
-    if isinstance(phi, (Top, Bot)):
-        return phi
-    if isinstance(phi, BOOLEAN):
-        return type(phi)(*(_abstract(kid, atoms) for kid in children(phi)))
-    if phi not in atoms:
-        atoms[phi] = len(atoms)
-    return Pred(f"@{atoms[phi]}", ())
-
-
 def check_taut(phi: Formula) -> bool:
-    """Truth-table check over the abstracted atoms, identical subformulas
-    sharing one; the skeleton is evaluated once, with a bit per row."""
-    atoms: dict = {}
-    skeleton = _abstract(phi, atoms)
+    """Truth-table check over the maximal non-Boolean subformulas (the
+    atoms; equal ones are one node), with a bit per row: one walk collects
+    the atoms and the Boolean nodes of the formula DAG, children first,
+    then each Boolean node's vector is computed once from its children's."""
+    atoms: dict = {}         # atom -> its index, in order of first occurrence
+    inner: dict = {}         # the Boolean nodes, each after its children
+
+    def collect(f):
+        if type(f) not in BIT_OPS:
+            atoms.setdefault(f, len(atoms))
+        elif f not in inner:
+            for kid in children(f):
+                collect(kid)
+            inner[f] = None
+
+    collect(phi)
     if len(atoms) > MAX_ATOMS:
         raise AtomBudgetError(
             f"{len(atoms)} distinct atoms exceed the budget of {MAX_ATOMS}")
     rows = 1 << len(atoms)
     full = (1 << rows) - 1
-
-    def value(f):
-        if type(f) is Pred:
-            return digit_mask(rows, 1 << int(f.sym[1:]), 2, 1)
-        return BIT_OPS[type(f)](full, *map(value, children(f)))
-
-    return value(skeleton) == full
+    vectors = {atom: digit_mask(rows, 1 << i, 2, 1) for atom, i in atoms.items()}
+    for f in inner:
+        vectors[f] = BIT_OPS[type(f)](full, *[vectors[kid] for kid in children(f)])
+    return vectors[phi] == full
 
 
 # ---------------------------------------------------------------------------

@@ -55,20 +55,34 @@ def agent_labels(k: int) -> tuple:
 def count_models(sig: Signature, n: int, k: int, epistemic: bool) -> int:
     """Closed-form number of models with n worlds and k agents over the
     signature: per-agent relations, then rho, then eta."""
+    return _count(tuple(sig.predicates.values()), len(sig.names), n, k, epistemic)
+
+
+def _count(arities: tuple, names: int, n: int, k: int, epistemic: bool) -> int:
     relations = len(set_partitions(n)) if epistemic else 1 << (n * n)
-    rho_bits = sum(n * k ** arity for arity in sig.predicates.values())
-    return relations ** k * (1 << rho_bits) * k ** (n * len(sig.names))
+    rho_bits = sum(n * k ** arity for arity in arities)
+    return relations ** k * (1 << rho_bits) * k ** (n * names)
+
+
+@functools.cache
+def _block_weights(arities: tuple, names: int, max_worlds: int,
+                   max_agents: int, epistemic: bool) -> tuple:
+    """The blocks (n, k, models in the block) in (n, k) order, and the
+    total; a function of the multiset of predicate arities, the name count,
+    the bounds and the frame class alone."""
+    blocks = tuple((n, k, _count(arities, names, n, k, epistemic))
+                   for n in range(1, max_worlds + 1) for k in range(1, max_agents + 1))
+    return blocks, sum(size for _, _, size in blocks)
 
 
 def _draw_block(rng: random.Random, sig: Signature, max_worlds: int,
                 max_agents: int, epistemic: bool) -> tuple:
     """(worlds, agents) of a model drawn uniformly from the bounded space:
     each block is weighted by its size."""
-    sizes = {(n, k): count_models(sig, n, k, epistemic)
-             for n in range(1, max_worlds + 1)
-             for k in range(1, max_agents + 1)}
-    ticket = rng.randrange(sum(sizes.values()))
-    for (n, k), size in sorted(sizes.items()):
+    blocks, total = _block_weights(tuple(sorted(sig.predicates.values())),
+                                   len(sig.names), max_worlds, max_agents, epistemic)
+    ticket = rng.randrange(total)
+    for n, k, size in blocks:
         if ticket < size:
             break
         ticket -= size

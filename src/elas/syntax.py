@@ -27,10 +27,19 @@ Concrete grammar (whitespace insignificant between tokens)::
 
 Precedence, tightest first: unary operators, ``&``, ``|``, ``->``
 (right-associative), ``<->``.
+
+Formula and term nodes are hash-consed: every node class goes through the
+factory ``interned``, so two structurally equal nodes are the same object
+and ``==`` on nodes is ``is``, hashing O(1).  The table behind it holds its
+nodes weakly and drops an entry when its node dies, so it keeps no formula
+alive; a node pickled or deep-copied comes back as the live node with its
+fields, interned again.  Built formulas may be shared between threads, but
+the table is not locked: build them in one thread at a time.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import Iterator, Union
 
@@ -57,14 +66,73 @@ class FreshnessError(Exception):
 
 
 # ---------------------------------------------------------------------------
+# Hash-consing
+
+class _Ref(weakref.ref):
+    """The table's reference to a node, carrying the node's key."""
+    __slots__ = ("key",)
+
+
+_TABLE: dict = {}        # (class, *fields) -> _Ref to the one live node
+
+
+def _drop(ref, table=_TABLE):
+    # Called as the node dies, while its children, which its key holds, are
+    # still alive; an entry made for the same key since then stays.
+    if table.get(ref.key) is ref:
+        del table[ref.key]
+
+
+_NEW_SOURCE = """\
+def __new__(cls{params}):
+    key = (cls{params},)
+    ref = get(key)
+    if ref is not None:
+        node = ref()
+        if node is not None:
+            return node
+    node = new(cls)
+{sets}    ref = table[key] = Ref(node, drop)
+    ref.key = key
+    return node
+"""
+
+
+def _reduce(node):
+    return type(node), tuple([getattr(node, f) for f in node.__match_args__])
+
+
+def interned(cls):
+    """Make cls a frozen dataclass whose instances are hash-consed.
+
+    Constructing a node looks its class and fields up in one weak-valued
+    table and returns the live node with the same ones if there is one, so
+    equality and hashing are those of object identity.  The fields must be
+    hashable, and the child nodes among them are compared by identity."""
+    fields = tuple(cls.__dict__.get("__annotations__", ()))
+    params = "".join(", " + f for f in fields)
+    sets = "".join(f"    setattr(node, {f!r}, {f})\n" for f in fields)
+    scope = {"get": _TABLE.get, "table": _TABLE, "new": object.__new__,
+             "setattr": object.__setattr__, "Ref": _Ref, "drop": _drop}
+    exec(_NEW_SOURCE.format(params=params, sets=sets), scope)
+    cls.__new__ = staticmethod(scope.pop("__new__"))   # no scope <-> function cycle
+    cls.__reduce__ = _reduce
+    # __new__ goes in first: dataclass writes the class docstring from the
+    # signature, and without __new__ inspect would build a throwaway class
+    # per node class to read object's.
+    return dataclass(frozen=True, eq=False, init=False, slots=True,
+                     weakref_slot=True)(cls)
+
+
+# ---------------------------------------------------------------------------
 # Abstract syntax
 
-@dataclass(frozen=True)
+@interned
 class Var:
     id: str
 
 
-@dataclass(frozen=True)
+@interned
 class Name:
     id: str
 
@@ -72,64 +140,64 @@ class Name:
 Term = Union[Var, Name]
 
 
-@dataclass(frozen=True)
+@interned
 class Top:
     pass
 
 
-@dataclass(frozen=True)
+@interned
 class Bot:
     pass
 
 
-@dataclass(frozen=True)
+@interned
 class Eq:
     lhs: Term
     rhs: Term
 
 
-@dataclass(frozen=True)
+@interned
 class Pred:
     sym: str
     args: tuple
 
 
-@dataclass(frozen=True)
+@interned
 class Not:
     body: "Formula"
 
 
-@dataclass(frozen=True)
+@interned
 class And:
     lhs: "Formula"
     rhs: "Formula"
 
 
-@dataclass(frozen=True)
+@interned
 class Or:
     lhs: "Formula"
     rhs: "Formula"
 
 
-@dataclass(frozen=True)
+@interned
 class Implies:
     lhs: "Formula"
     rhs: "Formula"
 
 
-@dataclass(frozen=True)
+@interned
 class Iff:
     lhs: "Formula"
     rhs: "Formula"
 
 
-@dataclass(frozen=True)
+@interned
 class Knows:
     agent: Term
     body: "Formula"
 
 
-@dataclass(frozen=True)
+@interned
 class Assign:
     var: str
     term: Term

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from .semantics import KripkeModel
 from .syntax import (
     BINARY, BOOLEAN, And, Assign, Bot, Eq, Formula, Iff, Implies, Knows, Not,
-    Or, Pred, Term, Top, Var, children,
+    Or, Pred, Term, Top, Var, children, interned,
 )
 
 
@@ -44,23 +44,23 @@ class FolEvalError(Exception):
 
 
 # ---------------------------------------------------------------------------
-# Two-sorted first-order syntax: the atoms, terms and quantifiers; the
-# connectives are those of elas.syntax.
+# Two-sorted first-order syntax: the atoms, terms and quantifiers, hash-consed
+# like the modal nodes; the connectives are those of elas.syntax.
 
 _CONNECTIVES = (Top, Bot) + BOOLEAN
 
 
-@dataclass(frozen=True)
+@interned
 class WorldVar:
     id: str
 
 
-@dataclass(frozen=True)
+@interned
 class AgentVar:
     id: str
 
 
-@dataclass(frozen=True)
+@interned
 class NameApp:
     name: str
     world: "FOLTerm"
@@ -69,39 +69,39 @@ class NameApp:
 FOLTerm = object
 
 
-@dataclass(frozen=True)
+@interned
 class AgentEq:
     lhs: FOLTerm
     rhs: FOLTerm
 
 
-@dataclass(frozen=True)
+@interned
 class PredApp:
     sym: str
     world: FOLTerm
     args: tuple
 
 
-@dataclass(frozen=True)
+@interned
 class RelApp:
     src: FOLTerm
     dst: FOLTerm
     agent: FOLTerm
 
 
-@dataclass(frozen=True)
+@interned
 class ForallWorld:
     var: str
     body: "FOLFormula"
 
 
-@dataclass(frozen=True)
+@interned
 class ExistsAgent:
     var: str
     body: "FOLFormula"
 
 
-@dataclass(frozen=True)
+@interned
 class ForallAgent:
     var: str
     body: "FOLFormula"

@@ -18,11 +18,14 @@ from conftest import FIXTURES, PROOFS
 
 from elas.cli import main
 from elas.proofkit import (
-    AXIOM_IDS, AXIOMS, BUNDLED, _LEMMA_BUILDERS, ScriptError, _mutants,
-    check_taut, instantiate_axiom, instantiate_lemma, match_axiom,
+    AXIOM_IDS, AXIOMS, BUNDLED, MAX_ATOMS, _LEMMA_BUILDERS, AtomBudgetError,
+    ScriptError, _mutants, check_taut, instantiate_axiom, instantiate_lemma,
+    match_axiom,
 )
 from elas.randgen import random_epistemic_model, random_model, random_sigma
-from elas.semantics import ModelError, _eval, eval_formula, model_from_dict
+from elas.semantics import (
+    BIT_OPS, ModelError, _eval, digit_mask, eval_formula, model_from_dict,
+)
 from elas.syntax import (
     BINARY, BOOLEAN, And, Assign, Bot, Eq, Iff, Implies, Knows, Name, Not, Or,
     Pred, Signature, Top, Var, all_vars, children, free_vars, is_admissible,
@@ -150,9 +153,13 @@ def boolean_combinations(draw):
         st.builds(Knows, terms, inner),
         st.builds(Assign, st.sampled_from(VARS), terms, inner),
     ), min_size=1, max_size=3))
-    # Join neighbouring parts until one formula is left.
     parts = draw(st.lists(st.sampled_from(opaque + [Top(), Bot()]),
                           min_size=1, max_size=12))
+    return _joined(draw, parts)
+
+
+def _joined(draw, parts):
+    """Join neighbouring parts until one formula is left."""
     while len(parts) > 1:
         i = draw(st.integers(0, len(parts) - 2))
         parts[i:i + 2] = [draw(st.sampled_from(BINARY))(parts[i], parts[i + 1])]
@@ -193,6 +200,57 @@ def _taut_by_rows(phi) -> bool:
 @given(boolean_combinations())
 def test_check_taut_agrees_with_row_by_row_table(phi):
     assert check_taut(phi) == _taut_by_rows(phi)
+
+
+@st.composite
+def wide_boolean_combinations(draw):
+    """Boolean combinations of MAX_ATOMS - 2 to MAX_ATOMS + 2 distinct
+    atoms, every one of them used, some more than once."""
+    names = draw(st.lists(st.integers(0, 30), unique=True,
+                          min_size=MAX_ATOMS - 2, max_size=MAX_ATOMS + 2))
+    atoms = [Pred("P", (Name(f"a{i}"),)) for i in names]
+    extra = draw(st.lists(st.sampled_from(atoms + [Top(), Bot()]), max_size=8))
+    return _joined(draw, list(draw(st.permutations(atoms + extra))))
+
+
+def _skeleton_taut(phi) -> bool:
+    """The tautology check before formulas were hash-consed: the maximal
+    non-Boolean subformulas become 0-ary atoms @0, @1, ... of a rebuilt
+    skeleton tree, whose truth table is folded over bit vectors."""
+    atoms: dict = {}
+
+    def abstract(f):
+        if isinstance(f, (Top, Bot)):
+            return f
+        if isinstance(f, BOOLEAN):
+            return type(f)(*(abstract(kid) for kid in children(f)))
+        atoms.setdefault(f, len(atoms))
+        return Pred(f"@{atoms[f]}", ())
+
+    skeleton = abstract(phi)
+    if len(atoms) > MAX_ATOMS:
+        raise AtomBudgetError(f"{len(atoms)} atoms")
+    rows = 1 << len(atoms)
+    full = (1 << rows) - 1
+
+    def value(f):
+        if type(f) is Pred:
+            return digit_mask(rows, 1 << int(f.sym[1:]), 2, 1)
+        return BIT_OPS[type(f)](full, *map(value, children(f)))
+
+    return value(skeleton) == full
+
+
+@PROPERTY
+@given(st.one_of(boolean_combinations(), wide_boolean_combinations()))
+def test_check_taut_agrees_with_the_skeleton_table(phi):
+    try:
+        expected = _skeleton_taut(phi)
+    except AtomBudgetError:
+        with pytest.raises(AtomBudgetError):
+            check_taut(phi)
+        return
+    assert check_taut(phi) == expected
 
 
 def _replace(phi, old, new):

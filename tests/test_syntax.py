@@ -1,7 +1,12 @@
+import copy
+import gc
+import pickle
 import random
+import weakref
 
 import pytest
 
+from elas import syntax
 from elas.randgen import random_formula
 from elas.syntax import (
     And, ArityError, Assign, Bot, Eq, FreshnessError, Iff, Implies, Knows,
@@ -233,3 +238,58 @@ class TestAuxiliary:
 
     def test_kh_helper(self):
         assert kh(a, Px(x)) == parse_formula("Kh{a} P(?x)")
+
+
+class TestHashConsing:
+    TEXT = "[?x := a] (K{b} P(?x, c) -> ~(?x = b) | Q)"
+
+    def test_parsing_twice_gives_the_same_node(self):
+        assert parse_formula(self.TEXT) is parse_formula(self.TEXT)
+        assert Eq(x, a) is Eq(Var("x"), Name("a"))
+        assert Top() is Top() and Bot() is not Top()
+
+    def test_equality_is_identity(self):
+        phi = parse_formula(self.TEXT)
+        assert phi == parse_formula(self.TEXT)
+        assert hash(phi) == object.__hash__(phi)
+        assert And(Px(x), Px(y)) != Or(Px(x), Px(y))
+        assert Var("a") != Name("a")
+
+    def test_pickle_and_deepcopy_return_the_same_node(self):
+        phi = parse_formula(self.TEXT)
+        assert pickle.loads(pickle.dumps(phi)) is phi
+        assert copy.deepcopy(phi) is phi
+        assert copy.copy(phi) is phi
+        assert copy.deepcopy([phi, Px(x)])[0] is phi
+
+    def test_unpickling_a_dead_node_interns_it_again(self):
+        data = pickle.dumps(parse_formula("K{zq1} Zq2(?zq3)"))
+        gc.collect()
+        phi = pickle.loads(data)
+        assert phi is parse_formula("K{zq1} Zq2(?zq3)")
+
+    def test_nodes_are_immutable(self):
+        phi = parse_formula(self.TEXT)
+        with pytest.raises(AttributeError):
+            phi.body = Top()
+
+    def test_the_table_keeps_no_dead_node(self):
+        gc.collect()
+        before = len(syntax._TABLE)
+        kept = Var("zk0")
+        phi = parse_formula("K{zk1} (Zk2(?zk0) & ~(?zk0 = zk1))")
+        probe = weakref.ref(phi.body)
+        assert len(syntax._TABLE) > before + 1
+        del phi
+        gc.collect()
+        assert probe() is None
+        assert len(syntax._TABLE) == before + 1          # kept alone is left
+        assert all(ref() is not None for ref in syntax._TABLE.values())
+        assert Var("zk0") is kept
+
+    def test_a_node_does_not_keep_its_parents_alive(self):
+        child = Px(Var("zp0"))
+        parent = weakref.ref(Not(Not(child)))
+        gc.collect()
+        assert parent() is None
+        assert Not(child).body is child
