@@ -76,11 +76,12 @@ class _Ref(weakref.ref):
 _TABLE: dict = {}        # (class, *fields) -> _Ref to the one live node
 
 
-def _drop(ref, table=_TABLE):
+def _drop(ref, pop=_TABLE.pop, table=_TABLE):
     # Called as the node dies, while its children, which its key holds, are
-    # still alive; an entry made for the same key since then stays.
-    if table.get(ref.key) is ref:
-        del table[ref.key]
+    # still alive; an entry made for the same key since then goes back.
+    other = pop(ref.key, ref)
+    if other is not ref:
+        table[ref.key] = other
 
 
 _NEW_SOURCE = """\
@@ -108,20 +109,24 @@ def interned(cls):
     Constructing a node looks its class and fields up in one weak-valued
     table and returns the live node with the same ones if there is one, so
     equality and hashing are those of object identity.  The fields must be
-    hashable, and the child nodes among them are compared by identity."""
+    hashable, and the child nodes among them are compared by identity.
+
+    cls declares its fields, then "__weakref__", as __slots__ itself:
+    dataclass(slots=True) would build a second class whose __setattr__
+    keeps the first one alive."""
     fields = tuple(cls.__dict__.get("__annotations__", ()))
     params = "".join(", " + f for f in fields)
-    sets = "".join(f"    setattr(node, {f!r}, {f})\n" for f in fields)
+    sets = "".join(f"    set_{f}(node, {f})\n" for f in fields)
     scope = {"get": _TABLE.get, "table": _TABLE, "new": object.__new__,
-             "setattr": object.__setattr__, "Ref": _Ref, "drop": _drop}
+             "Ref": _Ref, "drop": _drop}
+    scope.update((f"set_{f}", cls.__dict__[f].__set__) for f in fields)   # slot setters
     exec(_NEW_SOURCE.format(params=params, sets=sets), scope)
     cls.__new__ = staticmethod(scope.pop("__new__"))   # no scope <-> function cycle
     cls.__reduce__ = _reduce
     # __new__ goes in first: dataclass writes the class docstring from the
     # signature, and without __new__ inspect would build a throwaway class
     # per node class to read object's.
-    return dataclass(frozen=True, eq=False, init=False, slots=True,
-                     weakref_slot=True)(cls)
+    return dataclass(frozen=True, eq=False, init=False)(cls)
 
 
 # ---------------------------------------------------------------------------
@@ -129,11 +134,13 @@ def interned(cls):
 
 @interned
 class Var:
+    __slots__ = ("id", "__weakref__")
     id: str
 
 
 @interned
 class Name:
+    __slots__ = ("id", "__weakref__")
     id: str
 
 
@@ -142,63 +149,72 @@ Term = Union[Var, Name]
 
 @interned
 class Top:
-    pass
+    __slots__ = ("__weakref__",)
 
 
 @interned
 class Bot:
-    pass
+    __slots__ = ("__weakref__",)
 
 
 @interned
 class Eq:
+    __slots__ = ("lhs", "rhs", "__weakref__")
     lhs: Term
     rhs: Term
 
 
 @interned
 class Pred:
+    __slots__ = ("sym", "args", "__weakref__")
     sym: str
     args: tuple
 
 
 @interned
 class Not:
+    __slots__ = ("body", "__weakref__")
     body: "Formula"
 
 
 @interned
 class And:
+    __slots__ = ("lhs", "rhs", "__weakref__")
     lhs: "Formula"
     rhs: "Formula"
 
 
 @interned
 class Or:
+    __slots__ = ("lhs", "rhs", "__weakref__")
     lhs: "Formula"
     rhs: "Formula"
 
 
 @interned
 class Implies:
+    __slots__ = ("lhs", "rhs", "__weakref__")
     lhs: "Formula"
     rhs: "Formula"
 
 
 @interned
 class Iff:
+    __slots__ = ("lhs", "rhs", "__weakref__")
     lhs: "Formula"
     rhs: "Formula"
 
 
 @interned
 class Knows:
+    __slots__ = ("agent", "body", "__weakref__")
     agent: Term
     body: "Formula"
 
 
 @interned
 class Assign:
+    __slots__ = ("var", "term", "body", "__weakref__")
     var: str
     term: Term
     body: "Formula"

@@ -52,16 +52,19 @@ _CONNECTIVES = (Top, Bot) + BOOLEAN
 
 @interned
 class WorldVar:
+    __slots__ = ("id", "__weakref__")
     id: str
 
 
 @interned
 class AgentVar:
+    __slots__ = ("id", "__weakref__")
     id: str
 
 
 @interned
 class NameApp:
+    __slots__ = ("name", "world", "__weakref__")
     name: str
     world: "FOLTerm"
 
@@ -71,12 +74,14 @@ FOLTerm = object
 
 @interned
 class AgentEq:
+    __slots__ = ("lhs", "rhs", "__weakref__")
     lhs: FOLTerm
     rhs: FOLTerm
 
 
 @interned
 class PredApp:
+    __slots__ = ("sym", "world", "args", "__weakref__")
     sym: str
     world: FOLTerm
     args: tuple
@@ -84,6 +89,7 @@ class PredApp:
 
 @interned
 class RelApp:
+    __slots__ = ("src", "dst", "agent", "__weakref__")
     src: FOLTerm
     dst: FOLTerm
     agent: FOLTerm
@@ -91,18 +97,21 @@ class RelApp:
 
 @interned
 class ForallWorld:
+    __slots__ = ("var", "body", "__weakref__")
     var: str
     body: "FOLFormula"
 
 
 @interned
 class ExistsAgent:
+    __slots__ = ("var", "body", "__weakref__")
     var: str
     body: "FOLFormula"
 
 
 @interned
 class ForallAgent:
+    __slots__ = ("var", "body", "__weakref__")
     var: str
     body: "FOLFormula"
 
