@@ -8,6 +8,7 @@ import pytest
 
 from elas import syntax
 from elas.randgen import random_formula
+from elas.translation import translate
 from elas.syntax import (
     And, ArityError, Assign, Bot, Eq, FreshnessError, Iff, Implies, Knows,
     Name, Not, Or, ParseError, Pred, Signature, SubstitutionError, Top, Var,
@@ -261,6 +262,8 @@ class TestHashConsing:
         assert copy.deepcopy(phi) is phi
         assert copy.copy(phi) is phi
         assert copy.deepcopy([phi, Px(x)])[0] is phi
+        fol = translate(phi)
+        assert pickle.loads(pickle.dumps(fol)) is fol is translate(phi)
 
     def test_unpickling_a_dead_node_interns_it_again(self):
         data = pickle.dumps(parse_formula("K{zq1} Zq2(?zq3)"))
