@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import os
 import random
 import subprocess
@@ -605,3 +607,55 @@ class TestFastScanAgainstSlowScan:
                 assert fast == self._unreduced_first_point(phi, bounds, target)
                 if fast is not None:
                     assert fast == self._slow_first_point(phi, bounds, target)
+
+
+# Seeded searches whose first hits are pinned by digest: (seed, variables,
+# names, predicates, formula depths, formula count, shaped).  Each formula
+# is searched for a countermodel and a witness; a shaped family also
+# searches the two modal shapes of test_seeded_random_formulas, which push
+# first hits out of the one-world blocks.  The second family has two names
+# and a binary predicate, and many of its formulas mention fewer symbols
+# than that, so its space has agent counts that no term can name.
+DIGEST_FAMILIES = {
+    "P-a": (12, ("x", "y"), ("a",), {"P": 1}, (2, 3, 4), 150, True),
+    "PQ-ab": (13, ("x", "y"), ("a", "b"), {"P": 1, "Q": 2}, (2, 3), 50, False),
+}
+
+FIRST_HIT_DIGESTS = {
+    ("P-a", EPISTEMIC32):
+        "071e3fe192e49f14631069ae04d19e5c8fed5afeba279218e97a20ad3a4685d9",
+    ("P-a", EPISTEMIC33):
+        "a8fb208e7e23777bd17c2a0e36bbbad73e311dccc91bdddcabab12c19a92db71",
+    ("P-a", ARBITRARY22):
+        "dac854d1aa7d5d84964921aa51750db6339b003a7afe8da34daf29fb436f59da",
+    ("PQ-ab", SearchBounds(2, 3, True)):
+        "403faa766faad589e310c3518a3c80cab4290b45b9784c9c8e22503a4af299b5",
+    ("PQ-ab", ARBITRARY22):
+        "003e49eb28ef81a745b2cae14cc20396cee4d2ee035cc202cbda85e9004a4f00",
+}
+
+
+class TestFirstHitDigest:
+    @staticmethod
+    def _digest(family, bounds):
+        """sha256 over the first hit of every search of the family, each as
+        (model_to_dict(model), world, sorted sigma items), or None."""
+        seed, variables, names, preds, depths, count, shaped = DIGEST_FAMILIES[family]
+        rng = random.Random(seed)
+        x, y = Var("x"), Var("y")
+        hits = []
+        for i in range(count):
+            psi = random_formula(rng, variables, names, preds,
+                                 depth=depths[i % len(depths)])
+            searches = [(psi, False), (psi, True)]
+            if shaped:
+                searches += [(And(psi, Not(Knows(x, psi))), True),
+                             (Implies(Knows(x, psi), Knows(y, psi)), False)]
+            for phi, target in searches:
+                point = _first_point(phi, bounds, target)
+                hits.append(point and (point[0], point[1], sorted(point[2].items())))
+        return hashlib.sha256(json.dumps(hits).encode()).hexdigest()
+
+    @pytest.mark.parametrize("family, bounds", list(FIRST_HIT_DIGESTS))
+    def test_first_hits_are_pinned(self, family, bounds):
+        assert self._digest(family, bounds) == FIRST_HIT_DIGESTS[family, bounds]
