@@ -124,7 +124,7 @@ class UnsatisfiableUpTo:
 # Block layout: everything that is fixed once (n, k, signature) are chosen
 
 class _Layout:
-    def __init__(self, sig: Signature, n: int, k: int, epistemic: bool,
+    def __init__(self, sig: Signature, n: int, k: int, rel_pool: list,
                  variables, free):
         self.n, self.k = n, k
         self.worlds = world_labels(n)
@@ -169,7 +169,7 @@ class _Layout:
         self.rho_lanes = [(w, digit_mask(lanes, w, 2, 1) if w < lanes else None)
                           for w in (self.etas << p for p in range(self.rho_bits))]
 
-        self.rel_pool = _relation_pool(n, epistemic)
+        self.rel_pool = rel_pool
 
         # assignment grid: one column per total assignment of the formula's
         # variables (bound ones included); scanning covers the free ones.
@@ -178,6 +178,11 @@ class _Layout:
         self.sigmas = list(itertools.product(range(k), repeat=len(self.vars)))
         self.S = len(self.sigmas)
         self.strides = [k ** (len(self.vars) - 1 - i) for i in range(len(self.vars))]
+        # cell c = w * S + s is grid[c]; a variable's column lists the agent
+        # it denotes under each assignment s
+        self.grid = [(w, s) for w in range(n) for s in range(self.S)]
+        self.columns = {v: [sigma[i] for sigma in self.sigmas]
+                        for i, v in enumerate(self.vars)}
         self.free = sorted(free)
         self.free_cells = [sum(self.strides[self.var_pos[v]] * g for v, g in zip(self.free, combo))
                            for combo in itertools.product(range(k), repeat=len(self.free))]
@@ -228,16 +233,26 @@ def _last_chunk(run):
     seen = [None, None]
 
     def cached(ctx):
-        if seen[0] != ctx[3]:
-            seen[:] = ctx[3], run(ctx)
+        if seen[0] != ctx[4]:
+            seen[:] = ctx[4], run(ctx)
         return seen[1]
     return cached
 
 
 def _compile(phi: Formula, lay: _Layout, hoisted: dict):
-    """Compile a formula to a function (succ_by_agent, eta, rho, chunk) ->
-    list of per-cell bitmasks over one chunk's lanes, eta and rho as
-    chunk_digits gives them for that chunk index.
+    """Compile a formula to a function ctx -> list of per-cell bitmasks over
+    one chunk's lanes, where ctx = (succ, groups, eta, rho, chunk): the
+    relation tuple's successor tuples and _groups, one per agent, eta and
+    rho as chunk_digits gives them for the chunk, and the chunk index.
+
+    A term's per-cell denotation takes one of two forms.  A variable
+    denotes one agent in each assignment column, fixed by the layout, so
+    an atom or binder whose terms are all variables becomes a list of cell
+    or rho indices gathered per pass, and K{?v} ANDs each group of worlds
+    sharing a successor set once under the relation of the column's agent.
+    A name denotes a (lane mask, agent) pair per agent its eta digit takes
+    within the chunk, and nodes with a name term join the masks of those
+    pairs per cell.
 
     A node of phi that is a key of hoisted has no K, so its masks depend on
     the chunk alone: it computes them once per run of equal chunk indices,
@@ -247,36 +262,54 @@ def _compile(phi: Formula, lay: _Layout, hoisted: dict):
         if hoisted[phi] is None:
             hoisted[phi] = _last_chunk(_compile(phi, lay, {}))
         return hoisted[phi]
-    n, S, k = lay.n, lay.S, lay.k
-    grid = [(w, s) for w in range(n) for s in range(S)]
+    n, S, k, grid = lay.n, lay.S, lay.k, lay.grid
     ALL = lay.all_mask
+    column = lay.columns.__getitem__
 
     def den(term):
         """(eta, w, s) -> the term's (lane mask, agent) pairs."""
         if isinstance(term, Var):
-            pos = lay.var_pos[term.id]
-            by_s = [((None, sigma[pos]),) for sigma in lay.sigmas]
+            by_s = [((None, a),) for a in column(term.id)]
             return lambda eta, w, s: by_s[s]
         ni = lay.names.index(term.id)
         return lambda eta, w, s: eta[ni * n + w]
 
+    def variables(*terms):
+        return all(isinstance(t, Var) for t in terms)
+
     match phi:
         case Top():
-            return lambda ctx: [ALL] * len(grid)
+            cells = [ALL] * len(grid)
+            return lambda ctx: cells
         case Bot():
-            return lambda ctx: [0] * len(grid)
+            cells = [0] * len(grid)
+            return lambda ctx: cells
+        case Eq(lhs, rhs) if variables(lhs, rhs):
+            c1, c2 = column(lhs.id), column(rhs.id)
+            cells = [ALL if c1[s] == c2[s] else 0 for w, s in grid]
+            return lambda ctx: cells
         case Eq(lhs, rhs):
             d1, d2 = den(lhs), den(rhs)
             return lambda ctx: [
-                _join([_meet(m1, m2) for m1, a1 in d1(ctx[1], w, s)
-                       for m2, a2 in d2(ctx[1], w, s) if a1 == a2], ALL)
+                _join([_meet(m1, m2) for m1, a1 in d1(ctx[2], w, s)
+                       for m2, a2 in d2(ctx[2], w, s) if a1 == a2], ALL)
                 for w, s in grid]
+        case Pred(sym, args) if variables(*args):
+            cols = [column(a.id) for a in args]
+
+            def slot(w, s):
+                t = 0
+                for col in cols:
+                    t = t * k + col[s]
+                return lay.offsets[(sym, w)] + t
+            slots = [slot(w, s) for w, s in grid]
+            return lambda ctx: [ctx[3][i] for i in slots]
         case Pred(sym, args):
             dens = [den(a) for a in args]
             offsets = [lay.offsets[(sym, w)] for w in range(n)]
 
             def run(ctx):
-                _, eta, rho, _ = ctx
+                _, _, eta, rho, _ = ctx
                 out = []
                 for w, s in grid:
                     parts = []
@@ -304,11 +337,33 @@ def _compile(phi: Formula, lay: _Layout, hoisted: dict):
         case Iff(l, r):
             sl, sr = _compile(l, lay, hoisted), _compile(r, lay, hoisted)
             return lambda ctx: [(a ^ b) ^ ALL for a, b in zip(sl(ctx), sr(ctx))]
+        case Knows(agent, body) if variables(agent):
+            sub, col = _compile(body, lay, hoisted), column(agent.id)
+            # per agent, the assignment columns in which the variable names it
+            by_agent = [(a, cols) for a in range(k)
+                        if (cols := [s for s in range(S) if col[s] == a])]
+
+            def run(ctx):
+                groups = ctx[1]
+                bm = sub(ctx)
+                out = [ALL] * len(grid)     # a world without successors
+                for a, cols in by_agent:
+                    for rows, targets in groups[a]:
+                        for s in cols:
+                            m = ALL
+                            for row in rows:
+                                m &= bm[row + s]
+                                if not m:
+                                    break
+                            for row in targets:
+                                out[row + s] = m
+                return out
+            return run
         case Knows(agent, body):
             d, sub = den(agent), _compile(body, lay, hoisted)
 
             def run(ctx):
-                succ, eta, _, _ = ctx
+                succ, _, eta, _, _ = ctx
                 bm = sub(ctx)
                 out = []
                 for w, s in grid:
@@ -323,15 +378,24 @@ def _compile(phi: Formula, lay: _Layout, hoisted: dict):
                 return out
             return run
         case Assign(var, term, body):
-            d, sub = den(term), _compile(body, lay, hoisted)
+            sub = _compile(body, lay, hoisted)
             pos = lay.var_pos[var]
             stride = lay.strides[pos]
             base = [w * S + s - lay.sigmas[s][pos] * stride for w, s in grid]
+            if variables(term):
+                col = column(term.id)
+                cells = [b + col[s] * stride for b, (w, s) in zip(base, grid)]
+
+                def run(ctx):
+                    bm = sub(ctx)
+                    return [bm[c] for c in cells]
+                return run
+            d = den(term)
 
             def run(ctx):
                 bm = sub(ctx)
                 return [_join([_meet(m, bm[base[c] + g * stride])
-                               for m, g in d(ctx[1], w, s)], ALL)
+                               for m, g in d(ctx[2], w, s)], ALL)
                         for c, (w, s) in enumerate(grid)]
             return run
     raise TypeError(f"not a formula: {phi!r}")
@@ -356,28 +420,99 @@ def _relation_pool(n: int, epistemic: bool) -> list:
             for r in range(1 << (n * n))]
 
 
-def _representatives(pool: list, n: int, k: int):
-    """Yield, in lexicographic order, the k-tuples of pool indices that are
-    the minimum of their orbit under world and agent permutations.
+class _Orbits:
+    """The orbit-minimal tuples of pool relations on n worlds, built once
+    per search and world count.
 
-    Permuting agents permutes the tuple, so the orbit minimum is sorted.
-    A world permutation maps every pool relation to another one; one
-    table row per non-identity permutation holds that map, and a sorted
-    tuple is kept when no row sends it to a smaller sorted tuple.
+    Permuting agents permutes a tuple, so an orbit minimum is sorted.  A
+    world permutation maps every pool relation to another one; one table
+    row per non-identity permutation holds that map, and a sorted tuple is
+    orbit-minimal when no row sends it to a smaller sorted tuple.
+
+    Prefix closure (as in Read's orderly generation and McKay's canonical
+    augmentation): the prefix of an orbit-minimal sorted k-tuple is an
+    orbit-minimal (k-1)-tuple.  If a row sends the prefix p to a smaller
+    sorted tuple q, it sends the tuple p + (r,) to sorted(q + [x]), whose
+    i-th entry is at most q[i]; so that image is smaller than p + (r,) at
+    or before the first position where q is below p.  The k-tuples are
+    therefore the orbit-minimal extensions p + (r,), r >= p[-1], of the
+    (k-1)-tuples, and extending them in order keeps lexicographic order.
     """
-    index = {succ: i for i, succ in enumerate(pool)}
-    table = []
-    for perm in itertools.islice(itertools.permutations(range(n)), 1, None):
-        row = []
-        for succ in pool:
-            moved = [()] * n
-            for w in range(n):
-                moved[perm[w]] = tuple(sorted(perm[v] for v in succ[w]))
-            row.append(index[tuple(moved)])
-        table.append(row)
-    for rels in itertools.combinations_with_replacement(range(len(pool)), k):
-        if all(tuple(sorted(row[r] for r in rels)) >= rels for row in table):
-            yield rels
+
+    def __init__(self, pool: list, n: int):
+        # a relation as its pairs (w, v), numbered w * n + v
+        pairs = [[w * n + v for w, succ in enumerate(rel) for v in succ]
+                 for rel in pool]
+        index = {sum(1 << p for p in rel): i for i, rel in enumerate(pairs)}
+        rows = []
+        for perm in itertools.islice(itertools.permutations(range(n)), 1, None):
+            moved = [1 << (perm[w] * n + perm[v]) for w in range(n) for v in range(n)]
+            rows.append([index[sum(map(moved.__getitem__, rel))] for rel in pairs])
+        # per relation, its image under each non-identity permutation
+        self.images = list(zip(*rows)) or [()] * len(pool)
+        self.done = [[()]]      # per agent count, every representative
+
+    def representatives(self, k: int):
+        """Yield, in lexicographic order, the orbit-minimal k-tuples of pool
+        indices."""
+        while len(self.done) < k:
+            for _ in self.representatives(len(self.done)):
+                pass
+        if len(self.done) > k:
+            yield from self.done[k]
+            return
+        found = []
+        for prefix in self.done[k - 1]:
+            limits = self._limits(prefix)
+            for r in range(prefix[-1] if prefix else 0, len(self.images)):
+                rels = prefix + (r,)
+                if self._minimal(rels, *limits):
+                    found.append(rels)
+                    yield rels
+        if len(self.done) == k:
+            self.done.append(found)
+
+    def _limits(self, prefix: tuple):
+        """How each permutation j decides the extensions of an orbit-minimal
+        prefix p by the image x of the new relation r.  If j fixes p as a
+        sorted tuple, the extension's image is smaller iff x < r.  Otherwise
+        j's image of p is larger, first at some i: the extension's image is
+        smaller if x < p[i], not smaller if x > p[i], and only x == p[i]
+        needs a comparison.  Returns the fixing permutations, the others and
+        their p[i]."""
+        if not prefix:
+            return range(len(self.images[0])), [], []
+        fixing, others, limits = [], [], []
+        for j, image in enumerate(map(sorted, zip(*(self.images[q] for q in prefix)))):
+            if tuple(image) == prefix:
+                fixing.append(j)
+            else:
+                others.append(j)
+                limits.append(next(p for p, m in zip(prefix, image) if m != p))
+        return fixing, others, limits
+
+    def _minimal(self, rels: tuple, fixing, others, limits) -> bool:
+        """Whether no permutation sends the sorted tuple to a smaller one."""
+        image = self.images[rels[-1]]
+        if min(map(image.__getitem__, fixing), default=rels[-1]) < rels[-1]:
+            return False
+        moved = list(map(image.__getitem__, others))
+        if any(map(operator.lt, moved, limits)):
+            return False
+        return all(tuple(sorted(self.images[q][j] for q in rels)) >= rels
+                   for j in itertools.compress(others, map(operator.eq, moved, limits)))
+
+
+def _groups(rel: tuple, S: int) -> list:
+    """The worlds of a relation that have successors, grouped by successor
+    set: (successor rows, world rows) per group, the row of world w being
+    w * S, the index of its first cell."""
+    by_succ = {}
+    for w, succ in enumerate(rel):
+        if succ:
+            by_succ.setdefault(succ, []).append(w * S)
+    return [(tuple(v * S for v in succ), tuple(rows))
+            for succ, rows in by_succ.items()]
 
 
 @dataclass(frozen=True)
@@ -424,26 +559,29 @@ def _centres(succ, depth: int) -> list:
     return out
 
 
-def _scan_slice(target: _Target, sig, n, k, epistemic, rel_combos=None):
-    """Scan the given relation tuples of one block in order (by default
-    every orbit-minimal one); return the canonically first hit, or None.
+def _scan_slice(target: _Target, sig, n, k, rel_pool, rel_combos):
+    """Scan the given relation tuples of one block in order; return the
+    canonically first hit, or None.
 
     Only the tuple's centres are pointed worlds (see the module docstring).
     The hit is (relation tuple, scan index, world index, free-assignment
     position), its position in the canonical order, paired with the
     pointed model it names.
     """
-    lay = _Layout(sig, n, k, epistemic, target.variables, target.free)
+    lay = _Layout(sig, n, k, rel_pool, target.variables, target.free)
     run = _compile(target.formula, lay, dict.fromkeys(target.hoisted))
-    if rel_combos is None:
-        rel_combos = _representatives(lay.rel_pool, n, k)
+    groups_of = {}          # pool index -> _groups, for the relations scanned
     for rel_combo in rel_combos:
         succ = tuple(lay.rel_pool[i] for i in rel_combo)
         centres = _centres(succ, target.depth)
         if not centres:
             continue
+        for i in rel_combo:
+            if i not in groups_of:
+                groups_of[i] = _groups(lay.rel_pool[i], lay.S)
+        groups = tuple(groups_of[i] for i in rel_combo)
         for chunk in range(lay.chunks):
-            masks = run((succ, *lay.chunk_digits(chunk), chunk))
+            masks = run((succ, groups, *lay.chunk_digits(chunk), chunk))
             keys = [((m & -m).bit_length() - 1, w, cell_pos)
                     for w in centres for cell_pos, s in enumerate(lay.free_cells)
                     if (m := masks[w * lay.S + s])]
@@ -483,6 +621,12 @@ def _main_spawnable() -> bool:
     return path is None or os.path.isfile(path)
 
 
+def _agent_cap(target: _Target, sig: Signature, n: int) -> int:
+    """The most agents a first hit with n worlds can have: one per free
+    variable and one per name and world (see the module docstring)."""
+    return max(1, len(target.free) + len(sig.names) * n)
+
+
 def _search(phi: Formula, bounds: SearchBounds, want_false: bool,
             jobs: int = 1):
     if jobs < 1:
@@ -493,34 +637,37 @@ def _search(phi: Formula, bounds: SearchBounds, want_false: bool,
     parallel = jobs > 1 and _main_spawnable()
     pool = None
     try:
-        for n, k in _blocks(bounds):
+        for n in range(1, bounds.max_worlds + 1):
             if n > 1 and target.depth == 0:
                 break       # a depth-0 ball is {w}: no world is a centre
-            task = (target, sig, n, k, bounds.epistemic)
-            reps, slices = None, []
-            if parallel:
-                lay = _Layout(sig, n, k, bounds.epistemic, target.variables, target.free)
-                reps = [r for r in _representatives(lay.rel_pool, n, k)
-                        if _centres([lay.rel_pool[i] for i in r], target.depth)]
-                if _scan_work(lay, len(reps), phi) >= _PARALLEL_WORK:
-                    slices = _stride_slices(reps, jobs)
-            if len(slices) < 2:
-                hit = _scan_slice(*task, reps)
-            else:
-                if pool is None:
-                    pool = ProcessPoolExecutor(
-                        max_workers=min(jobs, os.cpu_count() or 1),
-                        mp_context=multiprocessing.get_context("spawn"))
-                hits = pool.map(functools.partial(_scan_slice, *task), slices)
-                hit = min((h for h in hits if h is not None), default=None,
-                          key=lambda h: h[0])
-            if hit is not None:
-                pointed = hit[1]
-                value = eval_formula(pointed.model, pointed.world, pointed.sigma, phi)
-                if value == want_false:
-                    raise RuntimeError(
-                        "internal error: fast scan and reference evaluator disagree")
-                return pointed
+            rel_pool = _relation_pool(n, bounds.epistemic)
+            orbits = _Orbits(rel_pool, n)
+            for k in range(1, min(bounds.max_agents, _agent_cap(target, sig, n)) + 1):
+                task = (target, sig, n, k, rel_pool)
+                reps, slices = orbits.representatives(k), []
+                if parallel:
+                    lay = _Layout(sig, n, k, rel_pool, target.variables, target.free)
+                    reps = [r for r in reps
+                            if _centres([rel_pool[i] for i in r], target.depth)]
+                    if _scan_work(lay, len(reps), phi) >= _PARALLEL_WORK:
+                        slices = _stride_slices(reps, jobs)
+                if len(slices) < 2:
+                    hit = _scan_slice(*task, reps)
+                else:
+                    if pool is None:
+                        pool = ProcessPoolExecutor(
+                            max_workers=min(jobs, os.cpu_count() or 1),
+                            mp_context=multiprocessing.get_context("spawn"))
+                    hits = pool.map(functools.partial(_scan_slice, *task), slices)
+                    hit = min((h for h in hits if h is not None), default=None,
+                              key=lambda h: h[0])
+                if hit is not None:
+                    pointed = hit[1]
+                    value = eval_formula(pointed.model, pointed.world, pointed.sigma, phi)
+                    if value == want_false:
+                        raise RuntimeError(
+                            "internal error: fast scan and reference evaluator disagree")
+                    return pointed
     finally:
         if pool is not None:
             pool.shutdown(cancel_futures=True)
@@ -553,7 +700,7 @@ def enumerate_models(sig: Signature, bounds: SearchBounds):
     tuples that are not orbit-minimal.  The stream is exponential in the
     bounds; it is meant for desk-scale signatures."""
     for n, k in _blocks(bounds):
-        lay = _Layout(sig, n, k, bounds.epistemic, (), ())
+        lay = _Layout(sig, n, k, _relation_pool(n, bounds.epistemic), (), ())
         rel_indices = range(len(lay.rel_pool))
         for rel_combo in itertools.product(rel_indices, repeat=k):
             for index in range(lay.etas << lay.rho_bits):

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -140,6 +141,21 @@ class TestSearchCommands:
         payload = json.loads(out)
         assert code == 0 and payload["verdict"] == "witness"
         assert len(payload["witness"]["worlds"]) >= 2
+
+    @pytest.mark.parametrize("command, text, verdict", [
+        ("valid", "K{a} P(a) -> P(a)", "no countermodel"),
+        ("sat", "K{a} P(a) & ~P(a)", "unsatisfiable"),
+    ])
+    def test_many_agents_cost_nothing(self, capsys, command, text, verdict):
+        # One name names at most one agent per world, so blocks with more
+        # agents than worlds are never built; the verdict still speaks for
+        # the requested bounds.
+        started = time.perf_counter()
+        code, out, _ = run(capsys, command, "--agents", "1000", text)
+        assert time.perf_counter() - started < 10
+        assert code == 0
+        assert out.strip() == (f"{verdict} up to 3 worlds / 1000 agents "
+                               "(epistemic frames)")
 
 
 class TestTranslateCommand:

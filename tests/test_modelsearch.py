@@ -195,8 +195,9 @@ class TestFindCountermodel:
         # the (4, 3) block of a two-name formula of modal depth 2 is seconds
         # of scanning, counting only the tuples with a centre
         phi = parse_formula("K{a} P(b) -> K{a} K{a} P(b)")
-        lay = modelsearch._Layout(formula_signature(phi), 4, 3, True, (), ())
-        reps = [r for r in modelsearch._representatives(lay.rel_pool, 4, 3)
+        lay = modelsearch._Layout(formula_signature(phi), 4, 3,
+                                  modelsearch._relation_pool(4, True), (), ())
+        reps = [r for r in modelsearch._Orbits(lay.rel_pool, 4).representatives(3)
                 if modelsearch._centres([lay.rel_pool[i] for i in r], 2)]
         assert len(reps) == 56
         assert modelsearch._scan_work(lay, len(reps), phi) >= \
@@ -282,12 +283,50 @@ class TestOrbitRepresentatives:
         (2, 2, False, None),
     ])
     def test_count_equals_orbit_count(self, n, k, epistemic, expected):
-        reps = list(modelsearch._representatives(
-            modelsearch._relation_pool(n, epistemic), n, k))
+        reps = list(modelsearch._Orbits(
+            modelsearch._relation_pool(n, epistemic), n).representatives(k))
         assert reps == sorted(set(reps))
         orbits = self._orbit_count(n, k, epistemic)
         assert len(reps) == orbits
         assert expected is None or orbits == expected
+
+    @staticmethod
+    def _orbit_minima(n, k, epistemic):
+        """The k-tuples of pool indices that are the least member of their
+        orbit, in lexicographic order, by brute force: every world
+        permutation applied to the relations as sets of pairs, and every
+        order of the agents."""
+        pool = modelsearch._relation_pool(n, epistemic)
+        pairs = [frozenset((w, v) for w, succ in enumerate(rel) for v in succ)
+                 for rel in pool]
+        index = {rel: i for i, rel in enumerate(pairs)}
+        minima = []
+        for combo in itertools.combinations_with_replacement(range(len(pool)), k):
+            orbit = set()
+            for perm in itertools.permutations(range(n)):
+                moved = [index[frozenset((perm[w], perm[v]) for w, v in pairs[r])]
+                         for r in combo]
+                orbit.update(itertools.permutations(moved))
+            if combo == min(orbit):
+                minima.append(combo)
+        return minima
+
+    @pytest.mark.parametrize("n, k, epistemic", [
+        *[(n, k, True) for n in range(1, 5) for k in range(1, 4)],
+        *[(n, k, False) for n in (1, 2) for k in (1, 2)],
+    ])
+    def test_representatives_are_the_orbit_minima(self, n, k, epistemic):
+        pool = modelsearch._relation_pool(n, epistemic)
+        minima = self._orbit_minima(n, k, epistemic)
+        # asked for alone, the block builds the smaller agent counts itself
+        alone = modelsearch._Orbits(pool, n)
+        assert list(alone.representatives(k)) == minima
+        assert list(alone.representatives(k)) == minima
+        # asked for after k - 1, as the search asks, it extends that list
+        orbits = modelsearch._Orbits(pool, n)
+        for smaller in range(1, k):
+            list(orbits.representatives(smaller))
+        assert list(orbits.representatives(k)) == minima
 
     def test_stride_slices_cap(self, monkeypatch):
         reps = [(i,) for i in range(7)]
@@ -471,8 +510,7 @@ class TestFastScanAgainstSlowScan:
         for n, k in modelsearch._blocks(bounds):
             pool = modelsearch._relation_pool(n, bounds.epistemic)
             every = itertools.product(range(len(pool)), repeat=k)
-            hit = modelsearch._scan_slice(wanted, sig, n, k, bounds.epistemic,
-                                          every)
+            hit = modelsearch._scan_slice(wanted, sig, n, k, pool, every)
             if hit is not None:
                 pointed = hit[1]
                 return model_to_dict(pointed.model), pointed.world, pointed.sigma
@@ -575,7 +613,8 @@ class TestFastScanAgainstSlowScan:
         monkeypatch.setattr(modelsearch, "_LANES", lanes)
         phi = parse_formula(text)
         for n, k in modelsearch._blocks(SearchBounds(4, 3, True)):
-            lay = modelsearch._Layout(formula_signature(phi), n, k, True,
+            lay = modelsearch._Layout(formula_signature(phi), n, k,
+                                      modelsearch._relation_pool(n, True),
                                       all_vars(phi), free_vars(phi))
             assert lay.lanes <= lanes
             assert lay.lanes * lay.chunks == \
@@ -592,6 +631,70 @@ class TestFastScanAgainstSlowScan:
     def test_suite_formulas_arbitrary_frames(self, label, phi, target):
         fast = _first_point(phi, ARBITRARY22, target)
         assert fast == self._unreduced_first_point(phi, ARBITRARY22, target)
+
+    @pytest.mark.parametrize("text, target, bounds", [
+        # two free variables that must differ: 2 agents at 1 world
+        ("~(?x = ?y)", True, SearchBounds(2, 3, True)),
+        ("?x = ?y", False, ARBITRARY22),
+        # and a name that differs from both: 3 agents at 1 world
+        ("~(?x = ?y) & ~(?x = a) & ~(?y = a)", True, SearchBounds(2, 3, True)),
+        # a name that moves between worlds: 2 agents at 2 worlds
+        ("[?x := a] ~K{?x} ?x = a", True, SearchBounds(2, 3, True)),
+        ("[?x := a] K{?x} ?x = a", False, SearchBounds(2, 3, True)),
+        ("[?x := a] ~K{?x} ?x = a", True, ARBITRARY22),
+        ("[?x := a] K{?x} ?x = a", False, ARBITRARY22),
+    ])
+    def test_first_hits_that_need_the_agent_cap(self, text, target, bounds):
+        # The cap is exact: these first hits have exactly as many agents
+        # as the free variables and the names at every world can denote.
+        phi = parse_formula(text)
+        slow = self._slow_first_point(phi, bounds, target)
+        sig = formula_signature(phi)
+        cap = modelsearch._agent_cap(modelsearch._target(phi, not target),
+                                     sig, len(slow[0]["worlds"]))
+        assert len(slow[0]["agents"]) == cap
+        assert _first_point(phi, bounds, target) == slow
+
+    @pytest.mark.parametrize("text, caps", [
+        ("K{?x} P(?x) -> K{?x} K{?x} P(?x)", (1, 1, 1)),
+        ("K{a} P(a) -> P(a)", (1, 2, 3)),
+        ("?x = ?y -> K{a} ?x = ?y", (3, 3, 3)),
+    ])
+    def test_blocks_stop_at_the_agent_cap(self, text, caps, monkeypatch):
+        scanned = []
+        scan = modelsearch._scan_slice
+
+        def spy(target, sig, n, k, *rest):
+            scanned.append((n, k))
+            return scan(target, sig, n, k, *rest)
+        monkeypatch.setattr(modelsearch, "_scan_slice", spy)
+        verdict = find_countermodel(parse_formula(text), EPISTEMIC33)
+        assert verdict == NoCountermodelUpTo(EPISTEMIC33)
+        assert scanned == [(n, k) for n in (1, 2, 3)
+                           for k in range(1, caps[n - 1] + 1)]
+
+    @pytest.mark.parametrize("target", [False, True])
+    @pytest.mark.parametrize("text", [
+        "K{?x} false",
+        "K{?x} false -> K{?y} false",
+        "K{?x} ?x = ?y -> ?x = ?y",
+        "K{?x} K{?y} false & ~K{?x} false",
+        "K{?x} (P(?y) & K{?y} false)",
+        "K{?x} P(?x) -> K{?x} K{?x} P(?x)",
+        "~K{?x} P(?y) & K{?y} P(?x)",
+        "[?x := ?y] K{?x} P(?x) <-> K{?y} P(?y)",
+        "[?y := ?x] K{?x} ~P(?y) -> K{?y} ~K{?y} P(?x)",
+        # first witnesses with two worlds, and a world without successors
+        "~K{?x} false & K{?x} K{?x} false",
+        "K{?x} P(?y) & ~K{?x} K{?x} P(?y)",
+        "~(?x = ?y) & K{?x} K{?y} false & ~K{?x} false & ~K{?y} false",
+    ])
+    def test_variable_knows_on_arbitrary_frames(self, text, target):
+        # K over a variable ANDs each group of worlds with one successor
+        # set; a world without successors makes K true.
+        phi = parse_formula(text)
+        assert _first_point(phi, ARBITRARY22, target) == \
+            self._slow_first_point(phi, ARBITRARY22, target)
 
     def test_seeded_random_formulas(self):
         # The two modal shapes around each random formula push its first
