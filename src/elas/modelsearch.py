@@ -17,7 +17,9 @@ breaking, as in SEM's least-number heuristic and in MACE-style finders).
 This is exact: an isomorphic copy of a hit is a hit, because every world,
 predicate and name interpretation and free assignment is scanned, and the
 relation tuple is the outermost key of the order, so the first hit always
-lies on an orbit-minimal tuple.  They also keep the candidate model in a
+lies on an orbit-minimal tuple.  The orbit-minimal tuples of a world
+count are built once per search, each agent count extending the tuples
+of the one before (_Orbits).  They also keep the candidate model in a
 compact form: for a fixed relation tuple the formula's truth value at
 every (world, assignment) cell is computed for a chunk of consecutive scan
 indices at once, one bitmask lane per index (Python integers as bit
@@ -49,6 +51,24 @@ reads no relation at all, so its masks depend on the chunk of scan
 indices alone: the compiled scan keeps them for the last chunk index it
 saw instead of recomputing them for every relation tuple, once for all
 occurrences of the same subformula.
+
+The agent count stops at what the formula's terms can name.  An agent
+enters the evaluation only as the denotation of a term, sigma(x) for a
+variable or eta(a, w) for a name at a world: atoms, K{t} and [x := t]
+read nothing else, and a binder assigns a denoted agent.  So with n
+worlds the formula reaches at most cap(n) = |free(phi)| + |names(phi)| * n
+agents, the free variables' values and the names' values at each world.
+Proof sketch: cut the model down to the denoted agents D (their relations
+kept, predicates restricted to tuples over D, names unchanged, as their
+values lie in D); by induction on the formula, every subformula has the
+same value at every world under every assignment that agrees with sigma
+on the free variables and sends the bound ones into D, the only
+assignments evaluation reaches.  The cut-down model has the same worlds
+and stays in the frame class, so a hit in block (n, k) with k > cap(n) is
+also a hit, after renaming the agents, in block (n, |D|), which comes
+earlier.  The search therefore scans agent counts only up to
+max(1, cap(n)); the first hit is unchanged, and a negative verdict still
+speaks for the requested bounds.
 
 Bounded search is deliberately incomplete: a negative answer only speaks
 for the models within the bounds, and verdicts say so.
@@ -263,13 +283,12 @@ def _compile(phi: Formula, lay: _Layout, hoisted: dict):
             hoisted[phi] = _last_chunk(_compile(phi, lay, {}))
         return hoisted[phi]
     n, S, k, grid = lay.n, lay.S, lay.k, lay.grid
-    ALL = lay.all_mask
-    column = lay.columns.__getitem__
+    ALL, columns = lay.all_mask, lay.columns
 
     def den(term):
         """(eta, w, s) -> the term's (lane mask, agent) pairs."""
         if isinstance(term, Var):
-            by_s = [((None, a),) for a in column(term.id)]
+            by_s = [((None, a),) for a in columns[term.id]]
             return lambda eta, w, s: by_s[s]
         ni = lay.names.index(term.id)
         return lambda eta, w, s: eta[ni * n + w]
@@ -285,7 +304,7 @@ def _compile(phi: Formula, lay: _Layout, hoisted: dict):
             cells = [0] * len(grid)
             return lambda ctx: cells
         case Eq(lhs, rhs) if variables(lhs, rhs):
-            c1, c2 = column(lhs.id), column(rhs.id)
+            c1, c2 = columns[lhs.id], columns[rhs.id]
             cells = [ALL if c1[s] == c2[s] else 0 for w, s in grid]
             return lambda ctx: cells
         case Eq(lhs, rhs):
@@ -295,7 +314,7 @@ def _compile(phi: Formula, lay: _Layout, hoisted: dict):
                        for m2, a2 in d2(ctx[2], w, s) if a1 == a2], ALL)
                 for w, s in grid]
         case Pred(sym, args) if variables(*args):
-            cols = [column(a.id) for a in args]
+            cols = [columns[a.id] for a in args]
 
             def slot(w, s):
                 t = 0
@@ -338,7 +357,7 @@ def _compile(phi: Formula, lay: _Layout, hoisted: dict):
             sl, sr = _compile(l, lay, hoisted), _compile(r, lay, hoisted)
             return lambda ctx: [(a ^ b) ^ ALL for a, b in zip(sl(ctx), sr(ctx))]
         case Knows(agent, body) if variables(agent):
-            sub, col = _compile(body, lay, hoisted), column(agent.id)
+            sub, col = _compile(body, lay, hoisted), columns[agent.id]
             # per agent, the assignment columns in which the variable names it
             by_agent = [(a, cols) for a in range(k)
                         if (cols := [s for s in range(S) if col[s] == a])]
@@ -383,7 +402,7 @@ def _compile(phi: Formula, lay: _Layout, hoisted: dict):
             stride = lay.strides[pos]
             base = [w * S + s - lay.sigmas[s][pos] * stride for w, s in grid]
             if variables(term):
-                col = column(term.id)
+                col = columns[term.id]
                 cells = [b + col[s] * stride for b, (w, s) in zip(base, grid)]
 
                 def run(ctx):
@@ -444,12 +463,11 @@ class _Orbits:
         pairs = [[w * n + v for w, succ in enumerate(rel) for v in succ]
                  for rel in pool]
         index = {sum(1 << p for p in rel): i for i, rel in enumerate(pairs)}
-        rows = []
+        self.size = len(pool)
+        self.table = []
         for perm in itertools.islice(itertools.permutations(range(n)), 1, None):
             moved = [1 << (perm[w] * n + perm[v]) for w in range(n) for v in range(n)]
-            rows.append([index[sum(map(moved.__getitem__, rel))] for rel in pairs])
-        # per relation, its image under each non-identity permutation
-        self.images = list(zip(*rows)) or [()] * len(pool)
+            self.table.append([index[sum(map(moved.__getitem__, rel))] for rel in pairs])
         self.done = [[()]]      # per agent count, every representative
 
     def representatives(self, k: int):
@@ -463,44 +481,24 @@ class _Orbits:
             return
         found = []
         for prefix in self.done[k - 1]:
-            limits = self._limits(prefix)
-            for r in range(prefix[-1] if prefix else 0, len(self.images)):
+            for r in range(prefix[-1] if prefix else 0, self.size):
                 rels = prefix + (r,)
-                if self._minimal(rels, *limits):
+                if self._minimal(rels):
                     found.append(rels)
                     yield rels
         if len(self.done) == k:
             self.done.append(found)
 
-    def _limits(self, prefix: tuple):
-        """How each permutation j decides the extensions of an orbit-minimal
-        prefix p by the image x of the new relation r.  If j fixes p as a
-        sorted tuple, the extension's image is smaller iff x < r.  Otherwise
-        j's image of p is larger, first at some i: the extension's image is
-        smaller if x < p[i], not smaller if x > p[i], and only x == p[i]
-        needs a comparison.  Returns the fixing permutations, the others and
-        their p[i]."""
-        if not prefix:
-            return range(len(self.images[0])), [], []
-        fixing, others, limits = [], [], []
-        for j, image in enumerate(map(sorted, zip(*(self.images[q] for q in prefix)))):
-            if tuple(image) == prefix:
-                fixing.append(j)
-            else:
-                others.append(j)
-                limits.append(next(p for p, m in zip(prefix, image) if m != p))
-        return fixing, others, limits
-
-    def _minimal(self, rels: tuple, fixing, others, limits) -> bool:
-        """Whether no permutation sends the sorted tuple to a smaller one."""
-        image = self.images[rels[-1]]
-        if min(map(image.__getitem__, fixing), default=rels[-1]) < rels[-1]:
-            return False
-        moved = list(map(image.__getitem__, others))
-        if any(map(operator.lt, moved, limits)):
-            return False
-        return all(tuple(sorted(self.images[q][j] for q in rels)) >= rels
-                   for j in itertools.compress(others, map(operator.eq, moved, limits)))
+    def _minimal(self, rels: tuple) -> bool:
+        """Whether no row sends the sorted tuple to a smaller one; an image
+        whose least entry differs from rels[0] is decided by that entry."""
+        first = rels[0]
+        for row in self.table:
+            moved = [row[r] for r in rels]
+            least = min(moved)
+            if least < first or least == first and tuple(sorted(moved)) < rels:
+                return False
+        return True
 
 
 def _groups(rel: tuple, S: int) -> list:
@@ -560,13 +558,17 @@ def _centres(succ, depth: int) -> list:
 
 
 def _scan_slice(target: _Target, sig, n, k, rel_pool, rel_combos):
-    """Scan the given relation tuples of one block in order; return the
-    canonically first hit, or None.
+    """Scan the given relation tuples (indices into rel_pool) of one block
+    in order; return the canonically first hit, or None.
 
-    Only the tuple's centres are pointed worlds (see the module docstring).
-    The hit is (relation tuple, scan index, world index, free-assignment
-    position), its position in the canonical order, paired with the
-    pointed model it names.
+    The block's layout fixes every variable's denotation per cell, and
+    _compile builds those in; per relation tuple the scan passes the
+    successor groups that K over a variable folds (computed once per pool
+    relation it meets) and, per chunk, the lane masks of the eta digits,
+    the names' denotations.  Only the tuple's centres are pointed worlds
+    (see the module docstring).  The hit is (relation tuple, scan index,
+    world index, free-assignment position), its position in the canonical
+    order, paired with the pointed model it names.
     """
     lay = _Layout(sig, n, k, rel_pool, target.variables, target.free)
     run = _compile(target.formula, lay, dict.fromkeys(target.hoisted))
@@ -696,9 +698,11 @@ def find_witness(phi: Formula, bounds: SearchBounds,
 
 def enumerate_models(sig: Signature, bounds: SearchBounds):
     """Yield every model over the signature within the bounds, in the
-    canonical order; the searches walk the same order, skipping relation
-    tuples that are not orbit-minimal.  The stream is exponential in the
-    bounds; it is meant for desk-scale signatures."""
+    canonical order.  The searches walk the same order but skip what
+    cannot hold a first hit: relation tuples that are not orbit-minimal,
+    pointed worlds that are not centres of their tuple, and agent counts
+    above the formula's cap (see the module docstring).  The stream is
+    exponential in the bounds; it is meant for desk-scale signatures."""
     for n, k in _blocks(bounds):
         lay = _Layout(sig, n, k, _relation_pool(n, bounds.epistemic), (), ())
         rel_indices = range(len(lay.rel_pool))
