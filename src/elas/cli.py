@@ -48,7 +48,14 @@ def _parse_sigma(text: str) -> dict:
 def _bounds(args) -> SearchBounds:
     if args.any_frames and args.epistemic:
         raise ValueError("--any-frames and --epistemic are mutually exclusive")
-    return SearchBounds(args.worlds, args.agents, not args.any_frames)
+    bounds = SearchBounds(args.worlds, args.agents, not args.any_frames)
+    # --jobs is kept so that scripts passing it still run; it selects nothing.
+    if args.jobs < 1:
+        raise ValueError(f"jobs must be at least 1, not {args.jobs}")
+    if args.jobs > 1:
+        print(f"note: --jobs {args.jobs} is ignored; searches run in the "
+              "calling process", file=sys.stderr)
+    return bounds
 
 
 def _emit(args, payload: dict, text: str) -> None:
@@ -103,7 +110,7 @@ _SEARCHES = {
 def cmd_search(args) -> int:
     _, search, hit, found, negative, none_found = _SEARCHES[args.command]
     phi = parse_formula(args.formula)
-    verdict = search(phi, _bounds(args), jobs=args.jobs)
+    verdict = search(phi, _bounds(args))
     if isinstance(verdict, hit):
         payload = {"verdict": found, found: _pointed_to_dict(verdict.pointed)}
         text = (f"{found} found:\n"
@@ -148,13 +155,13 @@ def cmd_suite(args) -> int:
     kwargs = {}
     if args.name == "validity-table":
         kwargs = {"bounds": _bounds(args), "trials": args.trials,
-                  "seed": args.seed, "jobs": args.jobs}
+                  "seed": args.seed}
     elif args.name == "prop24":
         kwargs = {"max_size": args.max_size}
     elif args.name == "soundness":
         kwargs = {"trials": args.trials, "seed": args.seed}
     elif args.name == "corpus":
-        kwargs = {"bounds": _bounds(args), "jobs": args.jobs}
+        kwargs = {"bounds": _bounds(args)}
     report = runner(**kwargs)
     if args.json:
         print(json.dumps(report, indent=2, sort_keys=True))
@@ -220,7 +227,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--epistemic", action="store_true",
                        help="restrict to epistemic frames (the default)")
         p.add_argument("--jobs", type=int, default=1,
-                       help="parallel scan workers (at least 1)")
+                       help="accepted and ignored; searches run in the "
+                            "calling process")
 
     p = sub.add_parser("parse", help="parse a formula, print it and its free variables")
     p.add_argument("formula")

@@ -70,6 +70,18 @@ earlier.  The search therefore scans agent counts only up to
 max(1, cap(n)); the first hit is unchanged, and a negative verdict still
 speaks for the requested bounds.
 
+The target is folded first (_fold): every subformula whose value no
+model, world or assignment can change becomes true or false, such as
+false & psi, psi -> true, K{t} true or an assignment over a constant.
+K{t} false stays, as it is true at a world without successors.  Each
+rule keeps the value at every pointed model on any frame, so the folded
+target has the same hits in the same order and the first hit is
+unchanged; its modal depth can only fall, and the pruning above holds
+for any formula equivalent to phi.  The variables, the signature and the
+agent cap are still read from phi, and a hit is re-verified against phi.
+A target folded to false has no hit, and the search returns at once
+instead of scanning every block.
+
 Bounded search is deliberately incomplete: a negative answer only speaks
 for the models within the bounds, and verdicts say so.
 """
@@ -78,11 +90,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-import multiprocessing
 import operator
-import os
-import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .randgen import agent_labels, set_partitions, world_labels
@@ -94,19 +102,10 @@ from .semantics import (
 from .syntax import (
     BINARY, And, Assign, Bot, Eq, Formula, Iff, Implies, Knows, Name, Not, Or,
     Pred, Signature, Top, Var, all_vars, children, formula_signature,
-    free_vars, node_count,
+    node_count, rebuild,
 )
 
 _LANES = 1 << 16         # scan indices per compiled pass, at most
-
-# A compiled node costs about as much Python overhead per cell as a bit
-# operation on this many lanes.  Blocks whose estimated scan work (see
-# _scan_work) is below _PARALLEL_WORK are scanned in-process even with
-# jobs > 1: a scan gets through about 3e10 lane operations a second on a
-# 2-core machine, and a spawned worker pool costs about 0.3 s to start,
-# so smaller blocks finish before a pool would pay off.
-_OP_LANES = 1 << 14
-_PARALLEL_WORK = 20_000_000_000
 
 
 @dataclass(frozen=True)
@@ -516,16 +515,45 @@ def _groups(rel: tuple, S: int) -> list:
 @dataclass(frozen=True)
 class _Target:
     """What a search scans for, and what every block needs to know of it."""
-    formula: Formula        # phi, or ~phi when looking for a countermodel
+    formula: Formula        # phi, or ~phi for a countermodel, folded
+    sig: Signature          # phi's predicates and names; variables live in sigma
     variables: frozenset    # every variable of phi, bound ones included
     free: frozenset
     depth: int              # modal depth: the radius of the visible ball
     hoisted: tuple          # the maximal subtrees without K, as nodes of formula
 
 
+_CONSTANT = {Top: (1,), Bot: (0,)}       # a constant's class -> its one bit
+
+
+def _fold(phi: Formula) -> Formula:
+    """phi with every subformula whose value no model, world or assignment
+    can change replaced by Top() or Bot(): a connective whose constant
+    children fix its value, K{t} true and [x := t] over a constant.  K{t}
+    false stays, as it is true at a world without successors.  A node none
+    of whose children changed is returned itself."""
+    kids = children(phi)
+    if not kids:
+        return phi
+    folded = tuple(map(_fold, kids))
+    node = type(phi)
+    if node is Knows:
+        if type(folded[0]) is Top:
+            return folded[0]
+    elif node is Assign:
+        if type(folded[0]) in _CONSTANT:
+            return folded[0]
+    elif any(type(kid) in _CONSTANT for kid in folded):
+        values = {BIT_OPS[node](1, *bits) for bits in itertools.product(
+            *(_CONSTANT.get(type(kid), (0, 1)) for kid in folded))}
+        if len(values) == 1:
+            return Top() if values.pop() else Bot()
+    return phi if folded == kids else rebuild(phi, folded)
+
+
 def _target(phi: Formula, want_false: bool) -> _Target:
     """The target of a search for phi false (want_false) or true."""
-    formula = Not(phi) if want_false else phi
+    formula = _fold(Not(phi) if want_false else phi)
     hoisted = []
 
     def depth(f):
@@ -537,8 +565,9 @@ def _target(phi: Formula, want_false: bool) -> _Target:
         return d
 
     md = depth(formula)
-    return _Target(formula, all_vars(phi), free_vars(phi), md,
-                   tuple(hoisted) if md else (formula,))
+    sig = formula_signature(phi)
+    return _Target(formula, Signature(sig.predicates, sig.names), all_vars(phi),
+                   sig.variables, md, tuple(hoisted) if md else (formula,))
 
 
 def _centres(succ, depth: int) -> list:
@@ -559,16 +588,15 @@ def _centres(succ, depth: int) -> list:
 
 def _scan_slice(target: _Target, sig, n, k, rel_pool, rel_combos):
     """Scan the given relation tuples (indices into rel_pool) of one block
-    in order; return the canonically first hit, or None.
+    in order; return the pointed model of the canonically first hit, or
+    None.
 
     The block's layout fixes every variable's denotation per cell, and
     _compile builds those in; per relation tuple the scan passes the
     successor groups that K over a variable folds (computed once per pool
     relation it meets) and, per chunk, the lane masks of the eta digits,
     the names' denotations.  Only the tuple's centres are pointed worlds
-    (see the module docstring).  The hit is (relation tuple, scan index,
-    world index, free-assignment position), its position in the canonical
-    order, paired with the pointed model it names.
+    (see the module docstring).
     """
     lay = _Layout(sig, n, k, rel_pool, target.variables, target.free)
     run = _compile(target.formula, lay, dict.fromkeys(target.hoisted))
@@ -593,34 +621,8 @@ def _scan_slice(target: _Target, sig, n, k, rel_pool, rel_combos):
                 s = lay.sigmas[lay.free_cells[cell_pos]]
                 sigma = {v: lay.agents[s[lay.var_pos[v]]] for v in lay.free}
                 model = lay.build_model(sig, rel_combo, index)
-                return (rel_combo, index, w, cell_pos), PointedModel(model, lay.worlds[w], sigma)
+                return PointedModel(model, lay.worlds[w], sigma)
     return None
-
-
-def _scan_work(lay: _Layout, n_reps: int, phi: Formula) -> int:
-    """Estimated work of scanning n_reps relation tuples, in lane
-    operations: compiled passes times (world, assignment) cells times
-    formula nodes, each costing its lanes plus _OP_LANES."""
-    passes = n_reps * lay.chunks
-    return passes * lay.n * lay.S * node_count(phi) * (lay.lanes + _OP_LANES)
-
-
-def _stride_slices(reps: list, jobs: int) -> list:
-    """Deal the representatives to min(jobs, CPUs, len(reps)) workers by
-    stride, so that every worker gets small and large tuples alike."""
-    workers = min(jobs, os.cpu_count() or 1, len(reps))
-    return [reps[i::workers] for i in range(workers)]
-
-
-def _main_spawnable() -> bool:
-    """Whether a spawned worker can re-create the main module: it imports
-    it by module name or runs its file again, and a script read from
-    standard input has neither."""
-    main = sys.modules.get("__main__")
-    if getattr(getattr(main, "__spec__", None), "name", None):
-        return True
-    path = getattr(main, "__file__", None)
-    return path is None or os.path.isfile(path)
 
 
 def _agent_cap(target: _Target, sig: Signature, n: int) -> int:
@@ -629,68 +631,42 @@ def _agent_cap(target: _Target, sig: Signature, n: int) -> int:
     return max(1, len(target.free) + len(sig.names) * n)
 
 
-def _search(phi: Formula, bounds: SearchBounds, want_false: bool,
-            jobs: int = 1):
-    if jobs < 1:
-        raise ValueError(f"jobs must be at least 1, not {jobs}")
-    sig = formula_signature(phi)
-    sig = Signature(sig.predicates, sig.names)   # variables live in sigma
+def _search(phi: Formula, bounds: SearchBounds, want_false: bool):
     target = _target(phi, want_false)
-    parallel = jobs > 1 and _main_spawnable()
-    pool = None
-    try:
-        for n in range(1, bounds.max_worlds + 1):
-            if n > 1 and target.depth == 0:
-                break       # a depth-0 ball is {w}: no world is a centre
-            rel_pool = _relation_pool(n, bounds.epistemic)
-            orbits = _Orbits(rel_pool, n)
-            for k in range(1, min(bounds.max_agents, _agent_cap(target, sig, n)) + 1):
-                task = (target, sig, n, k, rel_pool)
-                reps, slices = orbits.representatives(k), []
-                if parallel:
-                    lay = _Layout(sig, n, k, rel_pool, target.variables, target.free)
-                    reps = [r for r in reps
-                            if _centres([rel_pool[i] for i in r], target.depth)]
-                    if _scan_work(lay, len(reps), phi) >= _PARALLEL_WORK:
-                        slices = _stride_slices(reps, jobs)
-                if len(slices) < 2:
-                    hit = _scan_slice(*task, reps)
-                else:
-                    if pool is None:
-                        pool = ProcessPoolExecutor(
-                            max_workers=min(jobs, os.cpu_count() or 1),
-                            mp_context=multiprocessing.get_context("spawn"))
-                    hits = pool.map(functools.partial(_scan_slice, *task), slices)
-                    hit = min((h for h in hits if h is not None), default=None,
-                              key=lambda h: h[0])
-                if hit is not None:
-                    pointed = hit[1]
-                    value = eval_formula(pointed.model, pointed.world, pointed.sigma, phi)
-                    if value == want_false:
-                        raise RuntimeError(
-                            "internal error: fast scan and reference evaluator disagree")
-                    return pointed
-    finally:
-        if pool is not None:
-            pool.shutdown(cancel_futures=True)
+    if isinstance(target.formula, Bot):
+        return None         # no interpretation makes the target true
+    sig = target.sig
+    for n in range(1, bounds.max_worlds + 1):
+        if n > 1 and target.depth == 0:
+            break       # a depth-0 ball is {w}: no world is a centre
+        rel_pool = _relation_pool(n, bounds.epistemic)
+        orbits = _Orbits(rel_pool, n)
+        for k in range(1, min(bounds.max_agents, _agent_cap(target, sig, n)) + 1):
+            pointed = _scan_slice(target, sig, n, k, rel_pool,
+                                  orbits.representatives(k))
+            if pointed is not None:
+                value = eval_formula(pointed.model, pointed.world, pointed.sigma, phi)
+                if value == want_false:
+                    raise RuntimeError(
+                        "internal error: fast scan and reference evaluator disagree")
+                return pointed
     return None
 
 
-def find_countermodel(phi: Formula, bounds: SearchBounds,
-                      jobs: int = 1) -> Countermodel | NoCountermodelUpTo:
+def find_countermodel(phi: Formula,
+                      bounds: SearchBounds) -> Countermodel | NoCountermodelUpTo:
     """First pointed model within the bounds where phi is false, scanning
     the canonical enumeration; the hit is re-verified by the reference
     evaluator."""
-    pointed = _search(phi, bounds, want_false=True, jobs=jobs)
+    pointed = _search(phi, bounds, want_false=True)
     if pointed is None:
         return NoCountermodelUpTo(bounds)
     return Countermodel(pointed)
 
 
-def find_witness(phi: Formula, bounds: SearchBounds,
-                 jobs: int = 1) -> Witness | UnsatisfiableUpTo:
+def find_witness(phi: Formula, bounds: SearchBounds) -> Witness | UnsatisfiableUpTo:
     """Dual of find_countermodel: first pointed model where phi is true."""
-    pointed = _search(phi, bounds, want_false=False, jobs=jobs)
+    pointed = _search(phi, bounds, want_false=False)
     if pointed is None:
         return UnsatisfiableUpTo(bounds)
     return Witness(pointed)

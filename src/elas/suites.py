@@ -122,8 +122,7 @@ def _check_trials(trials: int) -> None:
 
 
 def validity_table_suite(bounds: SearchBounds = DEFAULT_BOUNDS,
-                         trials: int = 10000, seed: int = 0,
-                         jobs: int = 1) -> dict:
+                         trials: int = 10000, seed: int = 0) -> dict:
     """Check every table entry; invalid rows must yield verified
     countermodels, valid rows must exhaust the bounds and survive the
     random trials."""
@@ -137,7 +136,7 @@ def validity_table_suite(bounds: SearchBounds = DEFAULT_BOUNDS,
         for text in entry["formulas"]:
             phi = parse_formula(text)
             started = time.monotonic()
-            verdict = find_countermodel(phi, bounds, jobs=jobs)
+            verdict = find_countermodel(phi, bounds)
             record = {"formula": text,
                       "expectation": entry["expectation"]}
             if entry["expectation"] == "invalid":
@@ -371,12 +370,12 @@ def robot_readings() -> dict:
     }
 
 
-def corpus_suite(bounds: SearchBounds = DEFAULT_BOUNDS, jobs: int = 1) -> dict:
+def corpus_suite(bounds: SearchBounds = DEFAULT_BOUNDS) -> dict:
     witnesses = []
     all_ok = True
     for label, phi in corpus_formulas().items():
         started = time.monotonic()
-        verdict = find_witness(phi, bounds, jobs=jobs)
+        verdict = find_witness(phi, bounds)
         ok = isinstance(verdict, Witness)
         record = {"formula": print_formula(phi), "label": label, "ok": ok,
                   "elapsed_ms": int((time.monotonic() - started) * 1000)}
@@ -391,7 +390,7 @@ def corpus_suite(bounds: SearchBounds = DEFAULT_BOUNDS, jobs: int = 1) -> dict:
     for i in range(len(labels)):
         for j in range(i + 1, len(labels)):
             phi = Not(Iff(readings[labels[i]], readings[labels[j]]))
-            verdict = find_witness(phi, bounds, jobs=jobs)
+            verdict = find_witness(phi, bounds)
             ok = isinstance(verdict, Witness)
             record = {"pair": [labels[i], labels[j]], "separated": ok}
             if ok:

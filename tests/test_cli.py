@@ -268,6 +268,14 @@ class TestUsage:
         assert code == 2 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    def test_jobs_above_one_ignored(self, capsys):
+        formula = "K{a} P(b) -> K{a} K{a} P(b)"
+        plain = run(capsys, "valid", formula)
+        assert plain[2] == ""
+        code, out, err = run(capsys, "valid", formula, "--jobs", "2")
+        assert (code, out) == plain[:2]
+        assert err.count("\n") == 1 and "ignored" in err
+
     @pytest.mark.parametrize("argv", [
         ("suite", "soundness", "--trials", "-5"),
         ("suite", "validity-table", "--trials", "-5"),

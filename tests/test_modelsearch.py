@@ -1,12 +1,7 @@
 import hashlib
 import itertools
 import json
-import os
 import random
-import subprocess
-import sys
-import textwrap
-from pathlib import Path
 
 import pytest
 
@@ -22,7 +17,9 @@ from elas.semantics import (
     PointedModel, Signature, eval_formula, is_epistemic, make_model,
     model_to_dict, validate_model,
 )
-from elas.randgen import random_formula
+from elas.randgen import (
+    random_epistemic_model, random_formula, random_model, random_sigma,
+)
 from elas.suites import (
     VALIDITY_TABLE, corpus_formulas, robot_readings, separation_models,
 )
@@ -54,9 +51,9 @@ def _search_cases():
 SEARCH_CASES = _search_cases()
 
 
-def _first_point(phi, bounds, target, jobs=1):
+def _first_point(phi, bounds, target):
     search = find_witness if target else find_countermodel
-    pointed = getattr(search(phi, bounds, jobs=jobs), "pointed", None)
+    pointed = getattr(search(phi, bounds), "pointed", None)
     if pointed is None:
         return None
     return model_to_dict(pointed.model), pointed.world, pointed.sigma
@@ -170,70 +167,6 @@ class TestFindCountermodel:
         assert model_to_dict(v1.pointed.model) == model_to_dict(v2.pointed.model)
         assert v1.pointed.world == v2.pointed.world
 
-    def test_parallel_agrees_with_serial(self, monkeypatch):
-        monkeypatch.setattr(modelsearch, "_PARALLEL_WORK", 0)
-        phi = parse_formula("~(?x = a) -> K{b} ~(?x = a)")
-        v1 = find_countermodel(phi, EPISTEMIC33, jobs=1)
-        v2 = find_countermodel(phi, EPISTEMIC33, jobs=3)
-        assert model_to_dict(v1.pointed.model) == model_to_dict(v2.pointed.model)
-        assert (v1.pointed.world, v1.pointed.sigma) == \
-            (v2.pointed.world, v2.pointed.sigma)
-
-    @pytest.mark.parametrize("text, target", [
-        ("[?x := ?y] K{a} P(?x) -> K{a} [?x := ?y] P(?x)", False),
-        ("~K{a} P(?x) -> K{a} ~K{a} P(?x)", False),
-        ("K{a} ~P(b) & K{b} P(a) & ~a = b", True),
-    ])
-    def test_parallel_agrees_with_serial_on_any_frames(self, text, target,
-                                                       monkeypatch):
-        monkeypatch.setattr(modelsearch, "_PARALLEL_WORK", 0)
-        phi = parse_formula(text)
-        serial = _first_point(phi, ARBITRARY22, target)
-        assert _first_point(phi, ARBITRARY22, target, jobs=2) == serial
-
-    def test_wide_block_reaches_parallel_threshold(self):
-        # the (4, 3) block of a two-name formula of modal depth 2 is seconds
-        # of scanning, counting only the tuples with a centre
-        phi = parse_formula("K{a} P(b) -> K{a} K{a} P(b)")
-        lay = modelsearch._Layout(formula_signature(phi), 4, 3,
-                                  modelsearch._relation_pool(4, True), (), ())
-        reps = [r for r in modelsearch._Orbits(lay.rel_pool, 4).representatives(3)
-                if modelsearch._centres([lay.rel_pool[i] for i in r], 2)]
-        assert len(reps) == 56
-        assert modelsearch._scan_work(lay, len(reps), phi) >= \
-            modelsearch._PARALLEL_WORK
-
-    def test_script_on_stdin_scans_in_process(self):
-        # A spawned worker cannot re-run a main module read from standard
-        # input, so the search must not start one.
-        script = textwrap.dedent("""
-            from elas import modelsearch
-            from elas.semantics import model_to_dict
-            from elas.syntax import parse_formula
-            modelsearch._PARALLEL_WORK = 0
-            phi = parse_formula("K{a} P(b) -> K{a} K{a} P(b)")
-            for jobs in (1, 2):
-                verdict = modelsearch.find_countermodel(
-                    phi, modelsearch.SearchBounds(3, 3), jobs=jobs)
-                p = verdict.pointed
-                print(model_to_dict(p.model), p.world, p.sigma)
-        """)
-        src = str(Path(modelsearch.__file__).resolve().parents[1])
-        done = subprocess.run([sys.executable, "-"], input=script, text=True,
-                              capture_output=True, timeout=120,
-                              env={**os.environ, "PYTHONPATH": src})
-        assert done.returncode == 0, done.stderr
-        serial, parallel = done.stdout.splitlines()
-        assert parallel == serial
-
-    def test_small_blocks_start_no_workers(self, monkeypatch):
-        def no_pool(*args, **kwargs):
-            raise AssertionError("a worker pool was started")
-        monkeypatch.setattr(modelsearch, "ProcessPoolExecutor", no_pool)
-        phi = parse_formula("K{a} P(b) -> K{a} K{a} P(b)")
-        assert _first_point(phi, EPISTEMIC33, False, jobs=2) == \
-            _first_point(phi, EPISTEMIC33, False)
-
     def test_valid_table_formulas_survive_four_worlds(self):
         valid = [text for entry in VALIDITY_TABLE
                  if entry["expectation"] == "valid" for text in entry["formulas"]]
@@ -242,10 +175,6 @@ class TestFindCountermodel:
         for text in valid:
             assert find_countermodel(parse_formula(text), bounds) == \
                 NoCountermodelUpTo(bounds), text
-
-    def test_jobs_below_one_rejected(self):
-        with pytest.raises(ValueError):
-            find_countermodel(parse_formula("true"), EPISTEMIC22, jobs=0)
 
 
 class TestOrbitRepresentatives:
@@ -328,16 +257,54 @@ class TestOrbitRepresentatives:
             list(orbits.representatives(smaller))
         assert list(orbits.representatives(k)) == minima
 
-    def test_stride_slices_cap(self, monkeypatch):
-        reps = [(i,) for i in range(7)]
-        monkeypatch.setattr(modelsearch.os, "cpu_count", lambda: 4)
-        assert modelsearch._stride_slices(reps, 3) == [
-            [(0,), (3,), (6,)], [(1,), (4,)], [(2,), (5,)]]
-        assert len(modelsearch._stride_slices(reps, 16)) == 4
-        assert modelsearch._stride_slices(reps[:2], 16) == [[(0,)], [(1,)]]
-        assert modelsearch._stride_slices(reps, 1) == [reps]
-        monkeypatch.setattr(modelsearch.os, "cpu_count", lambda: None)
-        assert modelsearch._stride_slices(reps, 8) == [reps]
+
+class TestFold:
+    @pytest.mark.parametrize("text, want_false", [
+        # formulas 3-5 and 7 of ROADMAP item 1, searched for a countermodel
+        ("K{?y} (true & true) | K{?y} Q(?y, ?x)", True),
+        ("K{a} (false & P(b) -> P(?x) & Q(b, a))", True),
+        ("(~P(b) <-> Q(?y, a)) -> K{?x} (false -> P(?y))", True),
+        ("K{b} (Q(a, b) -> Q(b, ?x)) -> ~(false <-> true)", True),
+        # and a conjunction with false, searched for a witness
+        ("(K{a} (a = a) <-> ~P(?x)) & (false & (false -> Q(?y, a)))", False),
+    ])
+    def test_constant_targets_answer_at_once(self, text, want_false,
+                                             monkeypatch):
+        def no_scan(*args):
+            raise AssertionError("a block was scanned")
+        monkeypatch.setattr(modelsearch, "_scan_slice", no_scan)
+        phi = parse_formula(text)
+        assert modelsearch._target(phi, want_false).formula is Bot()
+        search = find_countermodel if want_false else find_witness
+        negative = NoCountermodelUpTo if want_false else UnsatisfiableUpTo
+        assert search(phi, EPISTEMIC33) == negative(EPISTEMIC33)
+
+    def test_unfoldable_node_is_kept(self):
+        phi = parse_formula("K{a} false | P(a)")
+        assert modelsearch._target(phi, False).formula is phi
+        assert modelsearch._target(phi, True).formula is Not(phi)
+
+    def test_folded_target_keeps_its_value(self):
+        # naive_eval, not the library evaluator, on random models of both
+        # frame classes, every world and a random assignment
+        rng = random.Random(1805)
+        sig = Signature({"P": 1, "Q": 2}, frozenset({"a", "b"}))
+        folded = 0
+        for trial in range(400):
+            phi = random_formula(rng, ("x", "y"), ("a", "b"), {"P": 1, "Q": 2},
+                                 depth=3 + trial % 2)
+            sample = random_epistemic_model if trial % 2 else random_model
+            model = sample(rng, sig, 3, 3)
+            doc = model_to_dict(model)
+            sigma = random_sigma(rng, ("x", "y"), model)
+            for want_false in (False, True):
+                target = Not(phi) if want_false else phi
+                formula = modelsearch._target(phi, want_false).formula
+                folded += formula is not target
+                for world in model.worlds:
+                    assert naive_eval(doc, world, sigma, formula) == \
+                        naive_eval(doc, world, sigma, target), print_formula(phi)
+        assert folded >= 100
 
 
 class TestCentres:
@@ -510,9 +477,8 @@ class TestFastScanAgainstSlowScan:
         for n, k in modelsearch._blocks(bounds):
             pool = modelsearch._relation_pool(n, bounds.epistemic)
             every = itertools.product(range(len(pool)), repeat=k)
-            hit = modelsearch._scan_slice(wanted, sig, n, k, pool, every)
-            if hit is not None:
-                pointed = hit[1]
+            pointed = modelsearch._scan_slice(wanted, sig, n, k, pool, every)
+            if pointed is not None:
                 return model_to_dict(pointed.model), pointed.world, pointed.sigma
         return None
 
@@ -594,6 +560,12 @@ class TestFastScanAgainstSlowScan:
         ("K{a} P(?x) -> K{a} K{a} P(?x)", False),
         ("[?x := a] K{b} P(?x) -> K{b} P(a)", False),
         ("K{?x} ~P(?x) & P(a)", True),
+        # constant subformulas, folded before the scan; K{a} false is not
+        # constant on arbitrary frames
+        ("K{a} false | P(a)", False),
+        ("K{a} (false & P(b)) -> P(?x)", False),
+        ("(false -> P(?x)) & ~K{a} P(a)", True),
+        ("[?x := a] true -> K{b} (P(?x) | ~K{?x} true)", False),
     ])
     def test_first_hits_agree_across_chunks(self, text, target, lanes,
                                             monkeypatch):
