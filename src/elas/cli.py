@@ -152,16 +152,16 @@ def cmd_prove(args) -> int:
 
 def cmd_suite(args) -> int:
     runner = SUITES[args.name]
+    bounds = _bounds(args)      # checked even where the suite does not search
     kwargs = {}
     if args.name == "validity-table":
-        kwargs = {"bounds": _bounds(args), "trials": args.trials,
-                  "seed": args.seed}
+        kwargs = {"bounds": bounds, "trials": args.trials, "seed": args.seed}
     elif args.name == "prop24":
         kwargs = {"max_size": args.max_size}
     elif args.name == "soundness":
         kwargs = {"trials": args.trials, "seed": args.seed}
     elif args.name == "corpus":
-        kwargs = {"bounds": _bounds(args)}
+        kwargs = {"bounds": bounds}
     report = runner(**kwargs)
     if args.json:
         print(json.dumps(report, indent=2, sort_keys=True))

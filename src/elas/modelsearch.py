@@ -70,16 +70,18 @@ earlier.  The search therefore scans agent counts only up to
 max(1, cap(n)); the first hit is unchanged, and a negative verdict still
 speaks for the requested bounds.
 
-The target is folded first (_fold): every subformula whose value no
-model, world or assignment can change becomes true or false, such as
-false & psi, psi -> true, K{t} true or an assignment over a constant.
-K{t} false stays, as it is true at a world without successors.  Each
-rule keeps the value at every pointed model on any frame, so the folded
-target has the same hits in the same order and the first hit is
-unchanged; its modal depth can only fall, and the pruning above holds
-for any formula equivalent to phi.  The variables, the signature and the
-agent cap are still read from phi, and a hit is re-verified against phi.
-A target folded to false has no hit, and the search returns at once
+The target is read in one walk (_target).  It folds every subformula
+whose value no model, world or assignment can change into true or false,
+such as false & psi, psi -> true, K{t} true or an assignment over a
+constant; K{t} false stays, as it is true at a world without successors.
+On the way back up it gives each folded node its modal depth, records the
+maximal subtrees without K for the scan to hoist, and collects every
+variable it meets.  Each fold rule keeps the value at every pointed model
+on any frame, so the folded target has the same hits in the same order
+and the first hit is unchanged; its modal depth can only fall, and the
+pruning above holds for any formula equivalent to phi.  The signature and
+the agent cap are still read from phi, and a hit is re-verified against
+phi.  A target folded to false has no hit, and the search returns at once
 instead of scanning every block.
 
 Bounded search is deliberately incomplete: a negative answer only speaks
@@ -101,8 +103,8 @@ from .semantics import (
 )
 from .syntax import (
     BINARY, And, Assign, Bot, Eq, Formula, Iff, Implies, Knows, Name, Not, Or,
-    Pred, Signature, Top, Var, all_vars, children, formula_signature,
-    node_count, rebuild,
+    Pred, Signature, Top, Var, children, formula_signature, node_count,
+    rebuild, terms_of,
 )
 
 _LANES = 1 << 16         # scan indices per compiled pass, at most
@@ -419,12 +421,6 @@ def _compile(phi: Formula, lay: _Layout, hoisted: dict):
     raise TypeError(f"not a formula: {phi!r}")
 
 
-def _blocks(bounds: SearchBounds):
-    for n in range(1, bounds.max_worlds + 1):
-        for k in range(1, bounds.max_agents + 1):
-            yield n, k
-
-
 def _relation_pool(n: int, epistemic: bool) -> list:
     """Every per-agent relation on n worlds, as a successor tuple, in
     enumeration order: the set partitions for epistemic frames, every
@@ -462,7 +458,7 @@ class _Orbits:
         pairs = [[w * n + v for w, succ in enumerate(rel) for v in succ]
                  for rel in pool]
         index = {sum(1 << p for p in rel): i for i, rel in enumerate(pairs)}
-        self.size = len(pool)
+        self.pool = pool
         self.table = []
         for perm in itertools.islice(itertools.permutations(range(n)), 1, None):
             moved = [1 << (perm[w] * n + perm[v]) for w in range(n) for v in range(n)]
@@ -480,7 +476,7 @@ class _Orbits:
             return
         found = []
         for prefix in self.done[k - 1]:
-            for r in range(prefix[-1] if prefix else 0, self.size):
+            for r in range(prefix[-1] if prefix else 0, len(self.pool)):
                 rels = prefix + (r,)
                 if self._minimal(rels):
                     found.append(rels)
@@ -526,47 +522,51 @@ class _Target:
 _CONSTANT = {Top: (1,), Bot: (0,)}       # a constant's class -> its one bit
 
 
-def _fold(phi: Formula) -> Formula:
-    """phi with every subformula whose value no model, world or assignment
-    can change replaced by Top() or Bot(): a connective whose constant
-    children fix its value, K{t} true and [x := t] over a constant.  K{t}
-    false stays, as it is true at a world without successors.  A node none
-    of whose children changed is returned itself."""
-    kids = children(phi)
-    if not kids:
-        return phi
-    folded = tuple(map(_fold, kids))
-    node = type(phi)
+def _constant(node: type, kids: tuple):
+    """Top() or Bot() if a node of class node over the folded kids is
+    constant (see the module docstring), else None."""
     if node is Knows:
-        if type(folded[0]) is Top:
-            return folded[0]
-    elif node is Assign:
-        if type(folded[0]) in _CONSTANT:
-            return folded[0]
-    elif any(type(kid) in _CONSTANT for kid in folded):
-        values = {BIT_OPS[node](1, *bits) for bits in itertools.product(
-            *(_CONSTANT.get(type(kid), (0, 1)) for kid in folded))}
-        if len(values) == 1:
-            return Top() if values.pop() else Bot()
-    return phi if folded == kids else rebuild(phi, folded)
+        return kids[0] if type(kids[0]) is Top else None
+    if node is Assign:
+        return kids[0] if type(kids[0]) in _CONSTANT else None
+    if not any(type(kid) in _CONSTANT for kid in kids):
+        return None
+    values = {BIT_OPS[node](1, *bits) for bits in itertools.product(
+        *(_CONSTANT.get(type(kid), (0, 1)) for kid in kids))}
+    return (Top() if values.pop() else Bot()) if len(values) == 1 else None
 
 
 def _target(phi: Formula, want_false: bool) -> _Target:
-    """The target of a search for phi false (want_false) or true."""
-    formula = _fold(Not(phi) if want_false else phi)
-    hoisted = []
+    """The target of a search for phi false (want_false) or true, read in
+    one walk (see the module docstring)."""
+    variables, hoisted = set(), []
 
-    def depth(f):
+    def walk(f):
+        """f folded, and its modal depth.  A node none of whose children
+        changed is returned itself.  The K-free children of a node with K
+        below it are hoisted; a subtree that folds to a constant drops
+        what its own nodes hoisted."""
+        if type(f) is Assign:
+            variables.add(f.var)
+        variables.update(t.id for t in terms_of(f) if type(t) is Var)
         kids = children(f)
-        depths = [depth(kid) for kid in kids]
-        d = max(depths, default=0) + isinstance(f, Knows)
+        if not kids:
+            return f, 0
+        mark = len(hoisted)
+        walked = [walk(kid) for kid in kids]
+        folded = tuple(kid for kid, _ in walked)
+        constant = _constant(type(f), folded)
+        if constant is not None:
+            del hoisted[mark:]
+            return constant, 0
+        d = max(kd for _, kd in walked) + (type(f) is Knows)
         if d:
-            hoisted.extend(kid for kid, kd in zip(kids, depths) if kd == 0)
-        return d
+            hoisted.extend(kid for kid, kd in walked if kd == 0)
+        return (f if folded == kids else rebuild(f, folded)), d
 
-    md = depth(formula)
+    formula, md = walk(Not(phi) if want_false else phi)
     sig = formula_signature(phi)
-    return _Target(formula, Signature(sig.predicates, sig.names), all_vars(phi),
+    return _Target(formula, Signature(sig.predicates, sig.names), frozenset(variables),
                    sig.variables, md, tuple(hoisted) if md else (formula,))
 
 
@@ -586,8 +586,8 @@ def _centres(succ, depth: int) -> list:
     return out
 
 
-def _scan_slice(target: _Target, sig, n, k, rel_pool, rel_combos):
-    """Scan the given relation tuples (indices into rel_pool) of one block
+def _scan_block(target: _Target, n: int, k: int, pool: list, combos):
+    """Scan the given relation tuples (indices into pool) of block (n, k)
     in order; return the pointed model of the canonically first hit, or
     None.
 
@@ -598,17 +598,17 @@ def _scan_slice(target: _Target, sig, n, k, rel_pool, rel_combos):
     the names' denotations.  Only the tuple's centres are pointed worlds
     (see the module docstring).
     """
-    lay = _Layout(sig, n, k, rel_pool, target.variables, target.free)
+    lay = _Layout(target.sig, n, k, pool, target.variables, target.free)
     run = _compile(target.formula, lay, dict.fromkeys(target.hoisted))
     groups_of = {}          # pool index -> _groups, for the relations scanned
-    for rel_combo in rel_combos:
-        succ = tuple(lay.rel_pool[i] for i in rel_combo)
+    for rel_combo in combos:
+        succ = tuple(pool[i] for i in rel_combo)
         centres = _centres(succ, target.depth)
         if not centres:
             continue
         for i in rel_combo:
             if i not in groups_of:
-                groups_of[i] = _groups(lay.rel_pool[i], lay.S)
+                groups_of[i] = _groups(pool[i], lay.S)
         groups = tuple(groups_of[i] for i in rel_combo)
         for chunk in range(lay.chunks):
             masks = run((succ, groups, *lay.chunk_digits(chunk), chunk))
@@ -620,30 +620,27 @@ def _scan_slice(target: _Target, sig, n, k, rel_pool, rel_combos):
                 index = chunk * lay.lanes + lane
                 s = lay.sigmas[lay.free_cells[cell_pos]]
                 sigma = {v: lay.agents[s[lay.var_pos[v]]] for v in lay.free}
-                model = lay.build_model(sig, rel_combo, index)
+                model = lay.build_model(target.sig, rel_combo, index)
                 return PointedModel(model, lay.worlds[w], sigma)
     return None
 
 
-def _agent_cap(target: _Target, sig: Signature, n: int) -> int:
+def _agent_cap(target: _Target, n: int) -> int:
     """The most agents a first hit with n worlds can have: one per free
     variable and one per name and world (see the module docstring)."""
-    return max(1, len(target.free) + len(sig.names) * n)
+    return max(1, len(target.free) + len(target.sig.names) * n)
 
 
 def _search(phi: Formula, bounds: SearchBounds, want_false: bool):
     target = _target(phi, want_false)
     if isinstance(target.formula, Bot):
         return None         # no interpretation makes the target true
-    sig = target.sig
     for n in range(1, bounds.max_worlds + 1):
         if n > 1 and target.depth == 0:
             break       # a depth-0 ball is {w}: no world is a centre
-        rel_pool = _relation_pool(n, bounds.epistemic)
-        orbits = _Orbits(rel_pool, n)
-        for k in range(1, min(bounds.max_agents, _agent_cap(target, sig, n)) + 1):
-            pointed = _scan_slice(target, sig, n, k, rel_pool,
-                                  orbits.representatives(k))
+        orbits = _Orbits(_relation_pool(n, bounds.epistemic), n)
+        for k in range(1, min(bounds.max_agents, _agent_cap(target, n)) + 1):
+            pointed = _scan_block(target, n, k, orbits.pool, orbits.representatives(k))
             if pointed is not None:
                 value = eval_formula(pointed.model, pointed.world, pointed.sigma, phi)
                 if value == want_false:
@@ -679,12 +676,13 @@ def enumerate_models(sig: Signature, bounds: SearchBounds):
     pointed worlds that are not centres of their tuple, and agent counts
     above the formula's cap (see the module docstring).  The stream is
     exponential in the bounds; it is meant for desk-scale signatures."""
-    for n, k in _blocks(bounds):
-        lay = _Layout(sig, n, k, _relation_pool(n, bounds.epistemic), (), ())
-        rel_indices = range(len(lay.rel_pool))
-        for rel_combo in itertools.product(rel_indices, repeat=k):
-            for index in range(lay.etas << lay.rho_bits):
-                yield lay.build_model(sig, rel_combo, index)
+    for n in range(1, bounds.max_worlds + 1):
+        pool = _relation_pool(n, bounds.epistemic)
+        for k in range(1, bounds.max_agents + 1):
+            lay = _Layout(sig, n, k, pool, (), ())
+            for rel_combo in itertools.product(range(len(pool)), repeat=k):
+                for index in range(lay.etas << lay.rho_bits):
+                    yield lay.build_model(sig, rel_combo, index)
 
 
 # ---------------------------------------------------------------------------

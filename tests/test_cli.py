@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from conftest import FIXTURES, PROOFS
+from reference import FIXTURES, PROOFS
 
 from elas.cli import main
 from elas.proofkit import ProofScript, ProofStep, bundled_theorems, print_script
@@ -282,6 +282,11 @@ class TestUsage:
         ("suite", "prop24", "--max-size", "-1"),
         ("valid", "a = a", "--worlds", "x"),
         ("translate", "a = a", "--form", "both"),
+        # bounds flags are checked for the suites that do not search, too
+        ("suite", "soundness", "--trials", "5", "--worlds", "0"),
+        ("suite", "soundness", "--trials", "5", "--jobs", "0"),
+        ("suite", "prop24", "--agents", "0"),
+        ("suite", "corpus", "--worlds", "0"),
     ])
     def test_malformed_flags_one_error_line(self, capsys, argv):
         code, out, err = run(capsys, *argv)

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from conftest import naive_eval
+from reference import naive_eval
 
 from elas import modelsearch
 from elas.modelsearch import (
@@ -25,7 +25,7 @@ from elas.suites import (
 )
 from elas.syntax import (
     And, Assign, Bot, Eq, Iff, Implies, Knows, Name, Not, Or, Pred, Top, Var,
-    all_vars, formula_signature, free_vars, is_el_fragment, knows_who,
+    all_vars, children, formula_signature, free_vars, is_el_fragment, knows_who,
     node_count, parse_formula, print_formula,
 )
 
@@ -272,7 +272,7 @@ class TestFold:
                                              monkeypatch):
         def no_scan(*args):
             raise AssertionError("a block was scanned")
-        monkeypatch.setattr(modelsearch, "_scan_slice", no_scan)
+        monkeypatch.setattr(modelsearch, "_scan_block", no_scan)
         phi = parse_formula(text)
         assert modelsearch._target(phi, want_false).formula is Bot()
         search = find_countermodel if want_false else find_witness
@@ -284,19 +284,25 @@ class TestFold:
         assert modelsearch._target(phi, False).formula is phi
         assert modelsearch._target(phi, True).formula is Not(phi)
 
-    def test_folded_target_keeps_its_value(self):
-        # naive_eval, not the library evaluator, on random models of both
-        # frame classes, every world and a random assignment
+    @staticmethod
+    def _seeded_trials():
+        """400 seeded (formula, model, assignment) trials over both frame
+        classes."""
         rng = random.Random(1805)
         sig = Signature({"P": 1, "Q": 2}, frozenset({"a", "b"}))
-        folded = 0
         for trial in range(400):
             phi = random_formula(rng, ("x", "y"), ("a", "b"), {"P": 1, "Q": 2},
                                  depth=3 + trial % 2)
             sample = random_epistemic_model if trial % 2 else random_model
             model = sample(rng, sig, 3, 3)
+            yield phi, model, random_sigma(rng, ("x", "y"), model)
+
+    def test_folded_target_keeps_its_value(self):
+        # naive_eval, not the library evaluator, on random models of both
+        # frame classes, every world and a random assignment
+        folded = 0
+        for phi, model, sigma in self._seeded_trials():
             doc = model_to_dict(model)
-            sigma = random_sigma(rng, ("x", "y"), model)
             for want_false in (False, True):
                 target = Not(phi) if want_false else phi
                 formula = modelsearch._target(phi, want_false).formula
@@ -305,6 +311,33 @@ class TestFold:
                     assert naive_eval(doc, world, sigma, formula) == \
                         naive_eval(doc, world, sigma, target), print_formula(phi)
         assert folded >= 100
+
+    def test_target_records_what_the_scan_reads(self):
+        # _compile hoists exactly the maximal K-free subtrees, the layout
+        # needs every variable, and the centres need the modal depth
+        def has_k(f):
+            return isinstance(f, Knows) or any(map(has_k, children(f)))
+
+        def modal_depth(f):
+            depth = max(map(modal_depth, children(f)), default=0)
+            return depth + isinstance(f, Knows)
+
+        def maximal_k_free(f):
+            if not has_k(f):
+                return {f}
+            return set().union(*(maximal_k_free(kid) for kid in children(f)))
+
+        hoisting = 0
+        for phi, _, _ in self._seeded_trials():
+            for want_false in (False, True):
+                target = modelsearch._target(phi, want_false)
+                assert maximal_k_free(target.formula) == set(target.hoisted)
+                assert not any(map(has_k, target.hoisted))
+                assert target.depth == modal_depth(target.formula)
+                assert target.variables == all_vars(phi)
+                assert target.free == free_vars(phi)
+                hoisting += target.depth > 0
+        assert hoisting >= 200
 
 
 class TestCentres:
@@ -471,15 +504,14 @@ class TestFastScanAgainstSlowScan:
         """First hit of the compiled scan over every relation tuple, in
         canonical order: the scan the orbit reduction leaves out.  It
         prunes by modal depth like the search; _slow_first_point does not."""
-        sig = formula_signature(phi)
-        sig = Signature(dict(sig.predicates), sig.names)
         wanted = modelsearch._target(phi, not target)
-        for n, k in modelsearch._blocks(bounds):
+        for n in range(1, bounds.max_worlds + 1):
             pool = modelsearch._relation_pool(n, bounds.epistemic)
-            every = itertools.product(range(len(pool)), repeat=k)
-            pointed = modelsearch._scan_slice(wanted, sig, n, k, pool, every)
-            if pointed is not None:
-                return model_to_dict(pointed.model), pointed.world, pointed.sigma
+            for k in range(1, bounds.max_agents + 1):
+                every = itertools.product(range(len(pool)), repeat=k)
+                pointed = modelsearch._scan_block(wanted, n, k, pool, every)
+                if pointed is not None:
+                    return model_to_dict(pointed.model), pointed.world, pointed.sigma
         return None
 
     def _slow_first_point(self, phi, bounds, target):
@@ -584,7 +616,7 @@ class TestFastScanAgainstSlowScan:
     def test_layout_covers_the_index(self, text, lanes, monkeypatch):
         monkeypatch.setattr(modelsearch, "_LANES", lanes)
         phi = parse_formula(text)
-        for n, k in modelsearch._blocks(SearchBounds(4, 3, True)):
+        for n, k in itertools.product(range(1, 5), range(1, 4)):
             lay = modelsearch._Layout(formula_signature(phi), n, k,
                                       modelsearch._relation_pool(n, True),
                                       all_vars(phi), free_vars(phi))
@@ -621,9 +653,8 @@ class TestFastScanAgainstSlowScan:
         # as the free variables and the names at every world can denote.
         phi = parse_formula(text)
         slow = self._slow_first_point(phi, bounds, target)
-        sig = formula_signature(phi)
         cap = modelsearch._agent_cap(modelsearch._target(phi, not target),
-                                     sig, len(slow[0]["worlds"]))
+                                     len(slow[0]["worlds"]))
         assert len(slow[0]["agents"]) == cap
         assert _first_point(phi, bounds, target) == slow
 
@@ -634,12 +665,12 @@ class TestFastScanAgainstSlowScan:
     ])
     def test_blocks_stop_at_the_agent_cap(self, text, caps, monkeypatch):
         scanned = []
-        scan = modelsearch._scan_slice
+        scan = modelsearch._scan_block
 
-        def spy(target, sig, n, k, *rest):
+        def spy(target, n, k, *rest):
             scanned.append((n, k))
-            return scan(target, sig, n, k, *rest)
-        monkeypatch.setattr(modelsearch, "_scan_slice", spy)
+            return scan(target, n, k, *rest)
+        monkeypatch.setattr(modelsearch, "_scan_block", spy)
         verdict = find_countermodel(parse_formula(text), EPISTEMIC33)
         assert verdict == NoCountermodelUpTo(EPISTEMIC33)
         assert scanned == [(n, k) for n in (1, 2, 3)

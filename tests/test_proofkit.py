@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from conftest import PROOFS, ROOT
+from reference import PROOFS, ROOT
 
 from elas.proofkit import (
     AXIOM_IDS, BUNDLED, _LEMMA_BUILDERS, AtomBudgetError, Axiom, Lemma, MP,

@@ -14,7 +14,7 @@ import string
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from conftest import FIXTURES, PROOFS
+from reference import FIXTURES, PROOFS
 
 from elas.cli import main
 from elas.proofkit import (

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from conftest import FIXTURES, naive_eval
+from reference import FIXTURES, naive_eval
 
 from elas.randgen import (
     random_epistemic_model, random_formula, random_model, random_sigma,

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from conftest import ROOT
+from reference import ROOT
 
 from elas.randgen import (
     random_epistemic_model, random_formula, random_model, random_sigma,
