@@ -17,7 +17,7 @@ from .modelsearch import (
     Countermodel, SearchBounds, Witness, find_countermodel, find_witness,
 )
 from .proofkit import ScriptError, check_proof, load_script
-from .semantics import EvalError, ModelError, eval_formula, model_from_dict
+from .semantics import EvalError, ModelError, eval_formula, model_from_dict, read_model_file
 from .suites import SUITES, _pointed_to_dict
 from .syntax import (
     ArityError, ParseError, free_vars, parse_formula, print_formula,
@@ -77,8 +77,7 @@ def cmd_parse(args) -> int:
 
 
 def cmd_check(args) -> int:
-    with open(args.model, encoding="utf-8") as fh:
-        data = json.load(fh)
+    data = read_model_file(args.model)
     model = model_from_dict(data)
     world = args.world if args.world is not None else data.get("world")
     if world is None:

@@ -17,15 +17,16 @@ breaking, as in SEM's least-number heuristic and in MACE-style finders).
 This is exact: an isomorphic copy of a hit is a hit, because every world,
 predicate and name interpretation and free assignment is scanned, and the
 relation tuple is the outermost key of the order, so the first hit always
-lies on an orbit-minimal tuple.  The orbit-minimal tuples of a world
-count are built once per search, each agent count extending the tuples
-of the one before (_Orbits).  They also keep the candidate model in a
-compact form: for a fixed relation tuple the formula's truth value at
-every (world, assignment) cell is computed for a chunk of consecutive scan
-indices at once, one bitmask lane per index (Python integers as bit
-vectors), so the lowest set bit of a cell is its first hit.  That hit is
-rebuilt as a real model and re-verified with the reference evaluator
-before it is returned; the fast path is never trusted on its own.
+lies on an orbit-minimal tuple.  Not depending on the formula, they are
+built once per process and frame class, each agent count extending the
+tuples of the one before (_Frames); a search still runs in one thread at
+a time.  The scan keeps the candidate model in a compact form: for a
+fixed relation tuple the formula's truth value at every (world,
+assignment) cell is computed for a chunk of consecutive scan indices at
+once, one bitmask lane per index (Python integers as bit vectors), so
+the lowest set bit of a cell is its first hit.  That hit is rebuilt as a
+real model and re-verified with the reference evaluator before it is
+returned; the fast path is never trusted on its own.
 
 The searches also skip every pointed world that the formula cannot tell
 from a smaller model.  Names, predicates and assignments never move the
@@ -44,13 +45,13 @@ one), so if the ball misses a world, a hit at w is also a hit, after
 renaming the worlds, in a block with fewer worlds and the same agents,
 which comes earlier in the order.  A search that reaches block (n, k)
 therefore has no hit at such a w: only a tuple's centres, the worlds
-whose ball holds every world, are pointed worlds, a tuple without one is
-skipped, and at depth 0 (the ball is {w}) the search stops after the
-one-world blocks.  The first hit is unchanged.  A subformula without K
-reads no relation at all, so its masks depend on the chunk of scan
-indices alone: the compiled scan keeps them for the last chunk index it
-saw instead of recomputing them for every relation tuple, once for all
-occurrences of the same subformula.
+whose ball holds every world (_eccentricities), are pointed worlds, a
+tuple without one is skipped, and at depth 0 (the ball is {w}) the
+search stops after the one-world blocks.  The first hit is unchanged.  A
+subformula without K reads no relation at all, so its masks depend on
+the chunk of scan indices alone: the compiled scan keeps them for the
+last chunk index it saw instead of recomputing them for every relation
+tuple, once for all occurrences of the same subformula.
 
 The agent count stops at what the formula's terms can name.  An agent
 enters the evaluation only as the denotation of a term, sigma(x) for a
@@ -92,6 +93,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import operator
 from dataclasses import dataclass
 
@@ -145,8 +147,7 @@ class UnsatisfiableUpTo:
 # Block layout: everything that is fixed once (n, k, signature) are chosen
 
 class _Layout:
-    def __init__(self, sig: Signature, n: int, k: int, rel_pool: list,
-                 variables, free):
+    def __init__(self, sig: Signature, n: int, k: int, variables, free):
         self.n, self.k = n, k
         self.worlds = world_labels(n)
         self.agents = agent_labels(k)
@@ -190,8 +191,6 @@ class _Layout:
         self.rho_lanes = [(w, digit_mask(lanes, w, 2, 1) if w < lanes else None)
                           for w in (self.etas << p for p in range(self.rho_bits))]
 
-        self.rel_pool = rel_pool
-
         # assignment grid: one column per total assignment of the formula's
         # variables (bound ones included); scanning covers the free ones.
         self.vars = sorted(variables)
@@ -217,12 +216,11 @@ class _Layout:
                for w, mask in self.rho_lanes]
         return eta, rho
 
-    def build_model(self, sig: Signature, rel_combo, index: int) -> KripkeModel:
-        """The model at a scan index under the given relation tuple."""
+    def build_model(self, sig: Signature, succ, index: int) -> KripkeModel:
+        """The model at a scan index under the successor tuples succ."""
         relations = {agent: frozenset((self.worlds[w], self.worlds[v])
-                                      for w, succ in enumerate(self.rel_pool[r])
-                                      for v in succ)
-                     for agent, r in zip(self.agents, rel_combo)}
+                                      for w, row in enumerate(rel) for v in row)
+                     for agent, rel in zip(self.agents, succ)}
         rho_index, eta_pos = divmod(index, self.etas)
         rho = {}
         for (sym, w), offset in self.offsets.items():
@@ -434,9 +432,24 @@ def _relation_pool(n: int, epistemic: bool) -> list:
             for r in range(1 << (n * n))]
 
 
-class _Orbits:
-    """The orbit-minimal tuples of pool relations on n worlds, built once
-    per search and world count.
+def _eccentricities(succ) -> tuple:
+    """Per world, the fewest steps along the union of the relations succ
+    (one successor tuple per agent) within which every world lies, or
+    infinity if some world never does (a centre for depth d has at most d)."""
+    n, out = len(succ[0]), []
+    for w in range(n):
+        ball, frontier, steps = {w}, {w}, 0
+        while frontier and len(ball) < n:
+            frontier = {v for u in frontier for rel in succ for v in rel[u]} - ball
+            ball, steps = ball | frontier, steps + 1
+        out.append(steps if len(ball) == n else math.inf)
+    return tuple(out)
+
+
+class _Frames:
+    """The frame side of every block with n worlds in one frame class: the
+    pool of per-agent relations and, per agent count, the orbit-minimal
+    relation tuples.  It does not depend on the formula (see _frames).
 
     Permuting agents permutes a tuple, so an orbit minimum is sorted.  A
     world permutation maps every pool relation to another one; one table
@@ -453,47 +466,46 @@ class _Orbits:
     (k-1)-tuples, and extending them in order keeps lexicographic order.
     """
 
-    def __init__(self, pool: list, n: int):
+    def __init__(self, n: int, epistemic: bool):
+        self.n, self.pool = n, _relation_pool(n, epistemic)
+        self.done = [[((), (), ())]]    # per agent count, every tuple yielded
+
+    @functools.cached_property
+    def table(self) -> list:
+        """Built when first read: enumerate_models needs the pool alone."""
+        n, table = self.n, []
         # a relation as its pairs (w, v), numbered w * n + v
-        pairs = [[w * n + v for w, succ in enumerate(rel) for v in succ]
-                 for rel in pool]
+        pairs = [[w * n + v for w, succ in enumerate(rel) for v in succ] for rel in self.pool]
         index = {sum(1 << p for p in rel): i for i, rel in enumerate(pairs)}
-        self.pool = pool
-        self.table = []
         for perm in itertools.islice(itertools.permutations(range(n)), 1, None):
             moved = [1 << (perm[w] * n + perm[v]) for w in range(n) for v in range(n)]
-            self.table.append([index[sum(map(moved.__getitem__, rel))] for rel in pairs])
-        self.done = [[()]]      # per agent count, every representative
+            table.append([index[sum(map(moved.__getitem__, rel))] for rel in pairs])
+        return table
 
-    def representatives(self, k: int):
-        """Yield, in lexicographic order, the orbit-minimal k-tuples of pool
-        indices."""
-        while len(self.done) < k:
-            for _ in self.representatives(len(self.done)):
-                pass
+    def tuples(self, k: int):
+        """Yield, in lexicographic order, each orbit-minimal k-tuple rels of
+        pool indices as (rels, succ, _eccentricities(succ)), after every
+        (k-1)-tuple was yielded; the k-tuples are kept once all of them are."""
         if len(self.done) > k:
             yield from self.done[k]
             return
         found = []
-        for prefix in self.done[k - 1]:
+        for prefix, succ, _ in self.done[k - 1]:
             for r in range(prefix[-1] if prefix else 0, len(self.pool)):
                 rels = prefix + (r,)
                 if self._minimal(rels):
-                    found.append(rels)
-                    yield rels
+                    succ_r = succ + (self.pool[r],)
+                    found.append((rels, succ_r, _eccentricities(succ_r)))
+                    yield found[-1]
         if len(self.done) == k:
             self.done.append(found)
 
     def _minimal(self, rels: tuple) -> bool:
-        """Whether no row sends the sorted tuple to a smaller one; an image
-        whose least entry differs from rels[0] is decided by that entry."""
-        first = rels[0]
-        for row in self.table:
-            moved = [row[r] for r in rels]
-            least = min(moved)
-            if least < first or least == first and tuple(sorted(moved)) < rels:
-                return False
-        return True
+        """Whether no row sends the sorted tuple to a smaller one."""
+        return all(tuple(sorted(row[r] for r in rels)) >= rels for row in self.table)
+
+
+_frames = functools.cache(_Frames)      # one per (n, epistemic), shared by all searches
 
 
 def _groups(rel: tuple, S: int) -> list:
@@ -570,26 +582,9 @@ def _target(phi: Formula, want_false: bool) -> _Target:
                    sig.variables, md, tuple(hoisted) if md else (formula,))
 
 
-def _centres(succ, depth: int) -> list:
-    """The worlds w from which every world lies within depth steps along
-    the union of the relations succ (one successor tuple per agent): the
-    only pointed worlds a formula of modal depth `depth` needs."""
-    n = len(succ[0])
-    out = []
-    for w in range(n):
-        ball = frontier = {w}
-        for _ in range(depth):
-            frontier = {v for u in frontier for rel in succ for v in rel[u]} - ball
-            ball = ball | frontier
-        if len(ball) == n:
-            out.append(w)
-    return out
-
-
-def _scan_block(target: _Target, n: int, k: int, pool: list, combos):
-    """Scan the given relation tuples (indices into pool) of block (n, k)
-    in order; return the pointed model of the canonically first hit, or
-    None.
+def _scan_block(target: _Target, n: int, k: int, tuples):
+    """Scan the relation tuples of block (n, k) as _Frames.tuples yields
+    them; return the pointed model of the canonically first hit, or None.
 
     The block's layout fixes every variable's denotation per cell, and
     _compile builds those in; per relation tuple the scan passes the
@@ -598,18 +593,17 @@ def _scan_block(target: _Target, n: int, k: int, pool: list, combos):
     the names' denotations.  Only the tuple's centres are pointed worlds
     (see the module docstring).
     """
-    lay = _Layout(target.sig, n, k, pool, target.variables, target.free)
+    lay = _Layout(target.sig, n, k, target.variables, target.free)
     run = _compile(target.formula, lay, dict.fromkeys(target.hoisted))
     groups_of = {}          # pool index -> _groups, for the relations scanned
-    for rel_combo in combos:
-        succ = tuple(pool[i] for i in rel_combo)
-        centres = _centres(succ, target.depth)
+    for rels, succ, ecc in tuples:
+        centres = [w for w, e in enumerate(ecc) if e <= target.depth]
         if not centres:
             continue
-        for i in rel_combo:
+        for i, rel in zip(rels, succ):
             if i not in groups_of:
-                groups_of[i] = _groups(pool[i], lay.S)
-        groups = tuple(groups_of[i] for i in rel_combo)
+                groups_of[i] = _groups(rel, lay.S)
+        groups = tuple(groups_of[i] for i in rels)
         for chunk in range(lay.chunks):
             masks = run((succ, groups, *lay.chunk_digits(chunk), chunk))
             keys = [((m & -m).bit_length() - 1, w, cell_pos)
@@ -620,7 +614,7 @@ def _scan_block(target: _Target, n: int, k: int, pool: list, combos):
                 index = chunk * lay.lanes + lane
                 s = lay.sigmas[lay.free_cells[cell_pos]]
                 sigma = {v: lay.agents[s[lay.var_pos[v]]] for v in lay.free}
-                model = lay.build_model(target.sig, rel_combo, index)
+                model = lay.build_model(target.sig, succ, index)
                 return PointedModel(model, lay.worlds[w], sigma)
     return None
 
@@ -638,9 +632,8 @@ def _search(phi: Formula, bounds: SearchBounds, want_false: bool):
     for n in range(1, bounds.max_worlds + 1):
         if n > 1 and target.depth == 0:
             break       # a depth-0 ball is {w}: no world is a centre
-        orbits = _Orbits(_relation_pool(n, bounds.epistemic), n)
         for k in range(1, min(bounds.max_agents, _agent_cap(target, n)) + 1):
-            pointed = _scan_block(target, n, k, orbits.pool, orbits.representatives(k))
+            pointed = _scan_block(target, n, k, _frames(n, bounds.epistemic).tuples(k))
             if pointed is not None:
                 value = eval_formula(pointed.model, pointed.world, pointed.sigma, phi)
                 if value == want_false:
@@ -677,12 +670,11 @@ def enumerate_models(sig: Signature, bounds: SearchBounds):
     above the formula's cap (see the module docstring).  The stream is
     exponential in the bounds; it is meant for desk-scale signatures."""
     for n in range(1, bounds.max_worlds + 1):
-        pool = _relation_pool(n, bounds.epistemic)
         for k in range(1, bounds.max_agents + 1):
-            lay = _Layout(sig, n, k, pool, (), ())
-            for rel_combo in itertools.product(range(len(pool)), repeat=k):
+            lay = _Layout(sig, n, k, (), ())
+            for succ in itertools.product(_frames(n, bounds.epistemic).pool, repeat=k):
                 for index in range(lay.etas << lay.rho_bits):
-                    yield lay.build_model(sig, rel_combo, index)
+                    yield lay.build_model(sig, succ, index)
 
 
 # ---------------------------------------------------------------------------

@@ -536,7 +536,7 @@ def parse_script(text: str) -> ProofScript:
             goal = parse_formula(line[len("goal:"):].strip())
             continue
         head, sep, rest = line.partition(".")
-        if not sep or not head.strip().isdigit():
+        if not sep or not head.strip().isdecimal():
             raise ScriptError(f"line {lineno}: expected '<index>. <formula> ; <justification>'")
         index = int(head)
         formula_text, sep, just_text = rest.rpartition(";")

@@ -356,6 +356,14 @@ def model_to_dict(m: KripkeModel) -> dict:
     }
 
 
+def read_model_file(path: str) -> dict:
+    """A model file's JSON document; ModelError if it nests too deeply."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except RecursionError:
+        raise ModelError("malformed model document: nested too deeply") from None
+
+
 def load_model(path: str) -> KripkeModel:
-    with open(path, "r", encoding="utf-8") as fh:
-        return model_from_dict(json.load(fh))
+    return model_from_dict(read_model_file(path))

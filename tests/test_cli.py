@@ -98,6 +98,15 @@ class TestCheckCommand:
         assert code == 2 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("text", ["[" * 100_000, "[" * 100_000 + "]" * 100_000])
+    def test_deeply_nested_model_file_exit_2(self, capsys, tmp_path, text):
+        path = tmp_path / "deep.json"
+        path.write_text(text)
+        code, out, err = run(capsys, "check", str(path), "true", "--world", "w1")
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "nested too deeply" in err
+
     def test_story_fixture(self, capsys):
         code, out, _ = run(capsys, "check", str(FIXTURES / "witness.json"),
                            "[?x := b] [?y := a] (K{c} M(?x, ?y) & "

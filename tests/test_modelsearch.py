@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+import math
 import random
 
 import pytest
@@ -212,12 +213,19 @@ class TestOrbitRepresentatives:
         (2, 2, False, None),
     ])
     def test_count_equals_orbit_count(self, n, k, epistemic, expected):
-        reps = list(modelsearch._Orbits(
-            modelsearch._relation_pool(n, epistemic), n).representatives(k))
+        reps = self._tuples(modelsearch._Frames(n, epistemic), k)
         assert reps == sorted(set(reps))
         orbits = self._orbit_count(n, k, epistemic)
         assert len(reps) == orbits
         assert expected is None or orbits == expected
+
+    @staticmethod
+    def _tuples(frames, k):
+        """The rels of frames.tuples(k), asked for as the search asks: after
+        every smaller agent count, each to the end."""
+        for smaller in range(1, k):
+            list(frames.tuples(smaller))
+        return [rels for rels, _, _ in frames.tuples(k)]
 
     @staticmethod
     def _orbit_minima(n, k, epistemic):
@@ -245,17 +253,45 @@ class TestOrbitRepresentatives:
         *[(n, k, False) for n in (1, 2) for k in (1, 2)],
     ])
     def test_representatives_are_the_orbit_minima(self, n, k, epistemic):
-        pool = modelsearch._relation_pool(n, epistemic)
+        frames = modelsearch._Frames(n, epistemic)
         minima = self._orbit_minima(n, k, epistemic)
-        # asked for alone, the block builds the smaller agent counts itself
-        alone = modelsearch._Orbits(pool, n)
-        assert list(alone.representatives(k)) == minima
-        assert list(alone.representatives(k)) == minima
-        # asked for after k - 1, as the search asks, it extends that list
-        orbits = modelsearch._Orbits(pool, n)
-        for smaller in range(1, k):
-            list(orbits.representatives(smaller))
-        assert list(orbits.representatives(k)) == minima
+        # asked for after k - 1, it extends that list, and asked for again
+        # it yields the list it kept
+        assert self._tuples(frames, k) == minima
+        entries = list(frames.tuples(k))
+        assert [rels for rels, _, _ in entries] == minima
+        for rels, succ, ecc in entries:
+            assert succ == tuple(frames.pool[r] for r in rels)
+            assert ecc == modelsearch._eccentricities(succ)
+
+    @pytest.mark.parametrize("search, text, n, k", [
+        (find_countermodel, "K{?x} P(?y) -> K{?y} P(?y)", 2, 2),
+        (find_witness, "K{?x} P(?z) & K{?y} P(?z) & ~K{?x} K{?y} P(?z)", 3, 2),
+    ])
+    def test_early_hit_keeps_the_table(self, search, text, n, k):
+        # The search stops inside block (n, k) at its first hit; the tuples
+        # it did not reach stay unbuilt, and the next search that asks for
+        # them gets every one, in order.
+        modelsearch._frames.cache_clear()
+        pointed = search(parse_formula(text), EPISTEMIC33).pointed
+        assert (len(pointed.model.worlds), len(pointed.model.agents)) == (n, k)
+        frames = modelsearch._frames(n, True)
+        assert len(frames.done) == k
+        assert [rels for rels, _, _ in frames.tuples(k)] == \
+            self._orbit_minima(n, k, True)
+        assert len(frames.done) == k + 1
+
+    def test_searches_share_one_table(self):
+        modelsearch._frames.cache_clear()
+        phi = parse_formula("K{?x} P(?x) -> K{?x} K{?x} P(?x)")
+        assert find_countermodel(phi, EPISTEMIC33) == NoCountermodelUpTo(EPISTEMIC33)
+        tables = [modelsearch._frames(n, True) for n in (1, 2, 3)]
+        built = modelsearch._frames.cache_info().misses
+        assert built == 3
+        assert find_countermodel(phi, EPISTEMIC33) == NoCountermodelUpTo(EPISTEMIC33)
+        assert modelsearch._frames.cache_info().misses == built
+        assert all(modelsearch._frames(n, True) is frames
+                   for n, frames in zip((1, 2, 3), tables))
 
 
 class TestFold:
@@ -341,8 +377,13 @@ class TestFold:
 
 
 class TestCentres:
+    @staticmethod
+    def centres(succ, depth):
+        return [w for w, e in enumerate(modelsearch._eccentricities(succ))
+                if e <= depth]
+
     def test_every_world_within_depth_steps(self):
-        centres = modelsearch._centres
+        centres = self.centres
         chain = ((1,), (2,), ())                  # w1 -> w2 -> w3
         assert [centres((chain,), d) for d in range(4)] == [[], [], [0], [0]]
         # the union of the relations: a takes w1 to w2, b takes w2 to w3
@@ -352,6 +393,17 @@ class TestCentres:
         a, b = ((0, 1), (0, 1), (2,)), ((0,), (1, 2), (1, 2))
         assert [centres((a, b), d) for d in range(3)] == [[], [1], [0, 1, 2]]
         assert centres((((),),), 0) == [0]
+
+    def test_unreachable_world_is_never_a_centre(self):
+        # w3 -> w1 <-> w2: w3 reaches every world in two steps, but no
+        # step leads from w1 or w2 to w3, so neither is a centre at any
+        # depth, even past the world count
+        rel = ((1,), (0,), (0,))
+        assert modelsearch._eccentricities((rel,)) == (math.inf, math.inf, 2)
+        assert self.centres((rel,), 5) == [2]
+        # S5 with two classes: no world reaches the other class
+        split = ((0, 1), (0, 1), (2,))
+        assert self.centres((split, split), 5) == []
 
 
 class TestFindWitness:
@@ -506,10 +558,12 @@ class TestFastScanAgainstSlowScan:
         prunes by modal depth like the search; _slow_first_point does not."""
         wanted = modelsearch._target(phi, not target)
         for n in range(1, bounds.max_worlds + 1):
-            pool = modelsearch._relation_pool(n, bounds.epistemic)
+            pool = modelsearch._frames(n, bounds.epistemic).pool
             for k in range(1, bounds.max_agents + 1):
-                every = itertools.product(range(len(pool)), repeat=k)
-                pointed = modelsearch._scan_block(wanted, n, k, pool, every)
+                every = ((rels, succ, modelsearch._eccentricities(succ))
+                         for rels in itertools.product(range(len(pool)), repeat=k)
+                         for succ in [tuple(pool[r] for r in rels)])
+                pointed = modelsearch._scan_block(wanted, n, k, every)
                 if pointed is not None:
                     return model_to_dict(pointed.model), pointed.world, pointed.sigma
         return None
@@ -618,7 +672,6 @@ class TestFastScanAgainstSlowScan:
         phi = parse_formula(text)
         for n, k in itertools.product(range(1, 5), range(1, 4)):
             lay = modelsearch._Layout(formula_signature(phi), n, k,
-                                      modelsearch._relation_pool(n, True),
                                       all_vars(phi), free_vars(phi))
             assert lay.lanes <= lanes
             assert lay.lanes * lay.chunks == \

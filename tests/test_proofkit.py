@@ -325,6 +325,12 @@ class TestScriptText:
             with pytest.raises(ScriptError):
                 parse_script(f"goal: a = b -> b = a\n1. a = b -> b = a ; {just}\n")
 
+    @pytest.mark.parametrize("head", ["\u00b2", "1\u00b2", "\u2460", "x", "-1", ""])
+    def test_step_index_not_decimal(self, head):
+        # a superscript or circled digit passes str.isdigit but not int()
+        with pytest.raises(ScriptError, match="^line 2: expected"):
+            parse_script(f"goal: a = a\n{head}. a = a ; axiom ID\n")
+
     def test_load_shipped_file(self):
         script = load_script(str(PROOFS / "sym.selas"))
         assert check_proof(script).ok
