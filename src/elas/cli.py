@@ -41,6 +41,8 @@ def _parse_sigma(text: str) -> dict:
             var = var[1:]
         if not var:
             raise ValueError(f"malformed sigma entry {item!r}")
+        if var in sigma:
+            raise ValueError(f"--sigma binds ?{var} twice")
         sigma[var] = agent.strip()
     return sigma
 
@@ -94,7 +96,13 @@ def cmd_check(args) -> int:
 def _parse_sigma_json(raw: dict) -> dict:
     if not isinstance(raw, dict):
         raise ModelError("sigma in the model file must be an object")
-    return {(k[1:] if k.startswith("?") else k): v for k, v in raw.items()}
+    sigma = {}
+    for key, agent in raw.items():
+        var = key[1:] if key.startswith("?") else key
+        if var in sigma:
+            raise ModelError(f"sigma in the model file binds ?{var} twice")
+        sigma[var] = agent
+    return sigma
 
 
 # command -> (help, search, hit type, hit verdict, negative verdict, its text)

@@ -28,30 +28,30 @@ the lowest set bit of a cell is its first hit.  That hit is rebuilt as a
 real model and re-verified with the reference evaluator before it is
 returned; the fast path is never trusted on its own.
 
-The searches also skip every pointed world that the formula cannot tell
-from a smaller model.  Names, predicates and assignments never move the
-point of evaluation; only K{t} does, to a successor.  So a formula of
-modal depth d (its deepest nesting of K) sees, at w, only the ball of
-worlds within d steps of w along the union of the agents' relations.
-Proof sketch, by induction on the formula: cut the model down to the
-ball (relations, names and predicates restricted to its worlds); then a
-subformula of modal depth at most d - i has the same value at every
-world v within i steps of w, under every assignment.  Atoms, binders and
-connectives read v only; K{t} psi at v has i < d, so every successor of
-v lies in the ball, within i + 1 steps, and psi has depth at most
-d - i - 1.  The cut-down model has the same agents and symbols and stays
-in the frame class (an equivalence relation restricted to a subset is
-one), so if the ball misses a world, a hit at w is also a hit, after
-renaming the worlds, in a block with fewer worlds and the same agents,
-which comes earlier in the order.  A search that reaches block (n, k)
-therefore has no hit at such a w: only a tuple's centres, the worlds
-whose ball holds every world (_eccentricities), are pointed worlds, a
-tuple without one is skipped, and at depth 0 (the ball is {w}) the
-search stops after the one-world blocks.  The first hit is unchanged.  A
-subformula without K reads no relation at all, so its masks depend on
-the chunk of scan indices alone: the compiled scan keeps them for the
-last chunk index it saw instead of recomputing them for every relation
-tuple, once for all occurrences of the same subformula.
+The world count stops at what the formula can see.  Names, predicates
+and assignments never move the point of evaluation; only K{t} does, to a
+successor.  So a target of modal depth at most 1 (no K below another K)
+has a hit with at most W = 1 + #K worlds if it has one at all, #K being
+its K occurrences counted in the tree (a shared node counts once per
+occurrence): a selective submodel (Blackburn, de Rijke & Venema, Modal Logic,
+ch. 2; for one S5 agent, Ladner's bound).  Proof sketch: take a hit at
+(w, sigma) and keep w and, for each K occurrence false at w, one
+successor where its body is false.  Each occurrence is evaluated at w
+under exactly one assignment, as [x := t] is deterministic.  Restrict
+the relations, names and predicates to the kept worlds.  Every value at
+w is unchanged: atoms and binders read w only; a false K keeps its
+witness, whose body, free of K, reads that world only; a true K stays
+true on fewer successors.  The cut-down model has the same agents and
+symbols and stays in the frame class (an equivalence relation restricted
+to a subset is still one), so the hit is also a hit, after renaming the
+worlds, in a block with at most W worlds, which comes earlier in the
+order.  The search therefore scans world counts only up to
+min(max_worlds, W): at depth 0 that is the one-world blocks, and for a
+deeper target W is unbounded.  The first hit is unchanged.  A subformula
+without K reads no relation at all, so its masks depend on the chunk of
+scan indices alone: the compiled scan keeps them for the last chunk
+index it saw instead of recomputing them for every relation tuple, once
+for all occurrences of the same subformula.
 
 The agent count stops at what the formula's terms can name.  An agent
 enters the evaluation only as the denotation of a term, sigma(x) for a
@@ -68,25 +68,30 @@ assignments evaluation reaches.  The cut-down model has the same worlds
 and stays in the frame class, so a hit in block (n, k) with k > cap(n) is
 also a hit, after renaming the agents, in block (n, |D|), which comes
 earlier.  The search therefore scans agent counts only up to
-max(1, cap(n)); the first hit is unchanged, and a negative verdict still
-speaks for the requested bounds.
+max(1, cap(n)); the first hit is unchanged.
 
 The target is read in one walk (_target).  It folds every subformula
-whose value no model, world or assignment can change into true or false,
-such as false & psi, psi -> true, K{t} true or an assignment over a
-constant; K{t} false stays, as it is true at a world without successors.
-On the way back up it gives each folded node its modal depth, records the
-maximal subtrees without K for the scan to hoist, and collects every
-variable it meets.  Each fold rule keeps the value at every pointed model
-on any frame, so the folded target has the same hits in the same order
-and the first hit is unchanged; its modal depth can only fall, and the
-pruning above holds for any formula equivalent to phi.  The signature and
-the agent cap are still read from phi, and a hit is re-verified against
-phi.  A target folded to false has no hit, and the search returns at once
-instead of scanning every block.
+whose value no model of the frame class, world or assignment can change
+into true or false, such as false & psi, psi -> true, K{t} true, t = t or
+an assignment over a constant.  One rule holds on epistemic frames only:
+K{t} false is false there, as every world is its own successor; on
+arbitrary frames it stays, as it is true at a world without successors.
+On the way back up it counts each folded node's K occurrences and modal
+depth, which give the world cap W, records the maximal subtrees without
+K for the scan to hoist, and collects every variable it meets.  Each
+fold rule keeps the value at every pointed model of the frame class it
+is used for, so the folded target has the same hits in the same order
+and the first hit is unchanged; its modal depth and K count can only
+fall, and the cap above holds for any formula equivalent to phi on the
+frame class.  The signature and the agent cap are still read from phi,
+and a hit is re-verified against phi.  A target folded to false has
+W = 0: no block is scanned.
 
-Bounded search is deliberately incomplete: a negative answer only speaks
-for the models within the bounds, and verdicts say so.
+Bounded search is incomplete in general: a negative answer speaks for
+the models within the bounds, and verdicts say so.  It speaks for every
+model of the frame class, of any size, when the target's world cap W is
+finite, max_worlds >= W and max_agents >= cap(W): then every hit would
+have a copy within the bounds, by the two caps above.
 """
 
 from __future__ import annotations
@@ -432,20 +437,6 @@ def _relation_pool(n: int, epistemic: bool) -> list:
             for r in range(1 << (n * n))]
 
 
-def _eccentricities(succ) -> tuple:
-    """Per world, the fewest steps along the union of the relations succ
-    (one successor tuple per agent) within which every world lies, or
-    infinity if some world never does (a centre for depth d has at most d)."""
-    n, out = len(succ[0]), []
-    for w in range(n):
-        ball, frontier, steps = {w}, {w}, 0
-        while frontier and len(ball) < n:
-            frontier = {v for u in frontier for rel in succ for v in rel[u]} - ball
-            ball, steps = ball | frontier, steps + 1
-        out.append(steps if len(ball) == n else math.inf)
-    return tuple(out)
-
-
 class _Frames:
     """The frame side of every block with n worlds in one frame class: the
     pool of per-agent relations and, per agent count, the orbit-minimal
@@ -468,7 +459,7 @@ class _Frames:
 
     def __init__(self, n: int, epistemic: bool):
         self.n, self.pool = n, _relation_pool(n, epistemic)
-        self.done = [[((), (), ())]]    # per agent count, every tuple yielded
+        self.done = [[((), ())]]    # per agent count, every tuple yielded
 
     @functools.cached_property
     def table(self) -> list:
@@ -484,18 +475,17 @@ class _Frames:
 
     def tuples(self, k: int):
         """Yield, in lexicographic order, each orbit-minimal k-tuple rels of
-        pool indices as (rels, succ, _eccentricities(succ)), after every
+        pool indices as (rels, succ), succ its successor tuples, after every
         (k-1)-tuple was yielded; the k-tuples are kept once all of them are."""
         if len(self.done) > k:
             yield from self.done[k]
             return
         found = []
-        for prefix, succ, _ in self.done[k - 1]:
+        for prefix, succ in self.done[k - 1]:
             for r in range(prefix[-1] if prefix else 0, len(self.pool)):
                 rels = prefix + (r,)
                 if self._minimal(rels):
-                    succ_r = succ + (self.pool[r],)
-                    found.append((rels, succ_r, _eccentricities(succ_r)))
+                    found.append((rels, succ + (self.pool[r],)))
                     yield found[-1]
         if len(self.done) == k:
             self.done.append(found)
@@ -527,18 +517,19 @@ class _Target:
     sig: Signature          # phi's predicates and names; variables live in sigma
     variables: frozenset    # every variable of phi, bound ones included
     free: frozenset
-    depth: int              # modal depth: the radius of the visible ball
+    worlds: float           # the most worlds a first hit can have, or inf
     hoisted: tuple          # the maximal subtrees without K, as nodes of formula
 
 
 _CONSTANT = {Top: (1,), Bot: (0,)}       # a constant's class -> its one bit
 
 
-def _constant(node: type, kids: tuple):
+def _constant(node: type, kids: tuple, epistemic: bool):
     """Top() or Bot() if a node of class node over the folded kids is
-    constant (see the module docstring), else None."""
+    constant on the frame class (see the module docstring), else None."""
     if node is Knows:
-        return kids[0] if type(kids[0]) is Top else None
+        body = type(kids[0])
+        return kids[0] if body is Top or (epistemic and body is Bot) else None
     if node is Assign:
         return kids[0] if type(kids[0]) in _CONSTANT else None
     if not any(type(kid) in _CONSTANT for kid in kids):
@@ -548,38 +539,40 @@ def _constant(node: type, kids: tuple):
     return (Top() if values.pop() else Bot()) if len(values) == 1 else None
 
 
-def _target(phi: Formula, want_false: bool) -> _Target:
-    """The target of a search for phi false (want_false) or true, read in
-    one walk (see the module docstring)."""
+def _target(phi: Formula, want_false: bool, epistemic: bool) -> _Target:
+    """The target of a search for phi false (want_false) or true on the
+    frame class, read in one walk (see the module docstring)."""
     variables, hoisted = set(), []
 
     def walk(f):
-        """f folded, and its modal depth.  A node none of whose children
-        changed is returned itself.  The K-free children of a node with K
-        below it are hoisted; a subtree that folds to a constant drops
-        what its own nodes hoisted."""
+        """f folded, its modal depth and its K occurrences.  A node none of
+        whose children changed is returned itself.  The K-free children of
+        a node with K below it are hoisted; a subtree that folds to a
+        constant drops what its own nodes hoisted."""
         if type(f) is Assign:
             variables.add(f.var)
         variables.update(t.id for t in terms_of(f) if type(t) is Var)
         kids = children(f)
         if not kids:
-            return f, 0
+            return (Top() if type(f) is Eq and f.lhs is f.rhs else f), 0, 0
         mark = len(hoisted)
         walked = [walk(kid) for kid in kids]
-        folded = tuple(kid for kid, _ in walked)
-        constant = _constant(type(f), folded)
+        folded = tuple(kid for kid, _, _ in walked)
+        constant = _constant(type(f), folded, epistemic)
         if constant is not None:
             del hoisted[mark:]
-            return constant, 0
-        d = max(kd for _, kd in walked) + (type(f) is Knows)
+            return constant, 0, 0
+        d = max(kd for _, kd, _ in walked) + (type(f) is Knows)
         if d:
-            hoisted.extend(kid for kid, kd in walked if kd == 0)
-        return (f if folded == kids else rebuild(f, folded)), d
+            hoisted.extend(kid for kid, kd, _ in walked if kd == 0)
+        ks = sum(kk for _, _, kk in walked) + (type(f) is Knows)
+        return (f if folded == kids else rebuild(f, folded)), d, ks
 
-    formula, md = walk(Not(phi) if want_false else phi)
+    formula, md, ks = walk(Not(phi) if want_false else phi)
+    worlds = 0 if type(formula) is Bot else 1 + ks if md <= 1 else math.inf
     sig = formula_signature(phi)
     return _Target(formula, Signature(sig.predicates, sig.names), frozenset(variables),
-                   sig.variables, md, tuple(hoisted) if md else (formula,))
+                   sig.variables, worlds, tuple(hoisted) if md else (formula,))
 
 
 def _scan_block(target: _Target, n: int, k: int, tuples):
@@ -590,16 +583,12 @@ def _scan_block(target: _Target, n: int, k: int, tuples):
     _compile builds those in; per relation tuple the scan passes the
     successor groups that K over a variable folds (computed once per pool
     relation it meets) and, per chunk, the lane masks of the eta digits,
-    the names' denotations.  Only the tuple's centres are pointed worlds
-    (see the module docstring).
+    the names' denotations.  Every world of a tuple is a pointed world.
     """
     lay = _Layout(target.sig, n, k, target.variables, target.free)
     run = _compile(target.formula, lay, dict.fromkeys(target.hoisted))
     groups_of = {}          # pool index -> _groups, for the relations scanned
-    for rels, succ, ecc in tuples:
-        centres = [w for w, e in enumerate(ecc) if e <= target.depth]
-        if not centres:
-            continue
+    for rels, succ in tuples:
         for i, rel in zip(rels, succ):
             if i not in groups_of:
                 groups_of[i] = _groups(rel, lay.S)
@@ -607,7 +596,7 @@ def _scan_block(target: _Target, n: int, k: int, tuples):
         for chunk in range(lay.chunks):
             masks = run((succ, groups, *lay.chunk_digits(chunk), chunk))
             keys = [((m & -m).bit_length() - 1, w, cell_pos)
-                    for w in centres for cell_pos, s in enumerate(lay.free_cells)
+                    for w in range(n) for cell_pos, s in enumerate(lay.free_cells)
                     if (m := masks[w * lay.S + s])]
             if keys:
                 lane, w, cell_pos = min(keys)
@@ -626,12 +615,8 @@ def _agent_cap(target: _Target, n: int) -> int:
 
 
 def _search(phi: Formula, bounds: SearchBounds, want_false: bool):
-    target = _target(phi, want_false)
-    if isinstance(target.formula, Bot):
-        return None         # no interpretation makes the target true
-    for n in range(1, bounds.max_worlds + 1):
-        if n > 1 and target.depth == 0:
-            break       # a depth-0 ball is {w}: no world is a centre
+    target = _target(phi, want_false, bounds.epistemic)
+    for n in range(1, min(bounds.max_worlds, target.worlds) + 1):
         for k in range(1, min(bounds.max_agents, _agent_cap(target, n)) + 1):
             pointed = _scan_block(target, n, k, _frames(n, bounds.epistemic).tuples(k))
             if pointed is not None:
@@ -666,8 +651,8 @@ def enumerate_models(sig: Signature, bounds: SearchBounds):
     """Yield every model over the signature within the bounds, in the
     canonical order.  The searches walk the same order but skip what
     cannot hold a first hit: relation tuples that are not orbit-minimal,
-    pointed worlds that are not centres of their tuple, and agent counts
-    above the formula's cap (see the module docstring).  The stream is
+    and world and agent counts above the formula's caps (see the module
+    docstring).  The stream is
     exponential in the bounds; it is meant for desk-scale signatures."""
     for n in range(1, bounds.max_worlds + 1):
         for k in range(1, bounds.max_agents + 1):

@@ -98,6 +98,26 @@ class TestCheckCommand:
         assert code == 2 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    def test_sigma_flag_binding_twice_exit_2(self, capsys):
+        # the last value used to win silently, and ?x = ?y came out true
+        code, out, err = run(capsys, "check", str(FIXTURES / "m1.json"),
+                             "?x = ?y", "--world", "s1",
+                             "--sigma", "?x=i,?x=j,?y=j")
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "?x twice" in err
+
+    def test_model_file_sigma_binding_twice_exit_2(self, capsys, tmp_path):
+        doc = json.loads((FIXTURES / "m1.json").read_text())
+        doc["sigma"] = {"?x": "i", "x": "j", "?y": "j"}
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "check", str(path), "?x = ?y",
+                             "--world", "s1")
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "?x twice" in err
+
     @pytest.mark.parametrize("text", ["[" * 100_000, "[" * 100_000 + "]" * 100_000])
     def test_deeply_nested_model_file_exit_2(self, capsys, tmp_path, text):
         path = tmp_path / "deep.json"
