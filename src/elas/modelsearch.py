@@ -72,10 +72,13 @@ max(1, cap(n)); the first hit is unchanged.
 
 The target is read in one walk (_target).  It folds every subformula
 whose value no model of the frame class, world or assignment can change
-into true or false, such as false & psi, psi -> true, K{t} true, t = t or
-an assignment over a constant.  One rule holds on epistemic frames only:
-K{t} false is false there, as every world is its own successor; on
-arbitrary frames it stays, as it is true at a world without successors.
+into true or false, such as false & psi, psi -> true, psi -> psi,
+psi <-> psi, K{t} true, t = t or an assignment over a constant.  A
+connective is evaluated over its distinct children, each taking both
+values: equal children are one node, as nodes are hash-consed.  One rule
+holds on epistemic frames only: K{t} false is false there, as every world
+is its own successor; on arbitrary frames it stays, as it is true at a
+world without successors.
 On the way back up it counts each folded node's K occurrences and modal
 depth, which give the world cap W, records the maximal subtrees without
 K for the scan to hoist, and collects every variable it meets.  Each
@@ -458,20 +461,15 @@ class _Frames:
     """
 
     def __init__(self, n: int, epistemic: bool):
-        self.n, self.pool = n, _relation_pool(n, epistemic)
+        self.pool = _relation_pool(n, epistemic)
         self.done = [[((), ())]]    # per agent count, every tuple yielded
-
-    @functools.cached_property
-    def table(self) -> list:
-        """Built when first read: enumerate_models needs the pool alone."""
-        n, table = self.n, []
+        self.table = []
         # a relation as its pairs (w, v), numbered w * n + v
         pairs = [[w * n + v for w, succ in enumerate(rel) for v in succ] for rel in self.pool]
         index = {sum(1 << p for p in rel): i for i, rel in enumerate(pairs)}
         for perm in itertools.islice(itertools.permutations(range(n)), 1, None):
             moved = [1 << (perm[w] * n + perm[v]) for w in range(n) for v in range(n)]
-            table.append([index[sum(map(moved.__getitem__, rel))] for rel in pairs])
-        return table
+            self.table.append([index[sum(map(moved.__getitem__, rel))] for rel in pairs])
 
     def tuples(self, k: int):
         """Yield, in lexicographic order, each orbit-minimal k-tuple rels of
@@ -521,7 +519,7 @@ class _Target:
     hoisted: tuple          # the maximal subtrees without K, as nodes of formula
 
 
-_CONSTANT = {Top: (1,), Bot: (0,)}       # a constant's class -> its one bit
+_CONSTANT = {Top: 1, Bot: 0}       # a constant's class -> its bit
 
 
 def _constant(node: type, kids: tuple, epistemic: bool):
@@ -532,10 +530,14 @@ def _constant(node: type, kids: tuple, epistemic: bool):
         return kids[0] if body is Top or (epistemic and body is Bot) else None
     if node is Assign:
         return kids[0] if type(kids[0]) in _CONSTANT else None
-    if not any(type(kid) in _CONSTANT for kid in kids):
+    # each distinct non-constant kid takes both values, equal kids together
+    free = list(dict.fromkeys(kid for kid in kids if type(kid) not in _CONSTANT))
+    if len(free) == len(kids):
         return None
-    values = {BIT_OPS[node](1, *bits) for bits in itertools.product(
-        *(_CONSTANT.get(type(kid), (0, 1)) for kid in kids))}
+    values = set()
+    for bits in itertools.product((0, 1), repeat=len(free)):
+        bit = dict(zip(free, bits))
+        values.add(BIT_OPS[node](1, *(bit.get(kid, _CONSTANT.get(type(kid))) for kid in kids)))
     return (Top() if values.pop() else Bot()) if len(values) == 1 else None
 
 
@@ -655,9 +657,10 @@ def enumerate_models(sig: Signature, bounds: SearchBounds):
     docstring).  The stream is
     exponential in the bounds; it is meant for desk-scale signatures."""
     for n in range(1, bounds.max_worlds + 1):
+        pool = _relation_pool(n, bounds.epistemic)
         for k in range(1, bounds.max_agents + 1):
             lay = _Layout(sig, n, k, (), ())
-            for succ in itertools.product(_frames(n, bounds.epistemic).pool, repeat=k):
+            for succ in itertools.product(pool, repeat=k):
                 for index in range(lay.etas << lay.rho_bits):
                     yield lay.build_model(sig, succ, index)
 

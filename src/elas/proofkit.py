@@ -39,8 +39,8 @@ from importlib.resources import files
 
 from .semantics import BIT_OPS, digit_mask
 from .syntax import (
-    And, Assign, Eq, Formula, Iff, Implies, Knows, Name, Not, Or, Pred,
-    Term, Var, all_vars, children, free_vars,
+    And, Assign, Eq, Formula, Iff, Implies, Knows, Name, Not, Or, ParseError,
+    Pred, Term, Var, all_vars, children, free_vars,
     is_admissible, parse_formula, parse_term, print_formula, print_term,
     rebuild, reletter, subformulas, substitute, terms_of,
 )
@@ -533,7 +533,10 @@ def parse_script(text: str) -> ProofScript:
         if line.startswith("goal:"):
             if goal is not None:
                 raise ScriptError(f"line {lineno}: duplicate goal")
-            goal = parse_formula(line[len("goal:"):].strip())
+            try:
+                goal = parse_formula(line[len("goal:"):].strip())
+            except ParseError as exc:
+                raise ScriptError(f"line {lineno}: {exc}") from exc
             continue
         head, sep, rest = line.partition(".")
         if not sep or not head.strip().isdecimal():

@@ -35,7 +35,7 @@ from .semantics import (
     model_to_dict,
 )
 from .syntax import (
-    And, Eq, Formula, Iff, Name, Not, Pred, Var, formula_signature, free_vars,
+    And, Eq, Formula, Iff, Name, Not, Pred, Var, formula_signature,
     is_admissible, knows_who, parse_formula, print_formula,
 )
 
@@ -101,17 +101,18 @@ def _pointed_to_dict(pointed: PointedModel) -> dict:
     return out
 
 
-def _random_valid_trials(phi: Formula, trials: int, rng: random.Random) -> int:
-    """Evaluate phi on random epistemic models; returns how many trials ran
-    before a failure (== trials when none failed)."""
+def _random_trials(phi: Formula, trials: int, rng: random.Random,
+                   sample=random_epistemic_model, bounds=RANDOM_TRIAL_BOUNDS) -> int:
+    """Evaluate phi at random pointed models, each drawn as a model from
+    sample within bounds, an assignment of phi's free variables and a
+    world; returns how many trials ran before a failure (== trials when
+    none failed)."""
     sig = formula_signature(phi)
-    sig = Signature(dict(sig.predicates), sig.names)
-    fv = sorted(free_vars(phi))
+    sig, free = Signature(dict(sig.predicates), sig.names), sorted(sig.variables)
     for t in range(trials):
-        model = random_epistemic_model(rng, sig, *RANDOM_TRIAL_BOUNDS)
-        sigma = random_sigma(rng, fv, model)
-        world = rng.choice(model.worlds)
-        if not eval_formula(model, world, sigma, phi):
+        model = sample(rng, sig, *bounds)
+        sigma = random_sigma(rng, free, model)
+        if not eval_formula(model, rng.choice(model.worlds), sigma, phi):
             return t
     return trials
 
@@ -148,7 +149,7 @@ def validity_table_suite(bounds: SearchBounds = DEFAULT_BOUNDS,
                 ok = isinstance(verdict, NoCountermodelUpTo)
                 record["verdict"] = ("no-countermodel" if ok else "countermodel")
                 if ok and trials:
-                    survived = _random_valid_trials(phi, trials, rng)
+                    survived = _random_trials(phi, trials, rng)
                     record["random_trials"] = survived
                     ok = survived == trials
                 elif not ok:
@@ -270,16 +271,6 @@ def random_axiom_instance(axiom_id: str, rng: random.Random) -> Formula:
 _S5_ONLY = ("Tx", "4x", "5x")
 
 
-def _eval_instance(phi: Formula, rng, epistemic: bool) -> bool:
-    sig = formula_signature(phi)
-    sig = Signature(dict(sig.predicates), sig.names)
-    sample = random_epistemic_model if epistemic else random_model
-    model = sample(rng, sig, 3, 3)
-    sigma = random_sigma(rng, sorted(free_vars(phi)), model)
-    world = rng.choice(model.worlds)
-    return eval_formula(model, world, sigma, phi)
-
-
 def _exhibit_name_introspection_failure(shape: str, rng) -> dict:
     """A non-equivalence frame falsifying the name-indexed introspection
     shape (4 or 5); these are the invalid introspection table entries."""
@@ -314,7 +305,7 @@ def soundness_suite(trials: int = 10000, seed: int = 7) -> dict:
             match_failures.append({"axiom": axiom_id,
                                    "formula": print_formula(phi)})
             continue
-        if not _eval_instance(phi, rng, epistemic=True):
+        if not _random_trials(phi, 1, rng, bounds=(3, 3)):
             violations.append({"axiom": axiom_id,
                                "formula": print_formula(phi)})
         per_axiom[axiom_id] += 1
@@ -323,7 +314,7 @@ def soundness_suite(trials: int = 10000, seed: int = 7) -> dict:
     for trial in range(trials // 10):
         axiom_id = arbitrary_ids[trial % len(arbitrary_ids)]
         phi = random_axiom_instance(axiom_id, rng)
-        if not _eval_instance(phi, rng, epistemic=False):
+        if not _random_trials(phi, 1, rng, random_model, (3, 3)):
             arbitrary_violations.append({"axiom": axiom_id,
                                          "formula": print_formula(phi)})
     exhibited = {shape: _exhibit_name_introspection_failure(shape, rng)

@@ -11,11 +11,8 @@ assignment box) are surface sugar only: the parser expands them to
 
 Concrete grammar (whitespace insignificant between tokens)::
 
-    formula  := iff
-    iff      := impl { "<->" impl }
-    impl     := disj [ "->" impl ]
-    disj     := conj { "|" conj }
-    conj     := unary { "&" unary }
+    formula  := infix(0)
+    infix(i) := infix(i+1) { OP_i infix(i+1) }     for i < 4; infix(4) := unary
     unary    := "~" unary | "K" "{" term "}" unary | "Kh" "{" term "}" unary
               | "[" VAR ":=" term "]" unary | "<" VAR ":=" term ">" unary
               | atom
@@ -25,8 +22,8 @@ Concrete grammar (whitespace insignificant between tokens)::
     VAR      := "?" ident          NAME := lower-initial ident
     PRED     := upper-initial ident
 
-Precedence, tightest first: unary operators, ``&``, ``|``, ``->``
-(right-associative), ``<->``.
+OP_0 .. OP_3 are the rows of INFIX, loosest first: ``<->``, ``->`` (whose
+chains group to the right), ``|`` and ``&``; unary operators bind tightest.
 
 Formula and term nodes are hash-consed: every node class goes through the
 factory ``interned``, so two structurally equal nodes are the same object
@@ -39,6 +36,7 @@ the table is not locked: build them in one thread at a time.
 
 from __future__ import annotations
 
+import re
 import weakref
 from dataclasses import dataclass
 from typing import Iterator, Union
@@ -222,6 +220,9 @@ class Assign:
 
 Formula = Union[Top, Bot, Eq, Pred, Not, And, Or, Implies, Iff, Knows, Assign]
 
+# The binary connectives, loosest first: symbol, node class, and whether a
+# chain of it groups to the right.  The parser and both printers read it.
+INFIX = (("<->", Iff, False), ("->", Implies, True), ("|", Or, False), ("&", And, False))
 BINARY = (And, Or, Implies, Iff)
 BOOLEAN = (Not,) + BINARY
 
@@ -252,50 +253,31 @@ class Signature:
 # ---------------------------------------------------------------------------
 # Lexer
 
-_PUNCT = ("<->", ":=", "->", "(", ")", "{", "}", "[", "]", ",", "=", "~",
-          "&", "|", "<", ">")
+# One token after optional whitespace: a variable, a word, punctuation
+# (longest first), or any other character, which is an error.  \w is
+# str.isalnum or "_"; an identifier must also start with str.isalpha or "_".
+_TOKEN = re.compile(r"\s*(?:\?(\w*)|(\w+)|(<->|:=|->|[(){}[\],=~&|<>])|(\S))")
+_KEYWORDS = {"true": "TRUE", "false": "FALSE"}
 
 
 def _tokenize(text: str) -> list:
-    """Yield (kind, value, pos) triples; kinds: VAR NAME PRED PUNCT TRUE FALSE."""
+    """Return (kind, value, pos) triples; kinds: VAR NAME PRED PUNCT TRUE FALSE."""
     tokens = []
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c == "?":
-            j = i + 1
-            if j >= n or not (text[j].isalpha() or text[j] == "_"):
-                raise ParseError("expected identifier after '?'", i)
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(("VAR", text[i + 1:j], i))
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            word = text[i:j]
-            if word == "true":
-                tokens.append(("TRUE", word, i))
-            elif word == "false":
-                tokens.append(("FALSE", word, i))
-            elif word[0].isupper():
-                tokens.append(("PRED", word, i))
-            else:
-                tokens.append(("NAME", word, i))
-            i = j
-            continue
-        for p in _PUNCT:
-            if text.startswith(p, i):
-                tokens.append(("PUNCT", p, i))
-                i += len(p)
-                break
+    for m in _TOKEN.finditer(text):
+        group = m.lastindex
+        value, pos = m.group(group), m.start(group)
+        ident = value[:1].isalpha() or value[:1] == "_"
+        if group == 1:
+            if not ident:
+                raise ParseError("expected identifier after '?'", pos - 1)
+            tokens.append(("VAR", value, pos - 1))
+        elif group == 2 and ident:
+            kind = _KEYWORDS.get(value) or ("PRED" if value[0].isupper() else "NAME")
+            tokens.append((kind, value, pos))
+        elif group == 3:
+            tokens.append(("PUNCT", value, pos))
         else:
-            raise ParseError(f"unexpected character {c!r}", i)
+            raise ParseError(f"unexpected character {value[0]!r}", pos)
     return tokens
 
 
@@ -331,38 +313,24 @@ class _Parser:
         return kind == "PUNCT" and val == value
 
     def parse(self) -> Formula:
-        phi = self.iff()
+        phi = self.infix()
         kind, val, pos = self.peek()
         if kind is not None:
             raise ParseError(f"unexpected trailing input {val!r}", pos)
         return phi
 
-    def iff(self) -> Formula:
-        phi = self.impl()
-        while self.at_punct("<->"):
+    def infix(self, level: int = 0) -> Formula:
+        """A chain of INFIX[level]'s connective over operands of the tighter
+        levels.  Operands are parsed inline, as a helper would cost a stack
+        frame per parenthesis."""
+        symbol, node, right = INFIX[level]
+        last = level + 1 == len(INFIX)
+        phi = self.unary() if last else self.infix(level + 1)
+        while self.at_punct(symbol):
             self.next()
-            phi = Iff(phi, self.impl())
-        return phi
-
-    def impl(self) -> Formula:
-        phi = self.disj()
-        if self.at_punct("->"):
-            self.next()
-            return Implies(phi, self.impl())
-        return phi
-
-    def disj(self) -> Formula:
-        phi = self.conj()
-        while self.at_punct("|"):
-            self.next()
-            phi = Or(phi, self.conj())
-        return phi
-
-    def conj(self) -> Formula:
-        phi = self.unary()
-        while self.at_punct("&"):
-            self.next()
-            phi = And(phi, self.unary())
+            if right:
+                return node(phi, self.infix(level))
+            phi = node(phi, self.unary() if last else self.infix(level + 1))
         return phi
 
     def unary(self) -> Formula:
@@ -403,7 +371,7 @@ class _Parser:
             return Bot()
         if kind == "PUNCT" and val == "(":
             self.next()
-            phi = self.iff()
+            phi = self.infix()
             self.expect(")")
             return phi
         if kind == "PRED":
@@ -495,7 +463,9 @@ def parse_term(text: str) -> Term:
 # ---------------------------------------------------------------------------
 # Printer
 
-_IFF, _IMPL, _OR, _AND, _UNARY, _ATOM = range(6)
+# Binding levels, loosest first: the rows of INFIX, unary operators, atoms.
+_UNARY, _ATOM = len(INFIX), len(INFIX) + 1
+_LEVEL = {node: level for level, (_, node, _) in enumerate(INFIX)}
 
 
 def print_term(t: Term) -> str:
@@ -506,11 +476,16 @@ def _operand(phi: Formula) -> str:
     # Equality atoms under a unary operator get explicit parentheses:
     # [?x := b] K{a} (?x = b) reads better than the bare chain.
     if isinstance(phi, Eq):
-        return "(" + _pp(phi, _IFF) + ")"
+        return "(" + _pp(phi, 0) + ")"
     return _pp(phi, _UNARY)
 
 
 def _render(phi: Formula):
+    level = _LEVEL.get(type(phi))
+    if level is not None:       # the operand on the side it groups to may chain
+        symbol, _, right = INFIX[level]
+        return (_pp(phi.lhs, level + right) + f" {symbol} "
+                + _pp(phi.rhs, level + (not right)), level)
     match phi:
         case Top():
             return "true", _ATOM
@@ -532,14 +507,6 @@ def _render(phi: Formula):
             return "K{" + print_term(agent) + "} " + _operand(body), _UNARY
         case Assign(var, term, body):
             return f"[?{var} := {print_term(term)}] " + _operand(body), _UNARY
-        case And(lhs, rhs):
-            return _pp(lhs, _AND) + " & " + _pp(rhs, _UNARY), _AND
-        case Or(lhs, rhs):
-            return _pp(lhs, _OR) + " | " + _pp(rhs, _AND), _OR
-        case Implies(lhs, rhs):
-            return _pp(lhs, _OR) + " -> " + _pp(rhs, _IMPL), _IMPL
-        case Iff(lhs, rhs):
-            return _pp(lhs, _IFF) + " <-> " + _pp(rhs, _IMPL), _IFF
     raise TypeError(f"not a formula: {phi!r}")
 
 
@@ -550,7 +517,7 @@ def _pp(phi: Formula, required: int) -> str:
 
 def print_formula(phi: Formula) -> str:
     """Render with minimal parentheses; parse_formula(print_formula(phi)) == phi."""
-    return _pp(phi, _IFF)
+    return _pp(phi, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -30,8 +30,8 @@ from dataclasses import dataclass
 
 from .semantics import KripkeModel
 from .syntax import (
-    BINARY, BOOLEAN, And, Assign, Bot, Eq, Formula, Iff, Implies, Knows, Not,
-    Or, Pred, Term, Top, Var, children, interned,
+    BINARY, BOOLEAN, INFIX, And, Assign, Bot, Eq, Formula, Iff, Implies,
+    Knows, Not, Or, Pred, Term, Top, Var, children, interned,
 )
 
 
@@ -327,7 +327,7 @@ def print_fol_term(t: FOLTerm) -> str:
     raise TypeError(f"not a first-order term: {t!r}")
 
 
-_SYMBOLS = {And: "&", Or: "|", Implies: "->", Iff: "<->"}
+_SYMBOLS = {node: symbol for symbol, node, _ in INFIX}
 
 
 def print_fol(phi: FOLFormula) -> str:

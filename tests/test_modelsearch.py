@@ -108,6 +108,15 @@ class TestEnumeration:
                for m in enumerate_models(sig, SearchBounds(2, 2, True))}
         assert epi < arb
 
+    def test_enumeration_builds_no_search_table(self):
+        # the pools come from _relation_pool; the searches' frame tables,
+        # kept for the life of the process, are not built for it
+        modelsearch._frames.cache_clear()
+        sig = Signature({"P": 1}, frozenset({"a"}))
+        assert len(list(enumerate_models(sig, SearchBounds(2, 1, False)))) == \
+            sum(count_models(sig, n, 1, False) for n in (1, 2))
+        assert modelsearch._frames.cache_info().currsize == 0
+
     def test_determinism(self):
         sig = Signature({"P": 1}, frozenset({"a"}))
         run1 = [model_to_dict(m) for m in itertools.islice(
@@ -315,6 +324,10 @@ class TestFold:
         ("(Q(a, ?y) -> P(b)) & K{a} false -> "
          "[?y := a] Q(b, ?x) & (P(?y) -> b = ?x)", True),
         ("Q(a, ?x) | (K{b} false -> P(?x) & P(b))", True),
+        # and of seed 2029: a connective joins one node to itself
+        ("(K{?x} P(b) <-> true -> false) -> "
+         "(Q(?x, a) -> Q(?x, a) <-> true & true)", True),
+        ("~Q(a, a) & K{b} P(?x) | (false -> Q(?x, b)) & (P(a) <-> P(a))", True),
     ])
     def test_constant_targets_answer_at_once(self, text, want_false,
                                              monkeypatch):
@@ -751,7 +764,7 @@ class TestFastScanAgainstSlowScan:
         rng = random.Random(1977)
         x, y = Var("x"), Var("y")
         cases = []
-        while len(cases) < 150:
+        while len(cases) < 400:
             psi = random_formula(rng, ("x", "y"), ("a",), {"P": 1}, depth=2)
             for phi, target in ((psi, False), (psi, True),
                                 (And(psi, Not(Knows(x, psi))), True),

@@ -8,6 +8,7 @@ import pytest
 
 from reference import PROOFS, ROOT
 
+from elas.cli import main
 from elas.proofkit import (
     AXIOM_IDS, BUNDLED, _LEMMA_BUILDERS, AtomBudgetError, Axiom, Lemma, MP,
     NecAs, NecK, ProofScript, ProofStep, ScriptError, Taut, bundled_theorems,
@@ -330,6 +331,16 @@ class TestScriptText:
         # a superscript or circled digit passes str.isdigit but not int()
         with pytest.raises(ScriptError, match="^line 2: expected"):
             parse_script(f"goal: a = a\n{head}. a = a ; axiom ID\n")
+
+    def test_malformed_goal_reports_its_line(self, tmp_path, capsys):
+        text = "goal: a = \n1. a = a ; axiom ID\n"
+        with pytest.raises(ScriptError, match=r"^line 1: expected a term .* 3\)$"):
+            parse_script(text)
+        path = tmp_path / "bad.selas"
+        path.write_text(text)
+        assert main(["prove", str(path)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: line 1: expected a term (?x or a name) (at position 3)"]
 
     def test_load_shipped_file(self):
         script = load_script(str(PROOFS / "sym.selas"))

@@ -1,14 +1,16 @@
 import copy
 import gc
+import hashlib
 import pickle
 import random
+import threading
 import weakref
 
 import pytest
 
 from elas import syntax
 from elas.randgen import random_formula
-from elas.translation import translate
+from elas.translation import print_fol, translate
 from elas.syntax import (
     And, ArityError, Assign, Bot, Eq, FreshnessError, Iff, Implies, Knows,
     Name, Not, Or, ParseError, Pred, Signature, SubstitutionError, Top, Var,
@@ -17,6 +19,7 @@ from elas.syntax import (
     kh, knows_who, node_count, parse_formula, print_formula, reletter,
     subformulas, substitute,
 )
+from elas.syntax import _tokenize
 
 x, y, z = Var("x"), Var("y"), Var("z")
 a, b, c = Name("a"), Name("b"), Name("c")
@@ -296,3 +299,60 @@ class TestHashConsing:
         gc.collect()
         assert parent() is None
         assert Not(child).body is child
+
+
+# Pieces of the random strings of TestPinned: every operator, bracket and
+# keyword, whitespace, and characters that str.isalpha and str.isalnum tell
+# apart (é is a letter; ², ½ and Ⅻ are alphanumeric but not letters).
+PIECES = ("?", "_", "é", "²", "½", "Ⅻ", "1", "a", "b", "x", "P", "Q", "K",
+          "Kh", "true", "false", "(", ")", "{", "}", "[", "]", "<", ">", ",",
+          "=", ":=", "~", "&", "|", "->", "<->", ":", "-", " ", "\t", "\n")
+
+# sha256 of the outcomes below; a rewrite of the syntax layer keeps them
+PRINT_DIGEST = "9f4cd405a26b5258ad19ce50b85561143f6d7086d3e3534c716fa34a55ead1c5"
+PARSE_DIGEST = "0ab503ad099aae162e5f4a2ba052bdb6cef1fa1c80d185703b4c1301f2b4fe02"
+
+
+def _outcome(read, text: str) -> str:
+    """The repr of what read returns for text, or its error and position."""
+    try:
+        return repr(read(text))
+    except ParseError as err:
+        return f"error {err.message!r} at {err.pos}"
+
+
+def _sha(lines) -> str:
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+class TestPinned:
+    """Digests of what the lexer, the parser and both printers produce on
+    seeded inputs, so that a rewrite of the syntax layer keeps them."""
+
+    def test_printers(self):
+        rng = random.Random(1973)
+        lines = []
+        for _ in range(2000):
+            phi = random_formula(rng, ("x", "y", "z"), ("a", "b"),
+                                 {"P": 1, "Q": 2, "R": 0}, depth=6)
+            lines.append(print_formula(phi) + "\t" + print_fol(translate(phi)))
+        assert _sha(lines) == PRINT_DIGEST
+
+    def test_lexer_and_parser(self):
+        rng = random.Random(1973)
+        lines = []
+        for _ in range(20000):
+            text = "".join(rng.choice(PIECES) for _ in range(rng.randint(0, 12)))
+            lines.append(_outcome(_tokenize, text))
+            lines.append(_outcome(parse_formula, text))
+        assert _sha(lines) == PARSE_DIGEST
+
+    def test_deep_parentheses_parse(self):
+        # in a thread of its own, so that the test runner's frames do not
+        # count against the recursion limit
+        parsed = []
+        thread = threading.Thread(target=lambda: parsed.append(
+            parse_formula("(" * 160 + "P" + ")" * 160)))
+        thread.start()
+        thread.join()
+        assert parsed == [Pred("P", ())]
