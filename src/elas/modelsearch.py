@@ -109,7 +109,7 @@ from .randgen import agent_labels, set_partitions, world_labels
 from .randgen import count_models  # noqa: F401  (part of this module's API)
 from .semantics import (
     BIT_OPS, KripkeModel, PointedModel, denote, digit_mask, eval_all_worlds,
-    eval_formula, make_model,
+    eval_formula, normal_model,
 )
 from .syntax import (
     BINARY, And, Assign, Bot, Eq, Formula, Iff, Implies, Knows, Name, Not, Or,
@@ -226,9 +226,13 @@ class _Layout:
 
     def build_model(self, sig: Signature, succ, index: int) -> KripkeModel:
         """The model at a scan index under the successor tuples succ."""
-        relations = {agent: frozenset((self.worlds[w], self.worlds[v])
+        worlds = self.worlds
+        relations = {agent: frozenset((worlds[w], worlds[v])
                                       for w, row in enumerate(rel) for v in row)
                      for agent, rel in zip(self.agents, succ)}
+        successors = {(agent, worlds[w]): tuple(sorted(worlds[v] for v in row))
+                      for agent, rel in zip(self.agents, succ)
+                      for w, row in enumerate(rel) if row}
         rho_index, eta_pos = divmod(index, self.etas)
         rho = {}
         for (sym, w), offset in self.offsets.items():
@@ -240,7 +244,8 @@ class _Layout:
         eta_map = {(self.names[d // self.n], self.worlds[d % self.n]):
                    self.agents[eta_pos // weight % self.k]
                    for d, (weight, _) in enumerate(self.eta_lanes)}
-        return make_model(self.worlds, self.agents, relations, rho, eta_map, sig)
+        return normal_model(tuple(sorted(worlds)), tuple(sorted(self.agents)),
+                            relations, rho, eta_map, sig, successors)
 
 
 def _meet(a, b):
@@ -573,7 +578,7 @@ def _target(phi: Formula, want_false: bool, epistemic: bool) -> _Target:
     formula, md, ks = walk(Not(phi) if want_false else phi)
     worlds = 0 if type(formula) is Bot else 1 + ks if md <= 1 else math.inf
     sig = formula_signature(phi)
-    return _Target(formula, Signature(sig.predicates, sig.names), frozenset(variables),
+    return _Target(formula, Signature(dict(sig.predicates), sig.names), frozenset(variables),
                    sig.variables, worlds, tuple(hoisted) if md else (formula,))
 
 

@@ -11,7 +11,7 @@ import functools
 import itertools
 import random
 
-from .semantics import KripkeModel, make_model
+from .semantics import KripkeModel, normal_model
 from .syntax import (
     And, Assign, Bot, Eq, Formula, Iff, Implies, Knows, Name, Not, Or, Pred,
     Signature, Term, Top, Var,
@@ -37,11 +37,19 @@ def set_partitions(n: int) -> tuple:
     return tuple(out)
 
 
+@functools.cache
 def partition_relation(rgs, worlds) -> frozenset:
     """The equivalence relation whose blocks are given by the growth string."""
     return frozenset((worlds[i], worlds[j])
                      for i in range(len(worlds)) for j in range(len(worlds))
                      if rgs[i] == rgs[j])
+
+
+@functools.cache
+def _partition_successors(rgs, worlds) -> tuple:
+    """(world, its block in sorted order) for each world, in order."""
+    return tuple((w, tuple(sorted(v for v, b in zip(worlds, rgs) if b == block)))
+                 for w, block in zip(worlds, rgs))
 
 
 def world_labels(n: int) -> tuple:
@@ -89,7 +97,7 @@ def _draw_block(rng: random.Random, sig: Signature, max_worlds: int,
     return world_labels(n), agent_labels(k)
 
 
-def _assemble(sig: Signature, worlds, agents, relations, rng) -> KripkeModel:
+def _assemble(sig: Signature, worlds, agents, relations, succ, rng) -> KripkeModel:
     rho = {}
     for pred, arity in sorted(sig.predicates.items()):
         tuples = list(itertools.product(agents, repeat=arity))
@@ -101,7 +109,8 @@ def _assemble(sig: Signature, worlds, agents, relations, rng) -> KripkeModel:
     for name in sorted(sig.names):
         for w in worlds:
             eta[(name, w)] = rng.choice(agents)
-    return make_model(worlds, agents, relations, rho, eta, sig)
+    return normal_model(tuple(sorted(worlds)), tuple(sorted(agents)), relations,
+                        rho, eta, sig, succ)
 
 
 def random_epistemic_model(rng: random.Random, sig: Signature,
@@ -110,63 +119,72 @@ def random_epistemic_model(rng: random.Random, sig: Signature,
     worlds and agents over the signature."""
     worlds, agents = _draw_block(rng, sig, max_worlds, max_agents, True)
     partitions = set_partitions(len(worlds))
-    relations = {agent: partition_relation(rng.choice(partitions), worlds)
-                 for agent in agents}
-    return _assemble(sig, worlds, agents, relations, rng)
+    relations, succ = {}, {}
+    for agent in agents:
+        rgs = rng.choice(partitions)
+        relations[agent] = partition_relation(rgs, worlds)
+        for w, block in _partition_successors(rgs, worlds):
+            succ[(agent, w)] = block
+    return _assemble(sig, worlds, agents, relations, succ, rng)
 
 
 def random_model(rng: random.Random, sig: Signature,
                  max_worlds: int = 3, max_agents: int = 3) -> KripkeModel:
     """Arbitrary-frame counterpart of random_epistemic_model."""
     worlds, agents = _draw_block(rng, sig, max_worlds, max_agents, False)
-    relations = {}
+    relations, succ = {}, {}
     for agent in agents:
-        pairs = frozenset((u, v) for u in worlds for v in worlds
-                          if rng.random() < 0.5)
-        relations[agent] = pairs
-    return _assemble(sig, worlds, agents, relations, rng)
+        pairs = []
+        for u in worlds:
+            vs = [v for v in worlds if rng.random() < 0.5]
+            if vs:
+                succ[(agent, u)] = tuple(sorted(vs))
+                pairs.extend((u, v) for v in vs)
+        relations[agent] = frozenset(pairs)
+    return _assemble(sig, worlds, agents, relations, succ, rng)
 
 
 def random_sigma(rng: random.Random, variables, model: KripkeModel) -> dict:
     return {v: rng.choice(model.agents) for v in variables}
 
 
-def random_term(rng: random.Random, variables, names) -> Term:
-    pool = [Var(v) for v in variables] + [Name(n) for n in names]
-    return rng.choice(pool)
-
-
 def random_formula(rng: random.Random, variables, names, predicates,
                    depth: int, allow_assign: bool = True) -> Formula:
     """A random formula of at most the given operator depth."""
-    if depth <= 0:
-        kind = rng.randrange(8)
+    terms = [Var(v) for v in variables] + [Name(n) for n in names]
+    atoms = sorted(predicates.items())
+    binders = sorted(variables)
+    kinds = 8 if allow_assign else 7
+
+    def term() -> Term:
+        return rng.choice(terms)
+
+    def draw(depth: int) -> Formula:
+        if depth <= 0:
+            kind = rng.randrange(8)
+            if kind == 0:
+                return Top()
+            if kind == 1:
+                return Bot()
+            if kind in (2, 3):
+                return Eq(term(), term())
+            sym, arity = rng.choice(atoms)
+            return Pred(sym, tuple(term() for _ in range(arity)))
+        kind = rng.randrange(kinds)
         if kind == 0:
-            return Top()
+            return draw(0)
         if kind == 1:
-            return Bot()
-        if kind in (2, 3):
-            return Eq(random_term(rng, variables, names),
-                      random_term(rng, variables, names))
-        sym, arity = rng.choice(sorted(predicates.items()))
-        return Pred(sym, tuple(random_term(rng, variables, names)
-                               for _ in range(arity)))
-    kind = rng.randrange(8 if allow_assign else 7)
-    sub = lambda: random_formula(rng, variables, names, predicates,
-                                 depth - 1, allow_assign)
-    if kind == 0:
-        return random_formula(rng, variables, names, predicates, 0, allow_assign)
-    if kind == 1:
-        return Not(sub())
-    if kind == 2:
-        return And(sub(), sub())
-    if kind == 3:
-        return Or(sub(), sub())
-    if kind == 4:
-        return Implies(sub(), sub())
-    if kind == 5:
-        return Iff(sub(), sub())
-    if kind == 6:
-        return Knows(random_term(rng, variables, names), sub())
-    return Assign(rng.choice(sorted(variables)),
-                  random_term(rng, variables, names), sub())
+            return Not(draw(depth - 1))
+        if kind == 2:
+            return And(draw(depth - 1), draw(depth - 1))
+        if kind == 3:
+            return Or(draw(depth - 1), draw(depth - 1))
+        if kind == 4:
+            return Implies(draw(depth - 1), draw(depth - 1))
+        if kind == 5:
+            return Iff(draw(depth - 1), draw(depth - 1))
+        if kind == 6:
+            return Knows(term(), draw(depth - 1))
+        return Assign(rng.choice(binders), term(), draw(depth - 1))
+
+    return draw(depth)

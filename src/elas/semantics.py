@@ -18,6 +18,11 @@ Truth at a pointed model (model, world, sigma):
 
 Models are immutable after construction (their mappings are read-only) and
 evaluation is pure, so a model may be shared freely between threads.
+
+Only ``make_model`` normalises foreign input (model files go through it and
+then ``validate_model``).  The library's own samplers and search already
+build their containers in its normal form and hand them to ``normal_model``,
+which takes them over without copying.
 """
 
 from __future__ import annotations
@@ -43,7 +48,7 @@ class ModelError(Exception):
 
 @dataclass(frozen=True)
 class KripkeModel:
-    """Built by make_model; the mappings are read-only."""
+    """Built by make_model or normal_model; the mappings are read-only."""
     worlds: tuple
     agents: tuple
     relations: MappingProxyType   # agent -> frozenset of (world, world)
@@ -75,16 +80,22 @@ def make_model(worlds, agents, relations, rho, eta, signature) -> KripkeModel:
     for agent, rel in relations.items():
         for u, v in rel:
             succ.setdefault((agent, u), []).append(v)
-    return KripkeModel(
-        worlds=tuple(sorted(worlds)),
-        agents=tuple(sorted(agents)),
-        relations=MappingProxyType(relations),
-        rho=MappingProxyType({k: frozenset(map(tuple, v))
-                              for k, v in rho.items() if v}),   # empty is the default
-        eta=MappingProxyType(dict(eta)),
-        signature=signature,
-        _succ={key: tuple(sorted(vs)) for key, vs in succ.items()},
-    )
+    return normal_model(
+        tuple(sorted(worlds)), tuple(sorted(agents)), relations,
+        {k: frozenset(map(tuple, v)) for k, v in rho.items() if v},   # empty is the default
+        dict(eta), signature, {key: tuple(sorted(vs)) for key, vs in succ.items()})
+
+
+def normal_model(worlds: tuple, agents: tuple, relations: dict, rho: dict,
+                 eta: dict, signature: Signature, succ: dict) -> KripkeModel:
+    """A KripkeModel over containers already in make_model's normal form,
+    taken over without a copy: sorted worlds and agents, relations and rho
+    as frozensets of tuples with no empty rho entry, and succ mapping each
+    (agent, world) with a successor to its successors in sorted order.
+    The library's samplers and search build models this way; input from
+    elsewhere goes through make_model."""
+    return KripkeModel(worlds, agents, MappingProxyType(relations),
+                       MappingProxyType(rho), MappingProxyType(eta), signature, succ)
 
 
 @dataclass(frozen=True)
@@ -172,14 +183,20 @@ def denote(m: KripkeModel, sigma: dict, world: str, t: Term) -> str:
 
 def _check_coverage(m: KripkeModel, sigma: dict, phi: Formula) -> None:
     sig = formula_signature(phi)
+    model_sig = m.signature
+    if (sig.variables <= sigma.keys() and sig.names <= model_sig.names
+            and all(model_sig.predicates.get(p) == arity
+                    for p, arity in sig.predicates.items())
+            and all(a in m.agents for a in sigma.values())):
+        return
     for v in sorted(sig.variables):
         if v not in sigma:
             raise EvalError(f"unbound variable ?{v}")
     for n in sorted(sig.names):
-        if n not in m.signature.names:
+        if n not in model_sig.names:
             raise EvalError(f"unknown name {n}")
     for p, arity in sorted(sig.predicates.items()):
-        have = m.signature.predicates.get(p)
+        have = model_sig.predicates.get(p)
         if have is None:
             raise EvalError(f"unknown predicate {p}")
         if have != arity:
@@ -190,33 +207,43 @@ def _check_coverage(m: KripkeModel, sigma: dict, phi: Formula) -> None:
 
 
 def _eval(m: KripkeModel, world: str, sigma: dict, phi: Formula) -> bool:
-    match phi:
-        case Top():
-            return True
-        case Bot():
-            return False
-        case Eq(lhs, rhs):
-            return denote(m, sigma, world, lhs) == denote(m, sigma, world, rhs)
-        case Pred(sym, args):
-            tup = tuple(denote(m, sigma, world, a) for a in args)
-            return tup in m.rho_at(sym, world)
-        case Not(body):
-            return not _eval(m, world, sigma, body)
-        case And(l, r):
-            return _eval(m, world, sigma, l) and _eval(m, world, sigma, r)
-        case Or(l, r):
-            return _eval(m, world, sigma, l) or _eval(m, world, sigma, r)
-        case Implies(l, r):
-            return (not _eval(m, world, sigma, l)) or _eval(m, world, sigma, r)
-        case Iff(l, r):
-            return _eval(m, world, sigma, l) == _eval(m, world, sigma, r)
-        case Knows(agent, body):
-            i = denote(m, sigma, world, agent)
-            return all(_eval(m, v, sigma, body) for v in m.successors(i, world))
-        case Assign(var, term, body):
-            value = denote(m, sigma, world, term)
-            return _eval(m, world, {**sigma, var: value}, body)
-    raise TypeError(f"not a formula: {phi!r}")
+    try:
+        rule = _RULES[type(phi)]
+    except KeyError:
+        raise TypeError(f"not a formula: {phi!r}") from None
+    return rule(m, world, sigma, phi)
+
+
+def _knows(m, world, sigma, phi):
+    i = denote(m, sigma, world, phi.agent)
+    return all(_eval(m, v, sigma, phi.body) for v in m.successors(i, world))
+
+
+def _assign(m, world, sigma, phi):
+    value = denote(m, sigma, world, phi.term)
+    return _eval(m, world, {**sigma, phi.var: value}, phi.body)
+
+
+# The truth clause of each node class, called with (model, world, sigma, node).
+_RULES = {
+    Top: lambda m, world, sigma, phi: True,
+    Bot: lambda m, world, sigma, phi: False,
+    Eq: lambda m, world, sigma, phi: (denote(m, sigma, world, phi.lhs)
+                                      == denote(m, sigma, world, phi.rhs)),
+    Pred: lambda m, world, sigma, phi: tuple(
+        denote(m, sigma, world, a) for a in phi.args) in m.rho_at(phi.sym, world),
+    Not: lambda m, world, sigma, phi: not _eval(m, world, sigma, phi.body),
+    And: lambda m, world, sigma, phi: (_eval(m, world, sigma, phi.lhs)
+                                       and _eval(m, world, sigma, phi.rhs)),
+    Or: lambda m, world, sigma, phi: (_eval(m, world, sigma, phi.lhs)
+                                      or _eval(m, world, sigma, phi.rhs)),
+    Implies: lambda m, world, sigma, phi: (not _eval(m, world, sigma, phi.lhs)
+                                           or _eval(m, world, sigma, phi.rhs)),
+    Iff: lambda m, world, sigma, phi: (_eval(m, world, sigma, phi.lhs)
+                                       == _eval(m, world, sigma, phi.rhs)),
+    Knows: _knows,
+    Assign: _assign,
+}
 
 
 def eval_formula(m: KripkeModel, world: str, sigma: dict, phi: Formula) -> bool:

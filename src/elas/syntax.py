@@ -39,6 +39,7 @@ from __future__ import annotations
 import re
 import weakref
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Iterator, Union
 
 
@@ -248,6 +249,10 @@ class Signature:
     predicates: dict
     names: frozenset
     variables: frozenset = frozenset()
+
+    def __reduce__(self):
+        # predicates may be read-only (formula_signature), which pickles as a dict
+        return Signature, (dict(self.predicates), self.names, self.variables)
 
 
 # ---------------------------------------------------------------------------
@@ -603,7 +608,7 @@ def _collect(phi: Formula, preds: dict, names: set) -> set:
 def free_vars(phi: Formula) -> frozenset:
     """Free variables; the term of a binder counts as free even when it is
     the bound variable itself."""
-    return frozenset(_collect(phi, {}, set()))
+    return formula_signature(phi).variables
 
 
 def all_vars(phi: Formula) -> frozenset:
@@ -618,13 +623,28 @@ def all_vars(phi: Formula) -> frozenset:
     return frozenset(out)
 
 
+# formula -> its Signature; held weakly, so it keeps no formula alive
+_SIGNATURES = weakref.WeakKeyDictionary()
+
+
 def formula_signature(phi: Formula) -> Signature:
     """Exactly the predicates, names and free variables occurring in phi,
-    collected in one walk."""
+    collected in one walk the first time phi is asked about and remembered
+    while phi lives; its predicates are read-only."""
+    try:
+        return _SIGNATURES[phi]
+    except KeyError:
+        sig = _SIGNATURES[phi] = _walk_signature(phi)
+        return sig
+    except TypeError:       # not weakly referable, so not a node: nothing to remember
+        return _walk_signature(phi)
+
+
+def _walk_signature(phi: Formula) -> Signature:
     preds: dict = {}
     names: set = set()
     free = _collect(phi, preds, names)
-    return Signature(preds, frozenset(names), frozenset(free))
+    return Signature(MappingProxyType(preds), frozenset(names), frozenset(free))
 
 
 def is_el_fragment(phi: Formula) -> bool:

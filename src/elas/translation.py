@@ -144,27 +144,46 @@ class _Translator:
         return NameApp(t.id, WorldVar(w))
 
     def formula(self, phi: Formula, w: str) -> FOLFormula:
-        if isinstance(phi, _CONNECTIVES):
-            return type(phi)(*[self.formula(kid, w) for kid in children(phi)])
-        match phi:
-            case Eq(lhs, rhs):
-                return AgentEq(self.term(lhs, w), self.term(rhs, w))
-            case Pred(sym, args):
-                return PredApp(sym, WorldVar(w), tuple(self.term(a, w) for a in args))
-            case Knows(agent, body):
-                v = self.fresh_world()
-                guard = RelApp(WorldVar(w), WorldVar(v), self.term(agent, w))
-                return ForallWorld(v, Implies(guard, self.formula(body, v)))
-            case Assign(var, term, body):
-                self.seen.add(var)
-                if isinstance(term, Var) and term.id == var:
-                    return self.formula(body, w)
-                value = self.term(term, w)
-                inner = self.formula(body, w)
-                if self.universal:
-                    return ForallAgent(var, Implies(AgentEq(AgentVar(var), value), inner))
-                return ExistsAgent(var, And(AgentEq(AgentVar(var), value), inner))
-        raise TypeError(f"not a formula: {phi!r}")
+        try:
+            rule = _TRANSLATIONS[type(phi)]
+        except KeyError:
+            raise TypeError(f"not a formula: {phi!r}") from None
+        return rule(self, phi, w)
+
+    def knows(self, phi: Knows, w: str) -> FOLFormula:
+        v = self.fresh_world()
+        guard = RelApp(WorldVar(w), WorldVar(v), self.term(phi.agent, w))
+        return ForallWorld(v, Implies(guard, self.formula(phi.body, v)))
+
+    def assign(self, phi: Assign, w: str) -> FOLFormula:
+        var, term = phi.var, phi.term
+        self.seen.add(var)
+        if isinstance(term, Var) and term.id == var:
+            return self.formula(phi.body, w)
+        value = self.term(term, w)
+        inner = self.formula(phi.body, w)
+        if self.universal:
+            return ForallAgent(var, Implies(AgentEq(AgentVar(var), value), inner))
+        return ExistsAgent(var, And(AgentEq(AgentVar(var), value), inner))
+
+
+def _binary(tr: _Translator, phi: Formula, w: str) -> FOLFormula:
+    return type(phi)(tr.formula(phi.lhs, w), tr.formula(phi.rhs, w))
+
+
+# The translation clause of each node class, called with (translator, node,
+# current world variable).
+_TRANSLATIONS = {
+    Top: lambda tr, phi, w: phi,
+    Bot: lambda tr, phi, w: phi,
+    Not: lambda tr, phi, w: Not(tr.formula(phi.body, w)),
+    **dict.fromkeys(BINARY, _binary),
+    Eq: lambda tr, phi, w: AgentEq(tr.term(phi.lhs, w), tr.term(phi.rhs, w)),
+    Pred: lambda tr, phi, w: PredApp(phi.sym, WorldVar(w),
+                                     tuple(tr.term(a, w) for a in phi.args)),
+    Knows: _Translator.knows,
+    Assign: _Translator.assign,
+}
 
 
 def _translate(phi: Formula, world_var: str, universal_assign: bool) -> FOLFormula:
@@ -278,42 +297,49 @@ def fol_eval(s: FOLStructure, valuation: dict, phi: FOLFormula) -> bool:
 
 
 def _holds(s: FOLStructure, worlds: dict, agents: dict, phi: FOLFormula) -> bool:
-    match phi:
-        case Top():
-            return True
-        case Bot():
-            return False
-        case AgentEq(lhs, rhs):
-            return (_eval_term(s, worlds, agents, lhs)
-                    == _eval_term(s, worlds, agents, rhs))
-        case PredApp(sym, world, args):
-            if sym not in s.preds:
-                raise FolEvalError(f"unknown relation Q_{sym}")
-            tup = (_eval_term(s, worlds, agents, world),
-                   *(_eval_term(s, worlds, agents, a) for a in args))
-            return tup in s.preds[sym]
-        case RelApp(src, dst, agent):
-            triple = (_eval_term(s, worlds, agents, src),
-                      _eval_term(s, worlds, agents, dst),
-                      _eval_term(s, worlds, agents, agent))
-            return triple in s.rel
-        case Not(body):
-            return not _holds(s, worlds, agents, body)
-        case And(l, r):
-            return _holds(s, worlds, agents, l) and _holds(s, worlds, agents, r)
-        case Or(l, r):
-            return _holds(s, worlds, agents, l) or _holds(s, worlds, agents, r)
-        case Implies(l, r):
-            return (not _holds(s, worlds, agents, l)) or _holds(s, worlds, agents, r)
-        case Iff(l, r):
-            return _holds(s, worlds, agents, l) == _holds(s, worlds, agents, r)
-        case ForallWorld(var, body):
-            return all(_holds(s, {**worlds, var: w}, agents, body) for w in s.worlds)
-        case ExistsAgent(var, body):
-            return any(_holds(s, worlds, {**agents, var: a}, body) for a in s.agents)
-        case ForallAgent(var, body):
-            return all(_holds(s, worlds, {**agents, var: a}, body) for a in s.agents)
-    raise TypeError(f"not a first-order formula: {phi!r}")
+    try:
+        rule = _CLAUSES[type(phi)]
+    except KeyError:
+        raise TypeError(f"not a first-order formula: {phi!r}") from None
+    return rule(s, worlds, agents, phi)
+
+
+def _pred_app(s, worlds, agents, phi):
+    if phi.sym not in s.preds:
+        raise FolEvalError(f"unknown relation Q_{phi.sym}")
+    tup = (_eval_term(s, worlds, agents, phi.world),
+           *(_eval_term(s, worlds, agents, a) for a in phi.args))
+    return tup in s.preds[phi.sym]
+
+
+# The satisfaction clause of each node class, called with (structure, world
+# valuation, agent valuation, node); separate from semantics._eval, so that
+# the two evaluators stay independent.
+_CLAUSES = {
+    Top: lambda s, worlds, agents, phi: True,
+    Bot: lambda s, worlds, agents, phi: False,
+    AgentEq: lambda s, worlds, agents, phi: (_eval_term(s, worlds, agents, phi.lhs)
+                                             == _eval_term(s, worlds, agents, phi.rhs)),
+    PredApp: _pred_app,
+    RelApp: lambda s, worlds, agents, phi: (
+        _eval_term(s, worlds, agents, phi.src), _eval_term(s, worlds, agents, phi.dst),
+        _eval_term(s, worlds, agents, phi.agent)) in s.rel,
+    Not: lambda s, worlds, agents, phi: not _holds(s, worlds, agents, phi.body),
+    And: lambda s, worlds, agents, phi: (_holds(s, worlds, agents, phi.lhs)
+                                         and _holds(s, worlds, agents, phi.rhs)),
+    Or: lambda s, worlds, agents, phi: (_holds(s, worlds, agents, phi.lhs)
+                                        or _holds(s, worlds, agents, phi.rhs)),
+    Implies: lambda s, worlds, agents, phi: (not _holds(s, worlds, agents, phi.lhs)
+                                             or _holds(s, worlds, agents, phi.rhs)),
+    Iff: lambda s, worlds, agents, phi: (_holds(s, worlds, agents, phi.lhs)
+                                         == _holds(s, worlds, agents, phi.rhs)),
+    ForallWorld: lambda s, worlds, agents, phi: all(
+        _holds(s, {**worlds, phi.var: w}, agents, phi.body) for w in s.worlds),
+    ExistsAgent: lambda s, worlds, agents, phi: any(
+        _holds(s, worlds, {**agents, phi.var: a}, phi.body) for a in s.agents),
+    ForallAgent: lambda s, worlds, agents, phi: all(
+        _holds(s, worlds, {**agents, phi.var: a}, phi.body) for a in s.agents),
+}
 
 
 # ---------------------------------------------------------------------------

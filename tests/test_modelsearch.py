@@ -137,6 +137,22 @@ class TestFindCountermodel:
                           pointed.sigma, phi) is False
         assert is_epistemic(pointed.model)
 
+    def test_hits_are_the_models_make_model_builds(self):
+        for bounds in (EPISTEMIC22, ARBITRARY22):
+            for label, phi, target in SEARCH_CASES:
+                if not target:
+                    continue
+                m = getattr(find_witness(phi, bounds), "pointed", None)
+                if m is None:
+                    continue
+                m = m.model
+                again = make_model(m.worlds[::-1], m.agents[::-1],
+                                   {a: set(rel) for a, rel in m.relations.items()},
+                                   dict(m.rho), dict(m.eta), m.signature)
+                assert again == m and hash(again) == hash(m), label
+                assert again._succ == m._succ, label
+                assert type(m.signature.predicates) is dict, label
+
     def test_rigid_equality_valid(self):
         phi = parse_formula("?x = ?y -> K{a} ?x = ?y")
         assert isinstance(find_countermodel(phi, EPISTEMIC33), NoCountermodelUpTo)

@@ -6,7 +6,7 @@ import json
 import random
 
 from elas.randgen import random_epistemic_model, random_formula, random_model
-from elas.semantics import model_to_dict
+from elas.semantics import make_model, model_to_dict
 from elas.syntax import Signature, print_formula
 
 # sha256 of the draws below together with the generator's state after each
@@ -47,3 +47,44 @@ class TestPinnedDraws:
                         lines.append(json.dumps(model_to_dict(model), sort_keys=True))
                         lines.append(repr(rng.getstate()))
         assert _sha(lines) == MODEL_DIGEST
+
+
+def _rebuilt(m):
+    """make_model over the model's own containers, as plain copies and with
+    the worlds and agents out of order."""
+    return make_model(m.worlds[::-1], m.agents[::-1],
+                      {a: set(rel) for a, rel in m.relations.items()},
+                      {key: set(tuples) for key, tuples in m.rho.items()},
+                      dict(m.eta), m.signature)
+
+
+class TestNormalModels:
+    """The samplers build their models without make_model's copying; the
+    result is the model make_model builds from the same containers."""
+
+    SIGS = (Signature({"P": 1, "Q": 2}, frozenset({"a", "b"})),
+            Signature({"R": 0}, frozenset({"c"})),
+            Signature({}, frozenset()))
+
+    def _assert_normal(self, m):
+        again = _rebuilt(m)
+        assert again == m and hash(again) == hash(m)
+        assert again._succ == m._succ
+        assert m.worlds == tuple(sorted(m.worlds))
+        assert m.agents == tuple(sorted(m.agents))
+
+    def test_seeded_draws(self):
+        rng = random.Random(77)
+        for sample in (random_epistemic_model, random_model):
+            for sig in self.SIGS:
+                for _ in range(60):
+                    self._assert_normal(sample(rng, sig, 4, 3))
+
+    def test_ten_and_more_worlds_and_agents(self):
+        # "w10" < "w2": the labels are not drawn in sorted order
+        rng = random.Random(11)
+        for sample in (random_epistemic_model, random_model):
+            for _ in range(3):
+                m = sample(rng, Signature({}, frozenset()), 11, 11)
+                assert len(m.worlds) >= 10 and len(m.agents) >= 10
+                self._assert_normal(m)

@@ -9,8 +9,9 @@ from reference import FIXTURES, naive_eval
 from elas.randgen import (
     random_epistemic_model, random_formula, random_model, random_sigma,
 )
+from elas import syntax
 from elas.semantics import (
-    EvalError, ModelError, Signature, denote, digit_mask, eval_all_worlds,
+    _eval, EvalError, ModelError, Signature, denote, digit_mask, eval_all_worlds,
     eval_formula, is_epistemic, load_model, make_model, model_from_dict,
     model_to_dict, validate_model,
 )
@@ -161,6 +162,36 @@ class TestEval:
         # no default value: missing sigma entries fail loudly
         with pytest.raises(EvalError):
             eval_formula(m1, "s1", {}, parse_formula("P(?x) | ~P(?x)"))
+
+    def test_not_a_formula(self, m1):
+        for bad in ("P(a)", 5, Not(5)):
+            with pytest.raises(TypeError, match="not a formula"):
+                _eval(m1, "s1", {}, bad)
+            with pytest.raises(TypeError, match="not a formula"):
+                eval_formula(m1, "s1", {}, bad)
+
+    def test_gap_reads_the_same_once_the_signature_is_remembered(self, m1):
+        phi = parse_formula("?x = ?x & P(a)")
+        assert eval_formula(m1, "s2", {"x": "i"}, phi) is True
+        assert phi in syntax._SIGNATURES
+        no_name = make_model(m1.worlds, m1.agents, m1.relations, {}, {},
+                             Signature({"P": 1}, frozenset()))
+        wide_p = make_model(m1.worlds, m1.agents, m1.relations, {}, m1.eta,
+                            Signature({"P": 2}, frozenset({"a"})))
+        gaps = [(no_name, {"x": "i"}, "unknown name a"),
+                (wide_p, {"x": "i"}, "predicate P has arity 2 in the model, formula uses 1"),
+                (m1, {}, "unbound variable ?x"),
+                (m1, {"x": "zz"}, "sigma maps ?x to zz, which is not an agent")]
+        for depth, (model, sigma, message) in enumerate(gaps, 1):
+            # the same coverage as phi, under a node not evaluated before
+            cold = phi
+            for _ in range(depth):
+                cold = Not(cold)
+            assert cold not in syntax._SIGNATURES
+            for psi in (phi, cold):
+                with pytest.raises(EvalError) as err:
+                    eval_formula(model, "s1", sigma, psi)
+                assert str(err.value) == message
 
 
 class TestDigitMask:

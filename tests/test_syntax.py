@@ -235,6 +235,30 @@ class TestAuxiliary:
         assert sig.names == {"a", "b"}
         assert sig.variables == frozenset()
 
+    def test_signature_is_remembered_without_keeping_the_formula(self):
+        gc.collect()
+        phi = Px(Var("zsig"))
+        formula_signature(phi)
+        assert phi in syntax._SIGNATURES
+        held = len(syntax._SIGNATURES)
+        ref = weakref.ref(phi)
+        del phi
+        gc.collect()
+        assert ref() is None
+        assert len(syntax._SIGNATURES) == held - 1
+
+    def test_a_returned_signature_cannot_change_a_later_one(self):
+        phi = parse_formula("P(?x) & K{a} Q")
+        sig = formula_signature(phi)
+        with pytest.raises(TypeError):
+            sig.predicates["P"] = 2
+        for back in (pickle.loads(pickle.dumps(sig)), copy.deepcopy(sig)):
+            assert back == sig
+            back.predicates["R"] = 1           # a plain dict again
+        assert formula_signature(phi) == Signature(
+            {"P": 1, "Q": 0}, frozenset({"a"}), frozenset({"x"}))
+        assert free_vars(phi) == {"x"}
+
     def test_no_sugar_constructors_exist(self):
         phi = parse_formula("Kh{a} <?x := b> P(?x)")
         kinds = {type(sub).__name__ for sub in subformulas(phi)}

@@ -9,9 +9,9 @@ from elas.randgen import (
     random_epistemic_model, random_formula, random_model, random_sigma,
 )
 from elas.semantics import Signature, eval_formula
-from elas.syntax import Top, free_vars, is_el_fragment, parse_formula
+from elas.syntax import Not, Top, free_vars, is_el_fragment, parse_formula
 from elas.translation import (
-    AgentVar, FolEvalError, ForallWorld, SortError, WorldVar,
+    _holds, AgentVar, FolEvalError, ForallWorld, SortError, WorldVar,
     check_sorts, fol_eval, induce_structure, print_fol, translate,
     translate_universal,
 )
@@ -113,6 +113,16 @@ class TestFolEval:
         phi = translate(parse_formula("P(?x)"))
         with pytest.raises(SortError):
             fol_eval(induce_structure(m1), {"w": "s1", "x": "s1"}, phi)
+
+    def test_not_a_formula(self, m1):
+        s = induce_structure(m1)
+        for bad in ("P(a)", 5, Not(5)):
+            with pytest.raises(TypeError, match="not a first-order formula"):
+                _holds(s, {}, {}, bad)
+            with pytest.raises(TypeError, match="not a first-order formula"):
+                fol_eval(s, {}, bad)
+            with pytest.raises(TypeError, match="not a formula"):
+                translate(bad)
 
 
 class TestOracleAgreement:
