@@ -183,20 +183,14 @@ def denote(m: KripkeModel, sigma: dict, world: str, t: Term) -> str:
 
 def _check_coverage(m: KripkeModel, sigma: dict, phi: Formula) -> None:
     sig = formula_signature(phi)
-    model_sig = m.signature
-    if (sig.variables <= sigma.keys() and sig.names <= model_sig.names
-            and all(model_sig.predicates.get(p) == arity
-                    for p, arity in sig.predicates.items())
-            and all(a in m.agents for a in sigma.values())):
-        return
     for v in sorted(sig.variables):
         if v not in sigma:
             raise EvalError(f"unbound variable ?{v}")
     for n in sorted(sig.names):
-        if n not in model_sig.names:
+        if n not in m.signature.names:
             raise EvalError(f"unknown name {n}")
     for p, arity in sorted(sig.predicates.items()):
-        have = model_sig.predicates.get(p)
+        have = m.signature.predicates.get(p)
         if have is None:
             raise EvalError(f"unknown predicate {p}")
         if have != arity:
