@@ -13,8 +13,8 @@ import random
 
 from .semantics import KripkeModel, normal_model
 from .syntax import (
-    And, Assign, Bot, Eq, Formula, Iff, Implies, Knows, Name, Not, Or, Pred,
-    Signature, Term, Top, Var,
+    BINARY, Assign, Bot, Eq, Formula, Knows, Name, Not, Pred, Signature, Top,
+    Var,
 )
 
 
@@ -158,9 +158,6 @@ def random_formula(rng: random.Random, variables, names, predicates,
     binders = sorted(variables)
     kinds = 8 if allow_assign else 7
 
-    def term() -> Term:
-        return rng.choice(terms)
-
     def draw(depth: int) -> Formula:
         if depth <= 0:
             kind = rng.randrange(8)
@@ -169,24 +166,18 @@ def random_formula(rng: random.Random, variables, names, predicates,
             if kind == 1:
                 return Bot()
             if kind in (2, 3):
-                return Eq(term(), term())
+                return Eq(rng.choice(terms), rng.choice(terms))
             sym, arity = rng.choice(atoms)
-            return Pred(sym, tuple(term() for _ in range(arity)))
+            return Pred(sym, tuple(rng.choice(terms) for _ in range(arity)))
         kind = rng.randrange(kinds)
         if kind == 0:
             return draw(0)
         if kind == 1:
             return Not(draw(depth - 1))
-        if kind == 2:
-            return And(draw(depth - 1), draw(depth - 1))
-        if kind == 3:
-            return Or(draw(depth - 1), draw(depth - 1))
-        if kind == 4:
-            return Implies(draw(depth - 1), draw(depth - 1))
-        if kind == 5:
-            return Iff(draw(depth - 1), draw(depth - 1))
+        if kind <= 5:       # kinds 2-5 are the BINARY connectives, in its order
+            return BINARY[kind - 2](draw(depth - 1), draw(depth - 1))
         if kind == 6:
-            return Knows(term(), draw(depth - 1))
-        return Assign(rng.choice(binders), term(), draw(depth - 1))
+            return Knows(rng.choice(terms), draw(depth - 1))
+        return Assign(rng.choice(binders), rng.choice(terms), draw(depth - 1))
 
     return draw(depth)
