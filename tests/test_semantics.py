@@ -6,10 +6,10 @@ import pytest
 
 from reference import FIXTURES, naive_eval
 
+from elas import syntax
 from elas.randgen import (
     random_epistemic_model, random_formula, random_model, random_sigma,
 )
-from elas import syntax
 from elas.semantics import (
     _eval, EvalError, ModelError, Signature, denote, digit_mask, eval_all_worlds,
     eval_formula, is_epistemic, load_model, make_model, model_from_dict,
