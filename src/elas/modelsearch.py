@@ -18,40 +18,40 @@ This is exact: an isomorphic copy of a hit is a hit, because every world,
 predicate and name interpretation and free assignment is scanned, and the
 relation tuple is the outermost key of the order, so the first hit always
 lies on an orbit-minimal tuple.  Not depending on the formula, they are
-built once per process and frame class, each agent count extending the
-tuples of the one before (_Frames); a search still runs in one thread at
-a time.  The scan keeps the candidate model in a compact form: for a
-fixed relation tuple the formula's truth value at every (world,
-assignment) cell is computed for a chunk of consecutive scan indices at
-once, one bitmask lane per index (Python integers as bit vectors), so
-the lowest set bit of a cell is its first hit.  That hit is rebuilt as a
-real model and re-verified with the reference evaluator before it is
-returned; the fast path is never trusted on its own.
+built per world count (_Frames), each agent count extending the tuples of
+the one before: once per process on epistemic frames, once per search on
+arbitrary ones.  A search runs in one thread at a time.  The scan keeps
+the candidate model in a compact form: for a fixed relation tuple the
+formula's truth value at every (world, assignment) cell is computed for a
+chunk of consecutive scan indices at once, one bitmask lane per index
+(Python integers as bit vectors), so the lowest set bit of a cell is its
+first hit.  That hit is rebuilt as a real model and re-verified with the
+reference evaluator before it is returned; the fast path is never trusted
+on its own.
 
-The world count stops at what the formula can see.  Names, predicates
-and assignments never move the point of evaluation; only K{t} does, to a
+The world count stops at what the formula can see.  Names, predicates and
+assignments never move the point of evaluation; only K{t} does, to a
 successor.  So a target of modal depth at most 1 (no K below another K)
 has a hit with at most W = 1 + #K worlds if it has one at all, #K being
 its K occurrences counted in the tree (a shared node counts once per
-occurrence): a selective submodel (Blackburn, de Rijke & Venema, Modal Logic,
-ch. 2; for one S5 agent, Ladner's bound).  Proof sketch: take a hit at
-(w, sigma) and keep w and, for each K occurrence false at w, one
+occurrence): a selective submodel (Blackburn, de Rijke & Venema, Modal
+Logic, ch. 2; for one S5 agent, Ladner's bound).  Proof sketch: take a hit
+at (w, sigma) and keep w and, for each K occurrence false at w, one
 successor where its body is false.  Each occurrence is evaluated at w
-under exactly one assignment, as [x := t] is deterministic.  Restrict
-the relations, names and predicates to the kept worlds.  Every value at
-w is unchanged: atoms and binders read w only; a false K keeps its
-witness, whose body, free of K, reads that world only; a true K stays
-true on fewer successors.  The cut-down model has the same agents and
-symbols and stays in the frame class (an equivalence relation restricted
-to a subset is still one), so the hit is also a hit, after renaming the
-worlds, in a block with at most W worlds, which comes earlier in the
-order.  The search therefore scans world counts only up to
-min(max_worlds, W): at depth 0 that is the one-world blocks, and for a
-deeper target W is unbounded.  The first hit is unchanged.  A subformula
-without K reads no relation at all, so its masks depend on the chunk of
-scan indices alone: the compiled scan keeps them for the last chunk
-index it saw instead of recomputing them for every relation tuple, once
-for all occurrences of the same subformula.
+under exactly one assignment, as [x := t] is deterministic.  Restrict the
+relations, names and predicates to the kept worlds.  Every value at w is
+unchanged: atoms and binders read w only; a false K keeps its witness,
+whose body, free of K, reads that world only; a true K stays true on fewer
+successors.  The cut-down model has the same agents and symbols and stays
+in the frame class (an equivalence relation restricted to a subset is
+still one), so the hit is also a hit, after renaming the worlds, in a
+block with at most W worlds, which comes earlier in the order.  The search
+therefore scans world counts only up to min(max_worlds, W): at depth 0
+that is the one-world blocks, and for a deeper target W is unbounded.  The
+first hit is unchanged.  A subformula without K reads no relation at all,
+so its masks depend on the chunk of scan indices alone: the compiled scan
+keeps them for the last chunk index it saw instead of recomputing them for
+every relation tuple, once for all occurrences of the same subformula.
 
 The agent count stops at what the formula's terms can name.  An agent
 enters the evaluation only as the denotation of a term, sigma(x) for a
@@ -70,25 +70,24 @@ also a hit, after renaming the agents, in block (n, |D|), which comes
 earlier.  The search therefore scans agent counts only up to
 max(1, cap(n)); the first hit is unchanged.
 
-The target is read in one walk (_target).  It folds every subformula
-whose value no model of the frame class, world or assignment can change
-into true or false, such as false & psi, psi -> true, psi -> psi,
-psi <-> psi, K{t} true, t = t or an assignment over a constant.  A
-connective is evaluated over its distinct children, each taking both
-values: equal children are one node, as nodes are hash-consed.  One rule
-holds on epistemic frames only: K{t} false is false there, as every world
-is its own successor; on arbitrary frames it stays, as it is true at a
-world without successors.
-On the way back up it counts each folded node's K occurrences and modal
-depth, which give the world cap W, records the maximal subtrees without
-K for the scan to hoist, and collects every variable it meets.  Each
-fold rule keeps the value at every pointed model of the frame class it
-is used for, so the folded target has the same hits in the same order
-and the first hit is unchanged; its modal depth and K count can only
-fall, and the cap above holds for any formula equivalent to phi on the
-frame class.  The signature and the agent cap are still read from phi,
-and a hit is re-verified against phi.  A target folded to false has
-W = 0: no block is scanned.
+The target is read in one walk (_target).  It folds every subformula whose
+value no model of the frame class, world or assignment can change into
+true or false, such as false & psi, psi -> true, psi -> psi, psi <-> psi,
+K{t} true, t = t or an assignment over a constant.  A connective is
+evaluated over its distinct children, each taking both values: equal
+children are one node, as nodes are hash-consed.  One rule holds on
+epistemic frames only: K{t} false is false there, as every world is its
+own successor; on arbitrary frames it stays, as it is true at a world
+without successors.  On the way back up it counts each folded node's K
+occurrences and modal depth, which give the world cap W, records the
+maximal subtrees without K for the scan to hoist, and collects every
+variable it meets.  Each fold rule keeps the value at every pointed model
+of the frame class it is used for, so the folded target has the same hits
+in the same order and the first hit is unchanged; its modal depth and K
+count can only fall, and the cap above holds for any formula equivalent to
+phi on the frame class.  The signature and the agent cap are still read
+from phi, and a hit is re-verified against phi.  A target folded to false
+has W = 0: no block is scanned.
 
 Bounded search is incomplete in general: a negative answer speaks for
 the models within the bounds, and verdicts say so.  It speaks for every
@@ -102,7 +101,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 
 from .randgen import agent_labels, set_partitions, world_labels
@@ -112,8 +110,8 @@ from .semantics import (
     eval_formula, normal_model,
 )
 from .syntax import (
-    BINARY, And, Assign, Bot, Eq, Formula, Iff, Implies, Knows, Name, Not, Or,
-    Pred, Signature, Top, Var, children, formula_signature, node_count,
+    BINARY, BOOLEAN, And, Assign, Bot, Eq, Formula, Implies, Knows, Name, Not,
+    Or, Pred, Signature, Top, Var, children, formula_signature, node_count,
     rebuild, terms_of,
 )
 
@@ -191,8 +189,8 @@ class _Layout:
         self.lanes, self.all_mask = lanes, (1 << lanes) - 1
         self.chunks = (self.etas << self.rho_bits) // lanes
         # Per eta digit its weight and, for a lane digit, its (lane mask, agent)
-        # pairs, None for a mask meaning every lane; per rho bit its weight and
-        # lane mask.
+        # pairs; per rho bit its weight and, for a lane digit, its lane mask.
+        # A digit constant within a chunk has None here (see chunk_digits).
         self.eta_lanes = [(w, tuple((digit_mask(lanes, w, k, j), j) for j in range(k))
                            if w < lanes else None)
                           for w in (k ** e for e in reversed(range(self.eta_digits)))]
@@ -219,7 +217,7 @@ class _Layout:
         """Per eta digit its (lane mask, agent) pairs and per rho bit its
         lane mask, within the given chunk."""
         first = chunk * self.lanes
-        eta = [pairs or ((None, first // w % self.k),) for w, pairs in self.eta_lanes]
+        eta = [pairs or ((self.all_mask, first // w % self.k),) for w, pairs in self.eta_lanes]
         rho = [mask if mask is not None else self.all_mask if first // w & 1 else 0
                for w, mask in self.rho_lanes]
         return eta, rho
@@ -248,18 +246,6 @@ class _Layout:
                             relations, rho, eta_map, sig, successors)
 
 
-def _meet(a, b):
-    """Intersection of two lane masks, None standing for every lane."""
-    return b if a is None else a if b is None else a & b
-
-
-def _join(parts: list, full: int) -> int:
-    """Union of lane masks, None standing for every lane."""
-    if None in parts:
-        return full
-    return functools.reduce(operator.or_, parts) if parts else 0
-
-
 def _last_chunk(run):
     """run, keeping its masks for the last chunk index it was called on."""
     seen = [None, None]
@@ -275,16 +261,17 @@ def _compile(phi: Formula, lay: _Layout, hoisted: dict):
     """Compile a formula to a function ctx -> list of per-cell bitmasks over
     one chunk's lanes, where ctx = (succ, groups, eta, rho, chunk): the
     relation tuple's successor tuples and _groups, one per agent, eta and
-    rho as chunk_digits gives them for the chunk, and the chunk index.
+    rho as chunk_digits gives them for the chunk, and the chunk index;
+    _KERNELS holds its builder for each node class.
 
     A term's per-cell denotation takes one of two forms.  A variable
     denotes one agent in each assignment column, fixed by the layout, so
     an atom or binder whose terms are all variables becomes a list of cell
     or rho indices gathered per pass, and K{?v} ANDs each group of worlds
     sharing a successor set once under the relation of the column's agent.
-    A name denotes a (lane mask, agent) pair per agent its eta digit takes
-    within the chunk, and nodes with a name term join the masks of those
-    pairs per cell.
+    A name at world w denotes the (lane mask, agent) pairs of its eta digit
+    eta[ni * n + w], one per agent the digit takes within the chunk; they
+    never hold None, and nodes with a name term OR their masks per cell.
 
     A node of phi that is a key of hoisted has no K, so its masks depend on
     the chunk alone: it computes them once per run of equal chunk indices,
@@ -294,142 +281,156 @@ def _compile(phi: Formula, lay: _Layout, hoisted: dict):
         if hoisted[phi] is None:
             hoisted[phi] = _last_chunk(_compile(phi, lay, {}))
         return hoisted[phi]
-    n, S, k, grid = lay.n, lay.S, lay.k, lay.grid
-    ALL, columns = lay.all_mask, lay.columns
+    try:
+        kernel = _KERNELS[type(phi)]
+    except KeyError:
+        raise TypeError(f"not a formula: {phi!r}") from None
+    return kernel(phi, lay, hoisted)
 
-    def den(term):
-        """(eta, w, s) -> the term's (lane mask, agent) pairs."""
-        if isinstance(term, Var):
-            by_s = [((None, a),) for a in columns[term.id]]
-            return lambda eta, w, s: by_s[s]
-        ni = lay.names.index(term.id)
-        return lambda eta, w, s: eta[ni * n + w]
 
-    def variables(*terms):
-        return all(isinstance(t, Var) for t in terms)
+def _fixed(cells: list):
+    """Masks that neither the chunk nor the relation tuple change."""
+    return lambda ctx: cells
 
-    match phi:
-        case Top():
-            cells = [ALL] * len(grid)
-            return lambda ctx: cells
-        case Bot():
-            cells = [0] * len(grid)
-            return lambda ctx: cells
-        case Eq(lhs, rhs) if variables(lhs, rhs):
-            c1, c2 = columns[lhs.id], columns[rhs.id]
-            cells = [ALL if c1[s] == c2[s] else 0 for w, s in grid]
-            return lambda ctx: cells
-        case Eq(lhs, rhs):
-            d1, d2 = den(lhs), den(rhs)
-            return lambda ctx: [
-                _join([_meet(m1, m2) for m1, a1 in d1(ctx[2], w, s)
-                       for m2, a2 in d2(ctx[2], w, s) if a1 == a2], ALL)
-                for w, s in grid]
-        case Pred(sym, args) if variables(*args):
-            cols = [columns[a.id] for a in args]
 
-            def slot(w, s):
-                t = 0
-                for col in cols:
-                    t = t * k + col[s]
-                return lay.offsets[(sym, w)] + t
-            slots = [slot(w, s) for w, s in grid]
-            return lambda ctx: [ctx[3][i] for i in slots]
-        case Pred(sym, args):
-            dens = [den(a) for a in args]
-            offsets = [lay.offsets[(sym, w)] for w in range(n)]
+def _connective(phi, lay: _Layout, hoisted: dict):
+    # Inline, not BIT_OPS: a call per cell cut exhaust ops_per_s 37 -> 31-33.
+    ALL, node = lay.all_mask, type(phi)
+    if node is Not:
+        sub = _compile(phi.body, lay, hoisted)
+        return lambda ctx: [m ^ ALL for m in sub(ctx)]
+    sl, sr = _compile(phi.lhs, lay, hoisted), _compile(phi.rhs, lay, hoisted)
+    if node is And:
+        return lambda ctx: [a & b for a, b in zip(sl(ctx), sr(ctx))]
+    if node is Or:
+        return lambda ctx: [a | b for a, b in zip(sl(ctx), sr(ctx))]
+    if node is Implies:
+        return lambda ctx: [(a ^ ALL) | b for a, b in zip(sl(ctx), sr(ctx))]
+    return lambda ctx: [(a ^ b) ^ ALL for a, b in zip(sl(ctx), sr(ctx))]
 
-            def run(ctx):
-                _, _, eta, rho, _ = ctx
-                out = []
-                for w, s in grid:
-                    parts = []
-                    for combo in itertools.product(*(d(eta, w, s) for d in dens)):
-                        mask, t = None, 0
-                        for m, a in combo:
-                            mask, t = _meet(mask, m), t * k + a
-                        parts.append(_meet(mask, rho[offsets[w] + t]))
-                    out.append(_join(parts, ALL))
-                return out
-            return run
-        # Inline, not BIT_OPS: a call per cell cut exhaust ops_per_s 37 -> 31-33.
-        case Not(body):
-            sub = _compile(body, lay, hoisted)
-            return lambda ctx: [m ^ ALL for m in sub(ctx)]
-        case And(l, r):
-            sl, sr = _compile(l, lay, hoisted), _compile(r, lay, hoisted)
-            return lambda ctx: [a & b for a, b in zip(sl(ctx), sr(ctx))]
-        case Or(l, r):
-            sl, sr = _compile(l, lay, hoisted), _compile(r, lay, hoisted)
-            return lambda ctx: [a | b for a, b in zip(sl(ctx), sr(ctx))]
-        case Implies(l, r):
-            sl, sr = _compile(l, lay, hoisted), _compile(r, lay, hoisted)
-            return lambda ctx: [(a ^ ALL) | b for a, b in zip(sl(ctx), sr(ctx))]
-        case Iff(l, r):
-            sl, sr = _compile(l, lay, hoisted), _compile(r, lay, hoisted)
-            return lambda ctx: [(a ^ b) ^ ALL for a, b in zip(sl(ctx), sr(ctx))]
-        case Knows(agent, body) if variables(agent):
-            sub, col = _compile(body, lay, hoisted), columns[agent.id]
-            # per agent, the assignment columns in which the variable names it
-            by_agent = [(a, cols) for a in range(k)
-                        if (cols := [s for s in range(S) if col[s] == a])]
 
-            def run(ctx):
-                groups = ctx[1]
-                bm = sub(ctx)
-                out = [ALL] * len(grid)     # a world without successors
-                for a, cols in by_agent:
-                    for rows, targets in groups[a]:
-                        for s in cols:
-                            m = ALL
-                            for row in rows:
-                                m &= bm[row + s]
-                                if not m:
-                                    break
-                            for row in targets:
-                                out[row + s] = m
-                return out
-            return run
-        case Knows(agent, body):
-            d, sub = den(agent), _compile(body, lay, hoisted)
+def _eq(phi: Eq, lay: _Layout, hoisted: dict):
+    n, S, columns = lay.n, lay.S, lay.columns
+    lhs, rhs = (phi.rhs, phi.lhs) if type(phi.lhs) is Var else (phi.lhs, phi.rhs)
+    if type(lhs) is Var:
+        c1, c2 = columns[lhs.id], columns[rhs.id]
+        return _fixed([lay.all_mask if c1[s] == c2[s] else 0 for w, s in lay.grid])
+    # lhs is a name; rhs is a variable, read from its column, or a name
+    d, col = lay.names.index(lhs.id) * n, columns[rhs.id] if type(rhs) is Var else None
+    e = lay.names.index(rhs.id) * n if col is None else None
 
-            def run(ctx):
-                succ, _, eta, _, _ = ctx
-                bm = sub(ctx)
-                out = []
-                for w, s in grid:
-                    parts = []
-                    for m, a in d(eta, w, s):
-                        for v in succ[a][w]:
-                            m = bm[v * S + s] if m is None else m & bm[v * S + s]
-                            if m == 0:
+    def run(ctx):
+        eta, out = ctx[2], []
+        for w in range(n):
+            of = {a: m for m, a in eta[d + w]}      # lhs's lane mask per agent
+            if col is not None:
+                out += [of.get(a, 0) for a in col]
+                continue
+            m = 0
+            for m2, a in eta[e + w]:
+                m |= m2 & of.get(a, 0)
+            out += [m] * S
+        return out
+    return run
+
+
+def _pred(phi: Pred, lay: _Layout, hoisted: dict):
+    n, k, S, args, ALL = lay.n, lay.k, lay.S, phi.args, lay.all_mask
+    weights = [k ** e for e in reversed(range(len(args)))]
+    # per assignment column, what the variable arguments add to the tuple index
+    fixed = [sum(lay.columns[a.id][s] * wt for a, wt in zip(args, weights) if type(a) is Var)
+             for s in range(S)]
+    slots = [lay.offsets[(phi.sym, w)] + fixed[s] for w, s in lay.grid]
+    named = [(lay.names.index(a.id) * n, wt) for a, wt in zip(args, weights) if type(a) is Name]
+    if not named:
+        return lambda ctx: list(map(ctx[3].__getitem__, slots))
+
+    def run(ctx):
+        eta, rho, out = ctx[2], ctx[3], []
+        for w in range(n):
+            combos = [(ALL, 0)]     # (lanes, index part) per choice of the names' agents
+            for d, wt in named:
+                combos = [(mask & m, t + a * wt) for mask, t in combos for m, a in eta[d + w]]
+            for slot in slots[w * S:(w + 1) * S]:
+                m = 0
+                for mask, t in combos:
+                    m |= mask & rho[slot + t]
+                out.append(m)
+        return out
+    return run
+
+
+def _knows(phi: Knows, lay: _Layout, hoisted: dict):
+    sub, S, grid, ALL = _compile(phi.body, lay, hoisted), lay.S, lay.grid, lay.all_mask
+    if type(phi.agent) is Var:
+        col = lay.columns[phi.agent.id]
+        # per agent, the assignment columns in which the variable names it
+        by_agent = [(a, cols) for a in range(lay.k)
+                    if (cols := [s for s in range(S) if col[s] == a])]
+
+        def run(ctx):
+            groups, bm = ctx[1], sub(ctx)
+            out = [ALL] * len(grid)     # a world without successors
+            for a, cols in by_agent:
+                for rows, targets in groups[a]:
+                    for s in cols:
+                        m = ALL
+                        for row in rows:
+                            m &= bm[row + s]
+                            if not m:
                                 break
-                        parts.append(m)
-                    out.append(_join(parts, ALL))
-                return out
-            return run
-        case Assign(var, term, body):
-            sub = _compile(body, lay, hoisted)
-            pos = lay.var_pos[var]
-            stride = lay.strides[pos]
-            base = [w * S + s - lay.sigmas[s][pos] * stride for w, s in grid]
-            if variables(term):
-                col = columns[term.id]
-                cells = [b + col[s] * stride for b, (w, s) in zip(base, grid)]
+                        for row in targets:
+                            out[row + s] = m
+            return out
+        return run
+    d = lay.names.index(phi.agent.id) * lay.n
 
-                def run(ctx):
-                    bm = sub(ctx)
-                    return [bm[c] for c in cells]
-                return run
-            d = den(term)
+    def run(ctx):
+        succ, eta, bm, out = ctx[0], ctx[2], sub(ctx), []
+        for w, s in grid:
+            acc = 0
+            for m, a in eta[d + w]:
+                for v in succ[a][w]:
+                    m &= bm[v * S + s]
+                    if not m:
+                        break
+                acc |= m
+            out.append(acc)
+        return out
+    return run
 
-            def run(ctx):
-                bm = sub(ctx)
-                return [_join([_meet(m, bm[base[c] + g * stride])
-                               for m, g in d(ctx[2], w, s)], ALL)
-                        for c, (w, s) in enumerate(grid)]
-            return run
-    raise TypeError(f"not a formula: {phi!r}")
+
+def _assign(phi: Assign, lay: _Layout, hoisted: dict):
+    sub, S, grid = _compile(phi.body, lay, hoisted), lay.S, lay.grid
+    own, stride = lay.columns[phi.var], lay.strides[lay.var_pos[phi.var]]
+    base = [w * S + s - own[s] * stride for w, s in grid]     # the variable at agent 0
+    if type(phi.term) is Var:
+        col = lay.columns[phi.term.id]
+        cells = [b + col[s] * stride for b, (w, s) in zip(base, grid)]
+        return lambda ctx: list(map(sub(ctx).__getitem__, cells))
+    d = lay.names.index(phi.term.id) * lay.n
+
+    def run(ctx):
+        eta, bm, out = ctx[2], sub(ctx), []
+        for b, (w, s) in zip(base, grid):
+            m = 0
+            for mi, g in eta[d + w]:
+                m |= mi & bm[b + g * stride]
+            out.append(m)
+        return out
+    return run
+
+
+# The kernel builder of each node class, called with (node, layout, hoisted).
+_KERNELS = {
+    Top: lambda phi, lay, hoisted: _fixed([lay.all_mask] * len(lay.grid)),
+    Bot: lambda phi, lay, hoisted: _fixed([0] * len(lay.grid)),
+    Eq: _eq,
+    Pred: _pred,
+    **dict.fromkeys(BOOLEAN, _connective),
+    Knows: _knows,
+    Assign: _assign,
+}
 
 
 def _relation_pool(n: int, epistemic: bool) -> list:
@@ -498,7 +499,7 @@ class _Frames:
         return all(tuple(sorted(row[r] for r in rels)) >= rels for row in self.table)
 
 
-_frames = functools.cache(_Frames)      # one per (n, epistemic), shared by all searches
+_frames = functools.cache(_Frames)      # epistemic frames only (44 KB), see _search
 
 
 def _groups(rel: tuple, S: int) -> list:
@@ -607,10 +608,9 @@ def _scan_block(target: _Target, n: int, k: int, tuples):
                     if (m := masks[w * lay.S + s])]
             if keys:
                 lane, w, cell_pos = min(keys)
-                index = chunk * lay.lanes + lane
                 s = lay.sigmas[lay.free_cells[cell_pos]]
                 sigma = {v: lay.agents[s[lay.var_pos[v]]] for v in lay.free}
-                model = lay.build_model(target.sig, succ, index)
+                model = lay.build_model(target.sig, succ, chunk * lay.lanes + lane)
                 return PointedModel(model, lay.worlds[w], sigma)
     return None
 
@@ -624,11 +624,11 @@ def _agent_cap(target: _Target, n: int) -> int:
 def _search(phi: Formula, bounds: SearchBounds, want_false: bool):
     target = _target(phi, want_false, bounds.epistemic)
     for n in range(1, min(bounds.max_worlds, target.worlds) + 1):
+        frames = _frames(n, True) if bounds.epistemic else _Frames(n, False)
         for k in range(1, min(bounds.max_agents, _agent_cap(target, n)) + 1):
-            pointed = _scan_block(target, n, k, _frames(n, bounds.epistemic).tuples(k))
+            pointed = _scan_block(target, n, k, frames.tuples(k))
             if pointed is not None:
-                value = eval_formula(pointed.model, pointed.world, pointed.sigma, phi)
-                if value == want_false:
+                if eval_formula(pointed.model, pointed.world, pointed.sigma, phi) == want_false:
                     raise RuntimeError(
                         "internal error: fast scan and reference evaluator disagree")
                 return pointed
@@ -659,8 +659,8 @@ def enumerate_models(sig: Signature, bounds: SearchBounds):
     canonical order.  The searches walk the same order but skip what
     cannot hold a first hit: relation tuples that are not orbit-minimal,
     and world and agent counts above the formula's caps (see the module
-    docstring).  The stream is
-    exponential in the bounds; it is meant for desk-scale signatures."""
+    docstring).  The stream is exponential in the bounds; it is meant for
+    desk-scale signatures."""
     for n in range(1, bounds.max_worlds + 1):
         pool = _relation_pool(n, bounds.epistemic)
         for k in range(1, bounds.max_agents + 1):

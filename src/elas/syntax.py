@@ -286,13 +286,33 @@ def _tokenize(text: str) -> list:
     return tokens
 
 
+def _collapse(tokens: list) -> list:
+    """The tokens with each redundant pair of parentheses, a matched pair
+    whose body is one matched pair, cut out, so that a run of them costs
+    the recursive descent one level.  Of the two pairs, the outer '(' and
+    the inner ')' are kept; no error can lie on the two tokens cut, so
+    every error keeps its position.  An argument list, a '(' after a
+    predicate, is never cut."""
+    opens, close = [], {}
+    for i, (kind, value, _) in enumerate(tokens):
+        if kind == "PUNCT" and value == "(":
+            opens.append(i)
+        elif kind == "PUNCT" and value == ")" and opens:
+            close[opens.pop()] = i
+    cut = set()
+    for i, j in close.items():
+        if close.get(i + 1) == j - 1 and (i == 0 or tokens[i - 1][0] != "PRED"):
+            cut.update((i + 1, j))
+    return [tok for i, tok in enumerate(tokens) if i not in cut] if cut else tokens
+
+
 # ---------------------------------------------------------------------------
 # Parser
 
 class _Parser:
     def __init__(self, text: str):
         self.text = text
-        self.tokens = _tokenize(text)
+        self.tokens = _collapse(_tokenize(text))
         self.pos = 0
         self.arities: dict = {}
 

@@ -43,7 +43,7 @@ class TestParseCommand:
 
     @pytest.mark.parametrize("text", [
         "~" * 3000 + "true",
-        "(" * 3000 + "true" + ")" * 3000,
+        "(~" * 3000 + "true" + ")" * 3000,
         " & ".join(["true"] * 3000),
     ])
     def test_deep_nesting_exit_2(self, capsys, text):
@@ -51,6 +51,10 @@ class TestParseCommand:
         assert code == 2 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "nested too deeply" in err
+
+    def test_redundant_parentheses_are_not_nesting(self, capsys):
+        code, out, _ = run(capsys, "parse", "(" * 3000 + "true" + ")" * 3000)
+        assert code == 0 and out.startswith("true")
 
 
 class TestCheckCommand:

@@ -4,12 +4,13 @@ import itertools
 import json
 import math
 import random
+import typing
 
 import pytest
 
 from reference import naive_eval
 
-from elas import modelsearch
+from elas import modelsearch, semantics, syntax, translation
 from elas.modelsearch import (
     Countermodel, NoCountermodelUpTo, SearchBounds, UnsatisfiableUpTo,
     Witness, count_models, el_distinguishes, enumerate_models,
@@ -318,10 +319,35 @@ class TestOrbitRepresentatives:
         assert all(modelsearch._frames(n, True) is frames
                    for n, frames in zip((1, 2, 3), tables))
 
+    def test_arbitrary_frames_are_not_kept(self):
+        # valid on every frame and scanned through both world counts; the
+        # arbitrary-frame tables live as long as the search
+        modelsearch._frames.cache_clear()
+        phi = parse_formula("K{?x} (P(?y) & P(?z)) -> K{?x} P(?y)")
+        assert find_countermodel(phi, ARBITRARY22) == NoCountermodelUpTo(ARBITRARY22)
+        assert modelsearch._frames.cache_info().currsize == 0
+        assert find_countermodel(phi, EPISTEMIC22) == NoCountermodelUpTo(EPISTEMIC22)
+        assert modelsearch._frames.cache_info().currsize == 2
+
 
 # Targets that fold in the 200 seeded trials of each frame class; 245 needs
 # the rule for K{t} false on epistemic frames (without it, 241 fold).
 FOLDED_AT_LEAST = {False: 170, True: 245}
+
+
+class TestCompile:
+    def test_every_node_class_has_a_rule(self):
+        # A new node class fails here, not with a KeyError deep in a scan.
+        classes = set(typing.get_args(syntax.Formula))
+        assert set(modelsearch._KERNELS) == classes
+        assert set(semantics._RULES) == classes
+        assert set(translation._TRANSLATIONS) == classes
+
+    def test_not_a_formula(self):
+        lay = modelsearch._Layout(Signature({}, frozenset()), 1, 1, {"x"}, ())
+        for thing in ("P(a)", 5, Var("x"), Not(5), And(Top(), Name("a"))):
+            with pytest.raises(TypeError, match="not a formula"):
+                modelsearch._compile(thing, lay, {})
 
 
 class TestFold:
@@ -584,7 +610,7 @@ class TestFastScanAgainstSlowScan:
         and the world cap leave out.  _slow_first_point does not compile."""
         wanted = modelsearch._target(phi, not target, bounds.epistemic)
         for n in range(1, bounds.max_worlds + 1):
-            pool = modelsearch._frames(n, bounds.epistemic).pool
+            pool = modelsearch._relation_pool(n, bounds.epistemic)
             for k in range(1, bounds.max_agents + 1):
                 every = ((rels, tuple(pool[r] for r in rels))
                          for rels in itertools.product(range(len(pool)), repeat=k))
@@ -678,6 +704,15 @@ class TestFastScanAgainstSlowScan:
         ("K{a} (false & P(b)) -> P(?x)", False),
         ("(false -> P(?x)) & ~K{a} P(a)", True),
         ("[?x := a] true -> K{b} (P(?x) | ~K{?x} true)", False),
+        # name kernels: predicates over a variable and a name and over two
+        # names, equality of two names and of a variable and a name, and a
+        # binder over K{b} (unsatisfiable on S5, as the world is its own
+        # successor)
+        ("Q(?x, a) -> K{b} Q(a, ?x)", False),
+        ("Q(a, b) -> K{c} Q(b, a)", False),
+        ("a = b & ~K{a} (a = b)", True),
+        ("?x = a & K{b} ~(?x = b)", True),
+        ("[?x := a] K{b} ~(?x = a)", True),
     ])
     def test_first_hits_agree_across_chunks(self, text, target, lanes,
                                             monkeypatch):

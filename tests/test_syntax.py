@@ -99,6 +99,26 @@ class TestParse:
             with pytest.raises(ParseError, match="nested too deeply"):
                 parse_formula(text)
 
+    def test_redundant_parentheses_at_any_depth(self):
+        # A run of redundant pairs costs the descent one level, so this
+        # parses in the test runner's own thread, deep stack and all.
+        assert parse_formula("(" * 1000 + "P" + ")" * 1000) == Pred("P", ())
+        assert parse_formula("(" * 500 + "P & ((Q))" + ")" * 500) == \
+            And(Pred("P", ()), Pred("Q", ()))
+        # unmatched parentheses, an argument list and a term keep the error
+        # and the position they had before redundant pairs were cut
+        for text, message, pos in [
+            ("(" * 1000 + "P" + ")" * 999, "expected ')'", 2000),
+            ("(" * 999 + "P" + ")" * 1000, "unexpected trailing input ')'", 1999),
+            ("((P &))", "expected a formula, found ')'", 5),
+            ("P((a))", "expected a term (?x or a name)", 2),
+            ("K{((a))} P", "expected a term (?x or a name)", 2),
+            ("Q(a, ((b)))", "expected a term (?x or a name)", 5),
+        ]:
+            with pytest.raises(ParseError) as err:
+                parse_formula(text)
+            assert (err.value.message, err.value.pos) == (message, pos)
+
 
 class TestPrint:
     def test_round_trip_example(self):
