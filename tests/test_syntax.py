@@ -105,8 +105,8 @@ class TestParse:
         assert parse_formula("(" * 1000 + "P" + ")" * 1000) == Pred("P", ())
         assert parse_formula("(" * 500 + "P & ((Q))" + ")" * 500) == \
             And(Pred("P", ()), Pred("Q", ()))
-        # unmatched parentheses, an argument list and a term keep the error
-        # and the position they had before redundant pairs were cut
+        # cutting redundant pairs moves no error: unmatched parentheses, an
+        # argument list and a term in parentheses fail where they always did
         for text, message, pos in [
             ("(" * 1000 + "P" + ")" * 999, "expected ')'", 2000),
             ("(" * 999 + "P" + ")" * 1000, "unexpected trailing input ')'", 1999),
