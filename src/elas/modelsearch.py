@@ -20,7 +20,16 @@ relation tuple is the outermost key of the order, so the first hit always
 lies on an orbit-minimal tuple.  Not depending on the formula, they are
 built per world count (_Frames), each agent count extending the tuples of
 the one before: once per process on epistemic frames, once per search on
-arbitrary ones.  A search runs in one thread at a time.  The scan keeps
+arbitrary ones.  The other formula-free tables of a block (labels, the
+rho and eta layout, lane masks, the assignment grid, and the index lists
+kernels build from variable and predicate positions) depend only on its
+shape: n, k, the predicate arities in sorted-symbol order, the numbers of
+names and variables, the free variables' positions and the lane cap.
+_shape keeps the 128 shapes used last (a benchmark search workload meets
+at most 67; one holds under 1 KB to about 0.2 MB, mostly lane masks, and 30
+rounds of either search workload leave 0.4-0.5 MB held in all), and
+_groups the 4,096 successor groupings used last.  All of these tables are
+filled without a lock, so a search runs in one thread at a time.  The scan keeps
 the candidate model in a compact form: for a fixed relation tuple the
 formula's truth value at every (world, assignment) cell is computed for a
 chunk of consecutive scan indices at once, one bitmask lane per index
@@ -75,7 +84,9 @@ value no model of the frame class, world or assignment can change into
 true or false, such as false & psi, psi -> true, psi -> psi, psi <-> psi,
 K{t} true, t = t or an assignment over a constant.  A connective is
 evaluated over its distinct children, each taking both values: equal
-children are one node, as nodes are hash-consed.  One rule holds on
+children are one node, as nodes are hash-consed; for the same reason
+psi & psi and psi | psi fold to psi, the one rule whose result need not
+be constant.  One rule holds on
 epistemic frames only: K{t} false is false there, as every world is its
 own successor; on arbitrary frames it stays, as it is true at a world
 without successors.  On the way back up it counts each folded node's K
@@ -152,29 +163,38 @@ class UnsatisfiableUpTo:
 # ---------------------------------------------------------------------------
 # Block layout: everything that is fixed once (n, k, signature) are chosen
 
-class _Layout:
-    def __init__(self, sig: Signature, n: int, k: int, variables, free):
+_SHAPES = 128       # block shapes kept per process (one workload meets <= 67)
+
+
+class _Shape:
+    """Every table of a block that the formula does not choose.  Symbols
+    enter only as positions: the predicates' arities in sorted-symbol
+    order, the number of names (sorted) and of variables (sorted), and the
+    positions of the free variables among the variables.  With n, k and
+    the lane cap they are the key of _shape, so one shape serves every
+    search whose block has it.  Shared, it is read-only; memo holds the
+    index lists that kernels build from positions (see _memo)."""
+
+    def __init__(self, n: int, k: int, arities: tuple, names: int,
+                 variables: int, free: tuple, cap: int):
         self.n, self.k = n, k
         self.worlds = world_labels(n)
         self.agents = agent_labels(k)
-        self.preds = sorted(sig.predicates.items())
-        self.names = sorted(sig.names)
 
         # rho bit layout: blocks in (predicate, world) order, first block in
         # the most significant position so that the integer enumeration of
         # interpretations matches nested lexicographic choice.
-        self.tuples = {sym: list(itertools.product(range(k), repeat=arity))
-                       for sym, arity in self.preds}
-        blocks = [(sym, w) for sym, _ in self.preds for w in range(n)]
-        self.offsets = {}
+        self.arity_tuples = {a: list(itertools.product(range(k), repeat=a)) for a in arities}
+        self.slot_offsets = [[0] * n for _ in arities]  # per (predicate position, world)
         position = 0
-        for sym, w in reversed(blocks):
-            self.offsets[(sym, w)] = position
-            position += len(self.tuples[sym])
+        for p in reversed(range(len(arities))):
+            for w in reversed(range(n)):
+                self.slot_offsets[p][w] = position
+                position += k ** arities[p]
         self.rho_bits = position
         # eta digit ni * n + w, base k, is name ni's agent at world w; the
         # first digit is the most significant.
-        self.eta_digits = len(self.names) * n
+        self.eta_digits = names * n
         self.etas = k ** self.eta_digits
 
         # A chunk is `lanes` consecutive scan indices.  Its lane digits are the
@@ -183,7 +203,7 @@ class _Layout:
         # weight >= lanes, is constant within a chunk.
         lanes = 1
         for base in [k] * self.eta_digits + [2] * self.rho_bits:
-            if lanes * base > _LANES:
+            if lanes * base > cap:
                 break
             lanes *= base
         self.lanes, self.all_mask = lanes, (1 << lanes) - 1
@@ -199,19 +219,39 @@ class _Layout:
 
         # assignment grid: one column per total assignment of the formula's
         # variables (bound ones included); scanning covers the free ones.
-        self.vars = sorted(variables)
-        self.var_pos = {v: i for i, v in enumerate(self.vars)}
-        self.sigmas = list(itertools.product(range(k), repeat=len(self.vars)))
+        self.sigmas = list(itertools.product(range(k), repeat=variables))
         self.S = len(self.sigmas)
-        self.strides = [k ** (len(self.vars) - 1 - i) for i in range(len(self.vars))]
+        self.strides = [k ** (variables - 1 - i) for i in range(variables)]
         # cell c = w * S + s is grid[c]; a variable's column lists the agent
         # it denotes under each assignment s
         self.grid = [(w, s) for w in range(n) for s in range(self.S)]
-        self.columns = {v: [sigma[i] for sigma in self.sigmas]
-                        for i, v in enumerate(self.vars)}
+        self.var_columns = [[sigma[i] for sigma in self.sigmas] for i in range(variables)]
+        self.free_cells = [sum(self.strides[i] * g for i, g in zip(free, combo))
+                           for combo in itertools.product(range(k), repeat=len(free))]
+        self.memo = {}
+
+
+_shape = functools.lru_cache(maxsize=_SHAPES)(_Shape)     # see the module docstring
+
+
+class _Layout:
+    """A block's shape (every field of _Shape) with the formula's symbols
+    bound to its positions: tuples and offsets per predicate symbol, and
+    a column per variable."""
+
+    def __init__(self, sig: Signature, n: int, k: int, variables, free):
+        self.preds = sorted(sig.predicates.items())
+        self.names = sorted(sig.names)
+        self.vars = sorted(variables)
+        self.var_pos = {v: i for i, v in enumerate(self.vars)}
         self.free = sorted(free)
-        self.free_cells = [sum(self.strides[self.var_pos[v]] * g for v, g in zip(self.free, combo))
-                           for combo in itertools.product(range(k), repeat=len(self.free))]
+        shape = _shape(n, k, tuple(arity for _, arity in self.preds), len(self.names),
+                       len(self.vars), tuple(self.var_pos[v] for v in self.free), _LANES)
+        vars(self).update(vars(shape))
+        self.tuples = {sym: shape.arity_tuples[arity] for sym, arity in self.preds}
+        self.offsets = {(sym, w): offset for (sym, _), row in zip(self.preds, shape.slot_offsets)
+                        for w, offset in enumerate(row)}
+        self.columns = dict(zip(self.vars, shape.var_columns))
 
     def chunk_digits(self, chunk: int):
         """Per eta digit its (lane mask, agent) pairs and per rho bit its
@@ -288,6 +328,17 @@ def _compile(phi: Formula, lay: _Layout, hoisted: dict):
     return kernel(phi, lay, hoisted)
 
 
+def _memo(lay: _Layout, key: tuple, build):
+    """The shape's index list for key, built by build() on the first call.
+    A key holds the positions the list is built from, never a symbol, and
+    build reads only shape fields; kernels never mutate what it returns."""
+    try:
+        return lay.memo[key]
+    except KeyError:
+        value = lay.memo[key] = build()
+        return value
+
+
 def _fixed(cells: list):
     """Masks that neither the chunk nor the relation tuple change."""
     return lambda ctx: cells
@@ -314,7 +365,8 @@ def _eq(phi: Eq, lay: _Layout, hoisted: dict):
     lhs, rhs = (phi.rhs, phi.lhs) if type(phi.lhs) is Var else (phi.lhs, phi.rhs)
     if type(lhs) is Var:
         c1, c2 = columns[lhs.id], columns[rhs.id]
-        return _fixed([lay.all_mask if c1[s] == c2[s] else 0 for w, s in lay.grid])
+        return _fixed(_memo(lay, ("eq", lay.var_pos[lhs.id], lay.var_pos[rhs.id]), lambda: [
+            lay.all_mask if c1[s] == c2[s] else 0 for w, s in lay.grid]))
     # lhs is a name; rhs is a variable, read from its column, or a name
     d, col = lay.names.index(lhs.id) * n, columns[rhs.id] if type(rhs) is Var else None
     e = lay.names.index(rhs.id) * n if col is None else None
@@ -337,10 +389,15 @@ def _eq(phi: Eq, lay: _Layout, hoisted: dict):
 def _pred(phi: Pred, lay: _Layout, hoisted: dict):
     n, k, S, args, ALL = lay.n, lay.k, lay.S, phi.args, lay.all_mask
     weights = [k ** e for e in reversed(range(len(args)))]
-    # per assignment column, what the variable arguments add to the tuple index
-    fixed = [sum(lay.columns[a.id][s] * wt for a, wt in zip(args, weights) if type(a) is Var)
-             for s in range(S)]
-    slots = [lay.offsets[(phi.sym, w)] + fixed[s] for w, s in lay.grid]
+    p = [sym for sym, _ in lay.preds].index(phi.sym)
+    at = tuple(lay.var_pos[a.id] if type(a) is Var else None for a in args)
+
+    def slots():
+        # per assignment column, what the variable arguments add to the tuple index
+        fixed = [sum(lay.var_columns[i][s] * wt for i, wt in zip(at, weights) if i is not None)
+                 for s in range(S)]
+        return [lay.slot_offsets[p][w] + fixed[s] for w, s in lay.grid]
+    slots = _memo(lay, ("pred", p, at), slots)
     named = [(lay.names.index(a.id) * n, wt) for a, wt in zip(args, weights) if type(a) is Name]
     if not named:
         return lambda ctx: list(map(ctx[3].__getitem__, slots))
@@ -365,8 +422,8 @@ def _knows(phi: Knows, lay: _Layout, hoisted: dict):
     if type(phi.agent) is Var:
         col = lay.columns[phi.agent.id]
         # per agent, the assignment columns in which the variable names it
-        by_agent = [(a, cols) for a in range(lay.k)
-                    if (cols := [s for s in range(S) if col[s] == a])]
+        by_agent = _memo(lay, ("knows", lay.var_pos[phi.agent.id]), lambda: [
+            (a, cols) for a in range(lay.k) if (cols := [s for s in range(S) if col[s] == a])])
 
         def run(ctx):
             groups, bm = ctx[1], sub(ctx)
@@ -402,11 +459,14 @@ def _knows(phi: Knows, lay: _Layout, hoisted: dict):
 
 def _assign(phi: Assign, lay: _Layout, hoisted: dict):
     sub, S, grid = _compile(phi.body, lay, hoisted), lay.S, lay.grid
-    own, stride = lay.columns[phi.var], lay.strides[lay.var_pos[phi.var]]
-    base = [w * S + s - own[s] * stride for w, s in grid]     # the variable at agent 0
+    i = lay.var_pos[phi.var]
+    own, stride = lay.var_columns[i], lay.strides[i]
+    base = _memo(lay, ("assign", i), lambda: [      # the variable at agent 0
+        w * S + s - own[s] * stride for w, s in grid])
     if type(phi.term) is Var:
         col = lay.columns[phi.term.id]
-        cells = [b + col[s] * stride for b, (w, s) in zip(base, grid)]
+        cells = _memo(lay, ("assign", i, lay.var_pos[phi.term.id]), lambda: [
+            b + col[s] * stride for b, (w, s) in zip(base, grid)])
         return lambda ctx: list(map(sub(ctx).__getitem__, cells))
     d = lay.names.index(phi.term.id) * lay.n
 
@@ -502,7 +562,8 @@ class _Frames:
 _frames = functools.cache(_Frames)      # epistemic frames only (44 KB), see _search
 
 
-def _groups(rel: tuple, S: int) -> list:
+@functools.lru_cache(maxsize=1 << 12)
+def _groups(rel: tuple, S: int) -> tuple:
     """The worlds of a relation that have successors, grouped by successor
     set: (successor rows, world rows) per group, the row of world w being
     w * S, the index of its first cell."""
@@ -510,8 +571,8 @@ def _groups(rel: tuple, S: int) -> list:
     for w, succ in enumerate(rel):
         if succ:
             by_succ.setdefault(succ, []).append(w * S)
-    return [(tuple(v * S for v in succ), tuple(rows))
-            for succ, rows in by_succ.items()]
+    return tuple((tuple(v * S for v in succ), tuple(rows))
+                 for succ, rows in by_succ.items())
 
 
 @dataclass(frozen=True)
@@ -554,9 +615,10 @@ def _target(phi: Formula, want_false: bool, epistemic: bool) -> _Target:
 
     def walk(f):
         """f folded, its modal depth and its K occurrences.  A node none of
-        whose children changed is returned itself.  The K-free children of
-        a node with K below it are hoisted; a subtree that folds to a
-        constant drops what its own nodes hoisted."""
+        whose children changed is returned itself, and a conjunction or
+        disjunction of one folded node with itself is that node.  The K-free
+        children of a node with K below it are hoisted; a subtree that
+        folds to a constant drops what its own nodes hoisted."""
         if type(f) is Assign:
             variables.add(f.var)
         variables.update(t.id for t in terms_of(f) if type(t) is Var)
@@ -570,6 +632,8 @@ def _target(phi: Formula, want_false: bool, epistemic: bool) -> _Target:
         if constant is not None:
             del hoisted[mark:]
             return constant, 0, 0
+        if type(f) in (And, Or) and folded[0] is folded[1]:
+            return walked[0]        # psi & psi and psi | psi are psi
         d = max(kd for _, kd, _ in walked) + (type(f) is Knows)
         if d:
             hoisted.extend(kid for kid, kd, _ in walked if kd == 0)
@@ -589,18 +653,14 @@ def _scan_block(target: _Target, n: int, k: int, tuples):
 
     The block's layout fixes every variable's denotation per cell, and
     _compile builds those in; per relation tuple the scan passes the
-    successor groups that K over a variable folds (computed once per pool
-    relation it meets) and, per chunk, the lane masks of the eta digits,
-    the names' denotations.  Every world of a tuple is a pointed world.
+    successor groups that K over a variable folds and, per chunk, the lane
+    masks of the eta digits, the names' denotations.  Every world of a
+    tuple is a pointed world.
     """
     lay = _Layout(target.sig, n, k, target.variables, target.free)
     run = _compile(target.formula, lay, dict.fromkeys(target.hoisted))
-    groups_of = {}          # pool index -> _groups, for the relations scanned
-    for rels, succ in tuples:
-        for i, rel in zip(rels, succ):
-            if i not in groups_of:
-                groups_of[i] = _groups(rel, lay.S)
-        groups = tuple(groups_of[i] for i in rels)
+    for _, succ in tuples:
+        groups = tuple(_groups(rel, lay.S) for rel in succ)
         for chunk in range(lay.chunks):
             masks = run((succ, groups, *lay.chunk_digits(chunk), chunk))
             keys = [((m & -m).bit_length() - 1, w, cell_pos)

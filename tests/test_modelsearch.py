@@ -350,6 +350,84 @@ class TestCompile:
                 modelsearch._compile(thing, lay, {})
 
 
+class TestShapes:
+    @staticmethod
+    def _blocks(seed, count):
+        """count seeded (signature, n, k, variables, free) blocks over few
+        symbols, so that many share a shape under different symbols."""
+        rng = random.Random(seed)
+        for _ in range(count):
+            preds = {sym: rng.randrange(3) for sym in rng.sample("PQRS", rng.randrange(3))}
+            names = frozenset(rng.sample("abc", rng.randrange(3)))
+            variables = set(rng.sample("xyzw", rng.randrange(3)))
+            free = {v for v in variables if rng.random() < 0.5}
+            yield (Signature(preds, names), rng.randint(1, 2), rng.randint(1, 2),
+                   variables, free)
+
+    def test_shared_shapes_bind_their_own_symbols(self, monkeypatch):
+        # A layout read through a shape cached for other symbols equals,
+        # field for field, one built from an uncached shape.
+        modelsearch._shape.cache_clear()
+        first, renamed = {}, 0
+        for sig, n, k, variables, free in self._blocks(2020, 300):
+            hits = modelsearch._shape.cache_info().hits
+            lay = modelsearch._Layout(sig, n, k, variables, free)
+            with monkeypatch.context() as patch:
+                patch.setattr(modelsearch, "_shape", modelsearch._shape.__wrapped__)
+                fresh = modelsearch._Layout(sig, n, k, variables, free)
+            assert vars(lay) == vars(fresh)
+            symbols = (lay.preds, lay.names, lay.vars, lay.free)
+            key = (n, k, tuple(a for _, a in lay.preds), len(lay.names), len(lay.vars),
+                   tuple(lay.var_pos[v] for v in lay.free))
+            if modelsearch._shape.cache_info().hits > hits:
+                renamed += first[key] != symbols
+            first.setdefault(key, symbols)
+        assert renamed >= 50
+
+    def test_renamed_search_hits_the_cache(self):
+        phi = parse_formula("K{a} P(?x, b) -> K{a} K{b} P(?x, b)")
+        renamed = parse_formula("K{d} Q(?y, c) -> K{d} K{c} Q(?y, c)")
+        assert isinstance(find_countermodel(phi, EPISTEMIC33), Countermodel)
+        before = modelsearch._shape.cache_info()
+        assert isinstance(find_countermodel(renamed, EPISTEMIC33), Countermodel)
+        after = modelsearch._shape.cache_info()
+        assert after.misses == before.misses
+        assert after.hits > before.hits
+
+    def test_cache_is_bounded(self):
+        modelsearch._shape.cache_clear()
+        for m in range(modelsearch._SHAPES + 10):
+            modelsearch._Layout(Signature({f"P{i}": 0 for i in range(m)}, frozenset()),
+                                1, 1, (), ())
+        info = modelsearch._shape.cache_info()
+        assert info.misses == modelsearch._SHAPES + 10
+        assert info.currsize == modelsearch._SHAPES
+
+    def test_lane_cap_is_part_of_the_key(self, monkeypatch):
+        sig = Signature({"P": 1}, frozenset({"a", "b"}))
+        assert modelsearch._Layout(sig, 3, 2, {"x"}, {"x"}).lanes > 5
+        monkeypatch.setattr(modelsearch, "_LANES", 5)
+        assert modelsearch._Layout(sig, 3, 2, {"x"}, {"x"}).lanes <= 5
+
+    def test_warm_tables_give_cold_first_hits(self):
+        # Every search of the warm pass reads tables that earlier searches
+        # built and used, under other symbols; a kernel that wrote to one
+        # would move a first hit.
+        rng = random.Random(4242)
+        cases = [(random_formula(rng, ("x", "y"), ("a", "b"), {"P": 1, "Q": 2},
+                                 depth=3), bounds, target)
+                 for bounds in (EPISTEMIC22, ARBITRARY22) for target in (False, True)
+                 for _ in range(40)]
+        cold = []
+        for phi, bounds, target in cases:
+            modelsearch._shape.cache_clear()
+            modelsearch._groups.cache_clear()
+            cold.append(_first_point(phi, bounds, target))
+        for _ in range(2):
+            assert [_first_point(*case) for case in cases] == cold
+        assert sum(hit is not None for hit in cold) >= 80
+
+
 class TestFold:
     @pytest.mark.parametrize("text, want_false", [
         # formulas 3-5 and 7 of ROADMAP item 1, searched for a countermodel
@@ -420,6 +498,29 @@ class TestFold:
                     assert naive_eval(doc, world, sigma, formula) == \
                         naive_eval(doc, world, sigma, target), print_formula(phi)
         assert folded >= FOLDED_AT_LEAST[epistemic]
+
+    @pytest.mark.parametrize("epistemic", [False, True])
+    def test_idempotent_connectives_fold_to_their_child(self, epistemic):
+        # psi & psi and psi | psi become psi, with psi's world cap and
+        # hoisted subtrees; naive_eval keeps their value in context
+        x = Var("x")
+        for phi, model, sigma, frames in self._seeded_trials():
+            if frames != epistemic:
+                continue
+            doc = model_to_dict(model)
+            for op in (And, Or):
+                for outer in (op(phi, phi), Implies(Knows(x, op(phi, phi)), phi)):
+                    for want_false in (False, True):
+                        target = Not(outer) if want_false else outer
+                        folded = modelsearch._target(outer, want_false, epistemic)
+                        for world in model.worlds:
+                            assert naive_eval(doc, world, sigma, folded.formula) == \
+                                naive_eval(doc, world, sigma, target), print_formula(outer)
+                    alone = modelsearch._target(phi, False, epistemic)
+                    same = modelsearch._target(op(phi, phi), False, epistemic)
+                    assert same.formula is alone.formula
+                    assert same.worlds == alone.worlds
+                    assert set(same.hoisted) == set(alone.hoisted)
 
     def test_target_records_what_the_scan_reads(self):
         # _compile hoists exactly the maximal K-free subtrees, the layout
