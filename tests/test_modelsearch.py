@@ -516,11 +516,11 @@ class TestFold:
                         for world in model.worlds:
                             assert naive_eval(doc, world, sigma, folded.formula) == \
                                 naive_eval(doc, world, sigma, target), print_formula(outer)
-                    alone = modelsearch._target(phi, False, epistemic)
-                    same = modelsearch._target(op(phi, phi), False, epistemic)
-                    assert same.formula is alone.formula
-                    assert same.worlds == alone.worlds
-                    assert set(same.hoisted) == set(alone.hoisted)
+                alone = modelsearch._target(phi, False, epistemic)
+                same = modelsearch._target(op(phi, phi), False, epistemic)
+                assert same.formula is alone.formula
+                assert same.worlds == alone.worlds
+                assert set(same.hoisted) == set(alone.hoisted)
 
     def test_target_records_what_the_scan_reads(self):
         # _compile hoists exactly the maximal K-free subtrees, the layout
