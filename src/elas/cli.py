@@ -17,8 +17,10 @@ from .modelsearch import (
     Countermodel, SearchBounds, Witness, find_countermodel, find_witness,
 )
 from .proofkit import ScriptError, check_proof, load_script
-from .semantics import EvalError, ModelError, eval_formula, model_from_dict, read_model_file
-from .suites import SUITES, _pointed_to_dict
+from .semantics import (
+    EvalError, ModelError, eval_formula, model_from_dict, pointed_to_dict, read_model_file,
+)
+from .suites import SUITES
 from .syntax import (
     ArityError, ParseError, free_vars, parse_formula, print_formula,
 )
@@ -119,7 +121,7 @@ def cmd_search(args) -> int:
     phi = parse_formula(args.formula)
     verdict = search(phi, _bounds(args))
     if isinstance(verdict, hit):
-        payload = {"verdict": found, found: _pointed_to_dict(verdict.pointed)}
+        payload = {"verdict": found, found: pointed_to_dict(verdict.pointed)}
         text = (f"{found} found:\n"
                 + json.dumps(payload[found], indent=2, sort_keys=True))
     else:

@@ -20,23 +20,24 @@ relation tuple is the outermost key of the order, so the first hit always
 lies on an orbit-minimal tuple.  Not depending on the formula, they are
 built per world count (_Frames), each agent count extending the tuples of
 the one before: once per process on epistemic frames, once per search on
-arbitrary ones.  The other formula-free tables of a block (labels, the
-rho and eta layout, lane masks, the assignment grid, and the index lists
-kernels build from variable and predicate positions) depend only on its
-shape: n, k, the predicate arities in sorted-symbol order, the numbers of
-names and variables, the free variables' positions and the lane cap.
-_shape keeps the 128 shapes used last (a benchmark search workload meets
-at most 67; one holds under 1 KB to about 0.2 MB, mostly lane masks, and 30
-rounds of either search workload leave 0.4-0.5 MB held in all), and
-_groups the 4,096 successor groupings used last.  All of these tables are
-filled without a lock, so a search runs in one thread at a time.  The scan keeps
-the candidate model in a compact form: for a fixed relation tuple the
-formula's truth value at every (world, assignment) cell is computed for a
-chunk of consecutive scan indices at once, one bitmask lane per index
-(Python integers as bit vectors), so the lowest set bit of a cell is its
-first hit.  That hit is rebuilt as a real model and re-verified with the
-reference evaluator before it is returned; the fast path is never trusted
-on its own.
+arbitrary ones.  A search binds the formula's symbols to positions once
+(_target): its variables, names and predicate symbols, each kind in
+sorted order.  The other tables of a block (labels, the rho and eta
+layout, lane masks, the assignment grid, and the index lists kernels
+build from positions) depend only on its shape: n, k, the predicate
+arities in position order, the numbers of names and variables, the free
+variables' positions and the lane cap.  _shape keeps the 128 shapes used
+last (a benchmark search workload meets at most 67; one holds under 1 KB
+to about 0.2 MB, mostly lane masks, and 30 rounds of either search
+workload leave 0.4-0.5 MB held in all), and _groups the 4,096 successor
+groupings used last.  These tables are filled without a lock, so a
+search runs in one thread at a time.  The scan keeps the candidate model
+in a compact form: for a fixed relation tuple the formula's truth value
+at every (world, assignment) cell is computed for a chunk of consecutive
+scan indices at once, one bitmask lane per index (Python integers as bit
+vectors), so the lowest set bit of a cell is its first hit.  That hit is
+rebuilt as a real model and re-verified with the reference evaluator
+before it is returned; the fast path is never trusted on its own.
 
 The world count stops at what the formula can see.  Names, predicates and
 assignments never move the point of evaluation; only K{t} does, to a
@@ -161,25 +162,24 @@ class UnsatisfiableUpTo:
 
 
 # ---------------------------------------------------------------------------
-# Block layout: everything that is fixed once (n, k, signature) are chosen
+# Block shape: every table that is fixed once n, k and the positions are chosen
 
 _SHAPES = 128       # block shapes kept per process (one workload meets <= 67)
 
 
 class _Shape:
     """Every table of a block that the formula does not choose.  Symbols
-    enter only as positions: the predicates' arities in sorted-symbol
-    order, the number of names (sorted) and of variables (sorted), and the
-    positions of the free variables among the variables.  With n, k and
-    the lane cap they are the key of _shape, so one shape serves every
-    search whose block has it.  Shared, it is read-only; memo holds the
-    index lists that kernels build from positions (see _memo)."""
+    enter only as the positions _target binds them to: the predicates'
+    arities in position order, the numbers of names and of variables, and
+    the free variables' positions.  With n, k and the lane cap they are
+    the key of _shape, so one shape serves every search whose block has
+    it.  Shared, it is read-only; memo holds the index lists that kernels
+    build from positions (see _memo)."""
 
     def __init__(self, n: int, k: int, arities: tuple, names: int,
                  variables: int, free: tuple, cap: int):
         self.n, self.k = n, k
-        self.worlds = world_labels(n)
-        self.agents = agent_labels(k)
+        self.worlds, self.agents = world_labels(n), agent_labels(k)
 
         # rho bit layout: blocks in (predicate, world) order, first block in
         # the most significant position so that the integer enumeration of
@@ -230,29 +230,6 @@ class _Shape:
                            for combo in itertools.product(range(k), repeat=len(free))]
         self.memo = {}
 
-
-_shape = functools.lru_cache(maxsize=_SHAPES)(_Shape)     # see the module docstring
-
-
-class _Layout:
-    """A block's shape (every field of _Shape) with the formula's symbols
-    bound to its positions: tuples and offsets per predicate symbol, and
-    a column per variable."""
-
-    def __init__(self, sig: Signature, n: int, k: int, variables, free):
-        self.preds = sorted(sig.predicates.items())
-        self.names = sorted(sig.names)
-        self.vars = sorted(variables)
-        self.var_pos = {v: i for i, v in enumerate(self.vars)}
-        self.free = sorted(free)
-        shape = _shape(n, k, tuple(arity for _, arity in self.preds), len(self.names),
-                       len(self.vars), tuple(self.var_pos[v] for v in self.free), _LANES)
-        vars(self).update(vars(shape))
-        self.tuples = {sym: shape.arity_tuples[arity] for sym, arity in self.preds}
-        self.offsets = {(sym, w): offset for (sym, _), row in zip(self.preds, shape.slot_offsets)
-                        for w, offset in enumerate(row)}
-        self.columns = dict(zip(self.vars, shape.var_columns))
-
     def chunk_digits(self, chunk: int):
         """Per eta digit its (lane mask, agent) pairs and per rho bit its
         lane mask, within the given chunk."""
@@ -263,27 +240,31 @@ class _Layout:
         return eta, rho
 
     def build_model(self, sig: Signature, succ, index: int) -> KripkeModel:
-        """The model at a scan index under the successor tuples succ."""
-        worlds = self.worlds
+        """The model over sig at a scan index under the successor tuples succ."""
+        worlds, agents = self.worlds, self.agents
         relations = {agent: frozenset((worlds[w], worlds[v])
                                       for w, row in enumerate(rel) for v in row)
-                     for agent, rel in zip(self.agents, succ)}
+                     for agent, rel in zip(agents, succ)}
         successors = {(agent, worlds[w]): tuple(sorted(worlds[v] for v in row))
-                      for agent, rel in zip(self.agents, succ)
+                      for agent, rel in zip(agents, succ)
                       for w, row in enumerate(rel) if row}
         rho_index, eta_pos = divmod(index, self.etas)
         rho = {}
-        for (sym, w), offset in self.offsets.items():
-            chosen = frozenset(tuple(self.agents[d] for d in digits)
-                               for t, digits in enumerate(self.tuples[sym])
-                               if rho_index >> (offset + t) & 1)
-            if chosen:
-                rho[(sym, self.worlds[w])] = chosen
-        eta_map = {(self.names[d // self.n], self.worlds[d % self.n]):
-                   self.agents[eta_pos // weight % self.k]
+        for (sym, arity), row in zip(sorted(sig.predicates.items()), self.slot_offsets):
+            for w, offset in enumerate(row):
+                chosen = frozenset(tuple(agents[d] for d in digits)
+                                   for t, digits in enumerate(self.arity_tuples[arity])
+                                   if rho_index >> (offset + t) & 1)
+                if chosen:
+                    rho[(sym, worlds[w])] = chosen
+        names = sorted(sig.names)
+        eta_map = {(names[d // self.n], worlds[d % self.n]): agents[eta_pos // weight % self.k]
                    for d, (weight, _) in enumerate(self.eta_lanes)}
-        return normal_model(tuple(sorted(worlds)), tuple(sorted(self.agents)),
+        return normal_model(tuple(sorted(worlds)), tuple(sorted(agents)),
                             relations, rho, eta_map, sig, successors)
+
+
+_shape = functools.lru_cache(maxsize=_SHAPES)(_Shape)     # see the module docstring
 
 
 def _last_chunk(run):
@@ -297,15 +278,16 @@ def _last_chunk(run):
     return cached
 
 
-def _compile(phi: Formula, lay: _Layout, hoisted: dict):
+def _compile(phi: Formula, shape: _Shape, target: _Target, hoisted: dict):
     """Compile a formula to a function ctx -> list of per-cell bitmasks over
     one chunk's lanes, where ctx = (succ, groups, eta, rho, chunk): the
     relation tuple's successor tuples and _groups, one per agent, eta and
-    rho as chunk_digits gives them for the chunk, and the chunk index;
-    _KERNELS holds its builder for each node class.
+    rho as chunk_digits gives them for the chunk, and the chunk index.
+    _KERNELS holds the builder of each node class, which reads a symbol's
+    position from the target and the tables at it from the shape.
 
     A term's per-cell denotation takes one of two forms.  A variable
-    denotes one agent in each assignment column, fixed by the layout, so
+    denotes one agent in each assignment column, fixed by the shape, so
     an atom or binder whose terms are all variables becomes a list of cell
     or rho indices gathered per pass, and K{?v} ANDs each group of worlds
     sharing a successor set once under the relation of the column's agent.
@@ -319,24 +301,22 @@ def _compile(phi: Formula, lay: _Layout, hoisted: dict):
     occurrence of such a node shares the one function kept in hoisted."""
     if phi in hoisted:
         if hoisted[phi] is None:
-            hoisted[phi] = _last_chunk(_compile(phi, lay, {}))
+            hoisted[phi] = _last_chunk(_compile(phi, shape, target, {}))
         return hoisted[phi]
     try:
         kernel = _KERNELS[type(phi)]
     except KeyError:
         raise TypeError(f"not a formula: {phi!r}") from None
-    return kernel(phi, lay, hoisted)
+    return kernel(phi, shape, target, hoisted)
 
 
-def _memo(lay: _Layout, key: tuple, build):
+def _memo(shape: _Shape, key: tuple, build):
     """The shape's index list for key, built by build() on the first call.
     A key holds the positions the list is built from, never a symbol, and
     build reads only shape fields; kernels never mutate what it returns."""
-    try:
-        return lay.memo[key]
-    except KeyError:
-        value = lay.memo[key] = build()
-        return value
+    if key not in shape.memo:
+        shape.memo[key] = build()
+    return shape.memo[key]
 
 
 def _fixed(cells: list):
@@ -344,13 +324,13 @@ def _fixed(cells: list):
     return lambda ctx: cells
 
 
-def _connective(phi, lay: _Layout, hoisted: dict):
+def _connective(phi, shape: _Shape, target: _Target, hoisted: dict):
     # Inline, not BIT_OPS: a call per cell cut exhaust ops_per_s 37 -> 31-33.
-    ALL, node = lay.all_mask, type(phi)
+    ALL, node = shape.all_mask, type(phi)
     if node is Not:
-        sub = _compile(phi.body, lay, hoisted)
+        sub = _compile(phi.body, shape, target, hoisted)
         return lambda ctx: [m ^ ALL for m in sub(ctx)]
-    sl, sr = _compile(phi.lhs, lay, hoisted), _compile(phi.rhs, lay, hoisted)
+    sl, sr = (_compile(kid, shape, target, hoisted) for kid in (phi.lhs, phi.rhs))
     if node is And:
         return lambda ctx: [a & b for a, b in zip(sl(ctx), sr(ctx))]
     if node is Or:
@@ -360,16 +340,18 @@ def _connective(phi, lay: _Layout, hoisted: dict):
     return lambda ctx: [(a ^ b) ^ ALL for a, b in zip(sl(ctx), sr(ctx))]
 
 
-def _eq(phi: Eq, lay: _Layout, hoisted: dict):
-    n, S, columns = lay.n, lay.S, lay.columns
+def _eq(phi: Eq, shape: _Shape, target: _Target, hoisted: dict):
+    n, S, var_pos = shape.n, shape.S, target.var_pos
     lhs, rhs = (phi.rhs, phi.lhs) if type(phi.lhs) is Var else (phi.lhs, phi.rhs)
     if type(lhs) is Var:
-        c1, c2 = columns[lhs.id], columns[rhs.id]
-        return _fixed(_memo(lay, ("eq", lay.var_pos[lhs.id], lay.var_pos[rhs.id]), lambda: [
-            lay.all_mask if c1[s] == c2[s] else 0 for w, s in lay.grid]))
+        i, j = var_pos[lhs.id], var_pos[rhs.id]
+        c1, c2 = shape.var_columns[i], shape.var_columns[j]
+        return _fixed(_memo(shape, ("eq", i, j), lambda: [
+            shape.all_mask if c1[s] == c2[s] else 0 for w, s in shape.grid]))
     # lhs is a name; rhs is a variable, read from its column, or a name
-    d, col = lay.names.index(lhs.id) * n, columns[rhs.id] if type(rhs) is Var else None
-    e = lay.names.index(rhs.id) * n if col is None else None
+    d = target.name_pos[lhs.id] * n
+    col = shape.var_columns[var_pos[rhs.id]] if type(rhs) is Var else None
+    e = target.name_pos[rhs.id] * n if col is None else None
 
     def run(ctx):
         eta, out = ctx[2], []
@@ -386,19 +368,19 @@ def _eq(phi: Eq, lay: _Layout, hoisted: dict):
     return run
 
 
-def _pred(phi: Pred, lay: _Layout, hoisted: dict):
-    n, k, S, args, ALL = lay.n, lay.k, lay.S, phi.args, lay.all_mask
+def _pred(phi: Pred, shape: _Shape, target: _Target, hoisted: dict):
+    n, k, S, args, ALL = shape.n, shape.k, shape.S, phi.args, shape.all_mask
     weights = [k ** e for e in reversed(range(len(args)))]
-    p = [sym for sym, _ in lay.preds].index(phi.sym)
-    at = tuple(lay.var_pos[a.id] if type(a) is Var else None for a in args)
+    p = target.pred_pos[phi.sym]
+    at = tuple(target.var_pos[a.id] if type(a) is Var else None for a in args)
 
     def slots():
         # per assignment column, what the variable arguments add to the tuple index
-        fixed = [sum(lay.var_columns[i][s] * wt for i, wt in zip(at, weights) if i is not None)
+        fixed = [sum(shape.var_columns[i][s] * wt for i, wt in zip(at, weights) if i is not None)
                  for s in range(S)]
-        return [lay.slot_offsets[p][w] + fixed[s] for w, s in lay.grid]
-    slots = _memo(lay, ("pred", p, at), slots)
-    named = [(lay.names.index(a.id) * n, wt) for a, wt in zip(args, weights) if type(a) is Name]
+        return [shape.slot_offsets[p][w] + fixed[s] for w, s in shape.grid]
+    slots = _memo(shape, ("pred", p, at), slots)
+    named = [(target.name_pos[a.id] * n, wt) for a, wt in zip(args, weights) if type(a) is Name]
     if not named:
         return lambda ctx: list(map(ctx[3].__getitem__, slots))
 
@@ -417,13 +399,15 @@ def _pred(phi: Pred, lay: _Layout, hoisted: dict):
     return run
 
 
-def _knows(phi: Knows, lay: _Layout, hoisted: dict):
-    sub, S, grid, ALL = _compile(phi.body, lay, hoisted), lay.S, lay.grid, lay.all_mask
+def _knows(phi: Knows, shape: _Shape, target: _Target, hoisted: dict):
+    sub = _compile(phi.body, shape, target, hoisted)
+    S, grid, ALL = shape.S, shape.grid, shape.all_mask
     if type(phi.agent) is Var:
-        col = lay.columns[phi.agent.id]
+        i = target.var_pos[phi.agent.id]
+        col = shape.var_columns[i]
         # per agent, the assignment columns in which the variable names it
-        by_agent = _memo(lay, ("knows", lay.var_pos[phi.agent.id]), lambda: [
-            (a, cols) for a in range(lay.k) if (cols := [s for s in range(S) if col[s] == a])])
+        by_agent = _memo(shape, ("knows", i), lambda: [
+            (a, cols) for a in range(shape.k) if (cols := [s for s in range(S) if col[s] == a])])
 
         def run(ctx):
             groups, bm = ctx[1], sub(ctx)
@@ -440,7 +424,7 @@ def _knows(phi: Knows, lay: _Layout, hoisted: dict):
                             out[row + s] = m
             return out
         return run
-    d = lay.names.index(phi.agent.id) * lay.n
+    d = target.name_pos[phi.agent.id] * shape.n
 
     def run(ctx):
         succ, eta, bm, out = ctx[0], ctx[2], sub(ctx), []
@@ -457,18 +441,19 @@ def _knows(phi: Knows, lay: _Layout, hoisted: dict):
     return run
 
 
-def _assign(phi: Assign, lay: _Layout, hoisted: dict):
-    sub, S, grid = _compile(phi.body, lay, hoisted), lay.S, lay.grid
-    i = lay.var_pos[phi.var]
-    own, stride = lay.var_columns[i], lay.strides[i]
-    base = _memo(lay, ("assign", i), lambda: [      # the variable at agent 0
+def _assign(phi: Assign, shape: _Shape, target: _Target, hoisted: dict):
+    sub, S, grid = _compile(phi.body, shape, target, hoisted), shape.S, shape.grid
+    i = target.var_pos[phi.var]
+    own, stride = shape.var_columns[i], shape.strides[i]
+    base = _memo(shape, ("assign", i), lambda: [      # the variable at agent 0
         w * S + s - own[s] * stride for w, s in grid])
     if type(phi.term) is Var:
-        col = lay.columns[phi.term.id]
-        cells = _memo(lay, ("assign", i, lay.var_pos[phi.term.id]), lambda: [
+        j = target.var_pos[phi.term.id]
+        col = shape.var_columns[j]
+        cells = _memo(shape, ("assign", i, j), lambda: [
             b + col[s] * stride for b, (w, s) in zip(base, grid)])
         return lambda ctx: list(map(sub(ctx).__getitem__, cells))
-    d = lay.names.index(phi.term.id) * lay.n
+    d = target.name_pos[phi.term.id] * shape.n
 
     def run(ctx):
         eta, bm, out = ctx[2], sub(ctx), []
@@ -481,10 +466,10 @@ def _assign(phi: Assign, lay: _Layout, hoisted: dict):
     return run
 
 
-# The kernel builder of each node class, called with (node, layout, hoisted).
+# The kernel builder of each node class, called with (node, shape, target, hoisted).
 _KERNELS = {
-    Top: lambda phi, lay, hoisted: _fixed([lay.all_mask] * len(lay.grid)),
-    Bot: lambda phi, lay, hoisted: _fixed([0] * len(lay.grid)),
+    Top: lambda phi, shape, target, hoisted: _fixed([shape.all_mask] * len(shape.grid)),
+    Bot: lambda phi, shape, target, hoisted: _fixed([0] * len(shape.grid)),
     Eq: _eq,
     Pred: _pred,
     **dict.fromkeys(BOOLEAN, _connective),
@@ -577,13 +562,18 @@ def _groups(rel: tuple, S: int) -> tuple:
 
 @dataclass(frozen=True)
 class _Target:
-    """What a search scans for, and what every block needs to know of it."""
+    """What a search scans for, and what every block needs to know of it.
+    Each kind of symbol has its own positions, in sorted order, bound once
+    per search: ?a, a and P may share an identifier."""
     formula: Formula        # phi, or ~phi for a countermodel, folded
     sig: Signature          # phi's predicates and names; variables live in sigma
-    variables: frozenset    # every variable of phi, bound ones included
     free: frozenset
     worlds: float           # the most worlds a first hit can have, or inf
     hoisted: tuple          # the maximal subtrees without K, as nodes of formula
+    var_pos: dict           # every variable of phi, bound ones included
+    name_pos: dict
+    pred_pos: dict
+    key: tuple              # arities, names, variables, free positions (see _Shape)
 
 
 _CONSTANT = {Top: 1, Bot: 0}       # a constant's class -> its bit
@@ -643,35 +633,41 @@ def _target(phi: Formula, want_false: bool, epistemic: bool) -> _Target:
     formula, md, ks = walk(Not(phi) if want_false else phi)
     worlds = 0 if type(formula) is Bot else 1 + ks if md <= 1 else math.inf
     sig = formula_signature(phi)
-    return _Target(formula, Signature(dict(sig.predicates), sig.names), frozenset(variables),
-                   sig.variables, worlds, tuple(hoisted) if md else (formula,))
+    var_pos, name_pos, pred_pos = ({sym: i for i, sym in enumerate(sorted(symbols))}
+                                   for symbols in (variables, sig.names, sig.predicates))
+    key = (tuple(sig.predicates[sym] for sym in pred_pos), len(name_pos), len(var_pos),
+           tuple(var_pos[v] for v in sorted(sig.variables)))
+    return _Target(formula, Signature(dict(sig.predicates), sig.names), sig.variables, worlds,
+                   tuple(hoisted) if md else (formula,), var_pos, name_pos, pred_pos, key)
 
 
 def _scan_block(target: _Target, n: int, k: int, tuples):
     """Scan the relation tuples of block (n, k) as _Frames.tuples yields
     them; return the pointed model of the canonically first hit, or None.
 
-    The block's layout fixes every variable's denotation per cell, and
-    _compile builds those in; per relation tuple the scan passes the
-    successor groups that K over a variable folds and, per chunk, the lane
-    masks of the eta digits, the names' denotations.  Every world of a
+    The shape at the target's key and the lane cap in force fixes every
+    variable's denotation per cell, and _compile builds those in; per
+    relation tuple the scan passes the successor groups that K over a
+    variable folds and, per chunk, the lane masks of the eta digits (the
+    names' denotations), computed once per chunk index.  Every world of a
     tuple is a pointed world.
     """
-    lay = _Layout(target.sig, n, k, target.variables, target.free)
-    run = _compile(target.formula, lay, dict.fromkeys(target.hoisted))
+    shape = _shape(n, k, *target.key, _LANES)
+    run = _compile(target.formula, shape, target, dict.fromkeys(target.hoisted))
+    digits = functools.lru_cache(maxsize=1)(shape.chunk_digits)
     for _, succ in tuples:
-        groups = tuple(_groups(rel, lay.S) for rel in succ)
-        for chunk in range(lay.chunks):
-            masks = run((succ, groups, *lay.chunk_digits(chunk), chunk))
+        groups = tuple(_groups(rel, shape.S) for rel in succ)
+        for chunk in range(shape.chunks):
+            masks = run((succ, groups, *digits(chunk), chunk))
             keys = [((m & -m).bit_length() - 1, w, cell_pos)
-                    for w in range(n) for cell_pos, s in enumerate(lay.free_cells)
-                    if (m := masks[w * lay.S + s])]
+                    for w in range(n) for cell_pos, s in enumerate(shape.free_cells)
+                    if (m := masks[w * shape.S + s])]
             if keys:
                 lane, w, cell_pos = min(keys)
-                s = lay.sigmas[lay.free_cells[cell_pos]]
-                sigma = {v: lay.agents[s[lay.var_pos[v]]] for v in lay.free}
-                model = lay.build_model(target.sig, succ, chunk * lay.lanes + lane)
-                return PointedModel(model, lay.worlds[w], sigma)
+                s = shape.sigmas[shape.free_cells[cell_pos]]
+                sigma = {v: shape.agents[s[target.var_pos[v]]] for v in sorted(target.free)}
+                model = shape.build_model(target.sig, succ, chunk * shape.lanes + lane)
+                return PointedModel(model, shape.worlds[w], sigma)
     return None
 
 
@@ -721,13 +717,14 @@ def enumerate_models(sig: Signature, bounds: SearchBounds):
     and world and agent counts above the formula's caps (see the module
     docstring).  The stream is exponential in the bounds; it is meant for
     desk-scale signatures."""
+    arities = tuple(arity for _, arity in sorted(sig.predicates.items()))
     for n in range(1, bounds.max_worlds + 1):
         pool = _relation_pool(n, bounds.epistemic)
         for k in range(1, bounds.max_agents + 1):
-            lay = _Layout(sig, n, k, (), ())
+            shape = _shape(n, k, arities, len(sig.names), 0, (), _LANES)
             for succ in itertools.product(pool, repeat=k):
-                for index in range(lay.etas << lay.rho_bits):
-                    yield lay.build_model(sig, succ, index)
+                for index in range(shape.etas << shape.rho_bits):
+                    yield shape.build_model(sig, succ, index)
 
 
 # ---------------------------------------------------------------------------

@@ -377,6 +377,14 @@ def model_to_dict(m: KripkeModel) -> dict:
     }
 
 
+def pointed_to_dict(pointed: PointedModel) -> dict:
+    """model_to_dict of the model, with the world and sigma, as ?v: agent."""
+    out = model_to_dict(pointed.model)
+    out["world"] = pointed.world
+    out["sigma"] = {"?" + v: a for v, a in sorted(pointed.sigma.items())}
+    return out
+
+
 def read_model_file(path: str) -> dict:
     """A model file's JSON document; ModelError if it nests too deeply."""
     try:

@@ -32,7 +32,7 @@ from .randgen import (
 )
 from .semantics import (
     KripkeModel, PointedModel, Signature, eval_formula, make_model,
-    model_to_dict,
+    model_to_dict, pointed_to_dict,
 )
 from .syntax import (
     And, Eq, Formula, Iff, Name, Not, Pred, Var, formula_signature,
@@ -94,13 +94,6 @@ VALIDITY_TABLE = (
 )
 
 
-def _pointed_to_dict(pointed: PointedModel) -> dict:
-    out = model_to_dict(pointed.model)
-    out["world"] = pointed.world
-    out["sigma"] = {"?" + v: a for v, a in sorted(pointed.sigma.items())}
-    return out
-
-
 def _random_trials(phi: Formula, trials: int, rng: random.Random,
                    sample=random_epistemic_model, bounds=RANDOM_TRIAL_BOUNDS) -> int:
     """Evaluate phi at random pointed models, each drawn as a model from
@@ -144,7 +137,7 @@ def validity_table_suite(bounds: SearchBounds = DEFAULT_BOUNDS,
                 ok = isinstance(verdict, Countermodel)
                 record["verdict"] = ("countermodel" if ok else "no-countermodel")
                 if ok:
-                    record["countermodel"] = _pointed_to_dict(verdict.pointed)
+                    record["countermodel"] = pointed_to_dict(verdict.pointed)
             else:
                 ok = isinstance(verdict, NoCountermodelUpTo)
                 record["verdict"] = ("no-countermodel" if ok else "countermodel")
@@ -153,7 +146,7 @@ def validity_table_suite(bounds: SearchBounds = DEFAULT_BOUNDS,
                     record["random_trials"] = survived
                     ok = survived == trials
                 elif not ok:
-                    record["countermodel"] = _pointed_to_dict(verdict.pointed)
+                    record["countermodel"] = pointed_to_dict(verdict.pointed)
             record["elapsed_ms"] = int((time.monotonic() - started) * 1000)
             record["ok"] = ok
             entry_ok = entry_ok and ok
@@ -371,7 +364,7 @@ def corpus_suite(bounds: SearchBounds = DEFAULT_BOUNDS) -> dict:
         record = {"formula": print_formula(phi), "label": label, "ok": ok,
                   "elapsed_ms": int((time.monotonic() - started) * 1000)}
         if ok:
-            record["witness"] = _pointed_to_dict(verdict.pointed)
+            record["witness"] = pointed_to_dict(verdict.pointed)
         witnesses.append(record)
         all_ok = all_ok and ok
     readings = robot_readings()
@@ -386,7 +379,7 @@ def corpus_suite(bounds: SearchBounds = DEFAULT_BOUNDS) -> dict:
             record = {"pair": [labels[i], labels[j]], "separated": ok}
             if ok:
                 pointed = verdict.pointed
-                record["model"] = _pointed_to_dict(pointed)
+                record["model"] = pointed_to_dict(pointed)
                 record["values"] = {
                     labels[i]: eval_formula(pointed.model, pointed.world,
                                             pointed.sigma, readings[labels[i]]),

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import hashlib
 import itertools
 import json
@@ -28,7 +29,7 @@ from elas.suites import (
 )
 from elas.syntax import (
     And, Assign, Bot, Eq, Iff, Implies, Knows, Name, Not, Or, Pred, Top, Var,
-    all_vars, children, formula_signature, free_vars, is_el_fragment, knows_who,
+    all_vars, children, free_vars, is_el_fragment, knows_who,
     node_count, parse_formula, print_formula,
 )
 
@@ -344,44 +345,39 @@ class TestCompile:
         assert set(translation._TRANSLATIONS) == classes
 
     def test_not_a_formula(self):
-        lay = modelsearch._Layout(Signature({}, frozenset()), 1, 1, {"x"}, ())
+        target = modelsearch._target(parse_formula("?x = ?x"), False, True)
+        shape = modelsearch._shape(1, 1, *target.key, modelsearch._LANES)
         for thing in ("P(a)", 5, Var("x"), Not(5), And(Top(), Name("a"))):
             with pytest.raises(TypeError, match="not a formula"):
-                modelsearch._compile(thing, lay, {})
+                modelsearch._compile(thing, shape, target, {})
 
 
 class TestShapes:
     @staticmethod
     def _blocks(seed, count):
-        """count seeded (signature, n, k, variables, free) blocks over few
-        symbols, so that many share a shape under different symbols."""
+        """count seeded (target, n, k) blocks over few symbols, so that
+        many share a shape under different symbols."""
         rng = random.Random(seed)
         for _ in range(count):
-            preds = {sym: rng.randrange(3) for sym in rng.sample("PQRS", rng.randrange(3))}
-            names = frozenset(rng.sample("abc", rng.randrange(3)))
-            variables = set(rng.sample("xyzw", rng.randrange(3)))
-            free = {v for v in variables if rng.random() < 0.5}
-            yield (Signature(preds, names), rng.randint(1, 2), rng.randint(1, 2),
-                   variables, free)
+            preds = {sym: rng.randrange(3) for sym in rng.sample("PQRS", rng.randint(1, 2))}
+            phi = random_formula(rng, rng.sample("xyzw", rng.randint(1, 2)),
+                                 rng.sample("abc", rng.randrange(3)), preds, depth=2)
+            yield modelsearch._target(phi, False, True), rng.randint(1, 2), rng.randint(1, 2)
 
-    def test_shared_shapes_bind_their_own_symbols(self, monkeypatch):
-        # A layout read through a shape cached for other symbols equals,
-        # field for field, one built from an uncached shape.
+    def test_shared_shapes_bind_their_own_symbols(self):
+        # A shape read from the cache for a target over other symbols
+        # equals, field for field, one built uncached for this target.
         modelsearch._shape.cache_clear()
         first, renamed = {}, 0
-        for sig, n, k, variables, free in self._blocks(2020, 300):
+        for target, n, k in self._blocks(2020, 300):
             hits = modelsearch._shape.cache_info().hits
-            lay = modelsearch._Layout(sig, n, k, variables, free)
-            with monkeypatch.context() as patch:
-                patch.setattr(modelsearch, "_shape", modelsearch._shape.__wrapped__)
-                fresh = modelsearch._Layout(sig, n, k, variables, free)
-            assert vars(lay) == vars(fresh)
-            symbols = (lay.preds, lay.names, lay.vars, lay.free)
-            key = (n, k, tuple(a for _, a in lay.preds), len(lay.names), len(lay.vars),
-                   tuple(lay.var_pos[v] for v in lay.free))
+            shape = modelsearch._shape(n, k, *target.key, modelsearch._LANES)
+            fresh = modelsearch._shape.__wrapped__(n, k, *target.key, modelsearch._LANES)
+            assert vars(shape) == vars(fresh)
+            symbols = (target.pred_pos, target.name_pos, target.var_pos)
             if modelsearch._shape.cache_info().hits > hits:
-                renamed += first[key] != symbols
-            first.setdefault(key, symbols)
+                renamed += first[n, k, target.key] != symbols
+            first.setdefault((n, k, target.key), symbols)
         assert renamed >= 50
 
     def test_renamed_search_hits_the_cache(self):
@@ -397,17 +393,25 @@ class TestShapes:
     def test_cache_is_bounded(self):
         modelsearch._shape.cache_clear()
         for m in range(modelsearch._SHAPES + 10):
-            modelsearch._Layout(Signature({f"P{i}": 0 for i in range(m)}, frozenset()),
-                                1, 1, (), ())
+            phi = functools.reduce(And, [Pred(f"P{i}", ()) for i in range(m)], Top())
+            target = modelsearch._target(phi, False, True)
+            modelsearch._shape(1, 1, *target.key, modelsearch._LANES)
         info = modelsearch._shape.cache_info()
         assert info.misses == modelsearch._SHAPES + 10
         assert info.currsize == modelsearch._SHAPES
 
     def test_lane_cap_is_part_of_the_key(self, monkeypatch):
-        sig = Signature({"P": 1}, frozenset({"a", "b"}))
-        assert modelsearch._Layout(sig, 3, 2, {"x"}, {"x"}).lanes > 5
+        # and every block of a search reads the cap in force
+        phi = parse_formula("P(a) & ~P(b) & K{a} P(?x)")
+        target = modelsearch._target(phi, False, True)
+        assert modelsearch._shape(3, 2, *target.key, modelsearch._LANES).lanes > 5
         monkeypatch.setattr(modelsearch, "_LANES", 5)
-        assert modelsearch._Layout(sig, 3, 2, {"x"}, {"x"}).lanes <= 5
+        assert modelsearch._shape(3, 2, *target.key, modelsearch._LANES).lanes <= 5
+        cached, caps = modelsearch._shape, []
+        monkeypatch.setattr(modelsearch, "_shape",
+                            lambda *key: caps.append(key[-1]) or cached(*key))
+        assert isinstance(find_witness(phi, SearchBounds(3, 2, True)), Witness)
+        assert caps and set(caps) == {5}
 
     def test_warm_tables_give_cold_first_hits(self):
         # Every search of the warm pass reads tables that earlier searches
@@ -551,7 +555,7 @@ class TestFold:
                 assert target.worlds == (0 if target.formula is Bot()
                                          else 1 + k_count(target.formula)
                                          if depth <= 1 else math.inf)
-                assert target.variables == all_vars(phi)
+                assert set(target.var_pos) == all_vars(phi)
                 assert target.free == free_vars(phi)
                 hoisting += depth > 0
                 capped += 1 < target.worlds < math.inf
@@ -829,15 +833,13 @@ class TestFastScanAgainstSlowScan:
     @pytest.mark.parametrize("text", [
         "true", "P(a) & Q(?x, b)", "a = b -> K{c} a = b", "R & P(a)",
     ])
-    def test_layout_covers_the_index(self, text, lanes, monkeypatch):
-        monkeypatch.setattr(modelsearch, "_LANES", lanes)
-        phi = parse_formula(text)
+    def test_layout_covers_the_index(self, text, lanes):
+        target = modelsearch._target(parse_formula(text), False, True)
         for n, k in itertools.product(range(1, 5), range(1, 4)):
-            lay = modelsearch._Layout(formula_signature(phi), n, k,
-                                      all_vars(phi), free_vars(phi))
-            assert lay.lanes <= lanes
-            assert lay.lanes * lay.chunks == \
-                k ** lay.eta_digits * 2 ** lay.rho_bits
+            shape = modelsearch._shape(n, k, *target.key, lanes)
+            assert shape.lanes <= lanes
+            assert shape.lanes * shape.chunks == \
+                k ** shape.eta_digits * 2 ** shape.rho_bits
 
     @pytest.mark.parametrize("label, phi, target", SEARCH_CASES,
                              ids=[case[0] for case in SEARCH_CASES])
@@ -873,6 +875,21 @@ class TestFastScanAgainstSlowScan:
             len(slow[0]["worlds"]))
         assert len(slow[0]["agents"]) == cap
         assert _first_point(phi, bounds, target) == slow
+
+    @pytest.mark.parametrize("bounds", [EPISTEMIC22, ARBITRARY22])
+    @pytest.mark.parametrize("target", [False, True])
+    @pytest.mark.parametrize("text", [
+        "?a = a -> K{b} ?a = a",
+        "[?a := b] P(?a, a) & ~P(a, ?a)",
+        "?P = a & P(?P) & ~P(a)",
+        "[?b := a] K{?b} (b = ?b)",
+    ])
+    def test_one_identifier_in_several_namespaces(self, text, target, bounds):
+        # a variable, a name and a predicate symbol that share an
+        # identifier are bound to positions apart
+        phi = parse_formula(text)
+        assert _first_point(phi, bounds, target) == \
+            self._slow_first_point(phi, bounds, target)
 
     @pytest.mark.parametrize("text, caps", [
         # per world count scanned, the agent cap; the world cap is 1 + #K
