@@ -527,8 +527,8 @@ class TestFold:
                 assert set(same.hoisted) == set(alone.hoisted)
 
     def test_target_records_what_the_scan_reads(self):
-        # _compile hoists exactly the maximal K-free subtrees, the layout
-        # needs every variable, and the world cap counts the K occurrences
+        # _compile hoists exactly the maximal K-free subtrees, the target
+        # binds every variable, and the world cap counts the K occurrences
         # of a target of modal depth at most 1
         def has_k(f):
             return isinstance(f, Knows) or any(map(has_k, children(f)))
