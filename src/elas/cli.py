@@ -22,31 +22,40 @@ from .semantics import (
 )
 from .suites import SUITES
 from .syntax import (
-    ArityError, ParseError, free_vars, parse_formula, print_formula,
+    ArityError, ParseError, Var, free_vars, parse_formula, parse_term, print_formula,
 )
 from .translation import print_fol, translate, translate_universal
 
 USAGE_ERROR = 2
 
 
+def _read_sigma(pairs, source: str, error: type) -> dict:
+    """sigma from (key, agent) pairs, each key a variable with or without
+    its "?"; error(message) if a key is not a variable or binds one twice."""
+    sigma = {}
+    for key, agent in pairs:
+        var = key[1:] if key.startswith("?") else key
+        try:
+            is_var = parse_term("?" + var) == Var(var)
+        except ParseError:
+            is_var = False
+        if not is_var:
+            raise error(f"{source} key {key!r} is not a variable")
+        if var in sigma:
+            raise error(f"{source} binds ?{var} twice")
+        sigma[var] = agent
+    return sigma
+
+
 def _parse_sigma(text: str) -> dict:
     """--sigma "?x=i,?y=j" -> {"x": "i", "y": "j"}."""
-    sigma = {}
-    if not text:
-        return sigma
-    for item in text.split(","):
+    pairs = []
+    for item in text.split(",") if text else ():
         var, sep, agent = item.partition("=")
-        var = var.strip()
         if not sep or not agent.strip():
             raise ValueError(f"malformed sigma entry {item!r}")
-        if var.startswith("?"):
-            var = var[1:]
-        if not var:
-            raise ValueError(f"malformed sigma entry {item!r}")
-        if var in sigma:
-            raise ValueError(f"--sigma binds ?{var} twice")
-        sigma[var] = agent.strip()
-    return sigma
+        pairs.append((var.strip(), agent.strip()))
+    return _read_sigma(pairs, "--sigma", ValueError)
 
 
 def _bounds(args) -> SearchBounds:
@@ -86,25 +95,16 @@ def cmd_check(args) -> int:
     world = args.world if args.world is not None else data.get("world")
     if world is None:
         raise ValueError("no world given (use --world or a 'world' key in the file)")
-    sigma = dict(_parse_sigma_json(data.get("sigma", {})))
+    raw = data.get("sigma", {})
+    if not isinstance(raw, dict):
+        raise ModelError("sigma in the model file must be an object")
+    sigma = _read_sigma(raw.items(), "sigma in the model file", ModelError)
     sigma.update(_parse_sigma(args.sigma or ""))
     phi = parse_formula(args.formula, signature=model.signature)
     value = eval_formula(model, world, sigma, phi)
     _emit(args, {"world": world, "sigma": sigma, "value": value},
           "true" if value else "false")
     return 0 if value else 1
-
-
-def _parse_sigma_json(raw: dict) -> dict:
-    if not isinstance(raw, dict):
-        raise ModelError("sigma in the model file must be an object")
-    sigma = {}
-    for key, agent in raw.items():
-        var = key[1:] if key.startswith("?") else key
-        if var in sigma:
-            raise ModelError(f"sigma in the model file binds ?{var} twice")
-        sigma[var] = agent
-    return sigma
 
 
 # command -> (help, search, hit type, hit verdict, negative verdict, its text)
@@ -161,7 +161,11 @@ def cmd_prove(args) -> int:
 
 def cmd_suite(args) -> int:
     runner = SUITES[args.name]
-    bounds = _bounds(args)      # checked even where the suite does not search
+    bounds = _bounds(args)      # flags are checked even where the suite ignores them
+    if args.trials < 0:
+        raise ValueError(f"trials must be at least 0, not {args.trials}")
+    if args.max_size < 1:
+        raise ValueError(f"max_size must be at least 1, not {args.max_size}")
     kwargs = {}
     if args.name == "validity-table":
         kwargs = {"bounds": bounds, "trials": args.trials, "seed": args.seed}

@@ -59,9 +59,10 @@ block with at most W worlds, which comes earlier in the order.  The search
 therefore scans world counts only up to min(max_worlds, W): at depth 0
 that is the one-world blocks, and for a deeper target W is unbounded.  The
 first hit is unchanged.  A subformula without K reads no relation at all,
-so its masks depend on the chunk of scan indices alone: the compiled scan
-keeps them for the last chunk index it saw instead of recomputing them for
-every relation tuple, once for all occurrences of the same subformula.
+so its masks depend on the chunk of scan indices alone: the scan computes
+them with the chunk's digits whenever the chunk index changes, once for
+all occurrences of the same subformula; a block of one chunk computes
+them once for all its relation tuples.
 
 The agent count stops at what the formula's terms can name.  An agent
 enters the evaluation only as the denotation of a term, sigma(x) for a
@@ -267,22 +268,12 @@ class _Shape:
 _shape = functools.lru_cache(maxsize=_SHAPES)(_Shape)     # see the module docstring
 
 
-def _last_chunk(run):
-    """run, keeping its masks for the last chunk index it was called on."""
-    seen = [None, None]
-
-    def cached(ctx):
-        if seen[0] != ctx[4]:
-            seen[:] = ctx[4], run(ctx)
-        return seen[1]
-    return cached
-
-
 def _compile(phi: Formula, shape: _Shape, target: _Target, hoisted: dict):
     """Compile a formula to a function ctx -> list of per-cell bitmasks over
-    one chunk's lanes, where ctx = (succ, groups, eta, rho, chunk): the
+    one chunk's lanes, where ctx = (succ, groups, eta, rho, k_free): the
     relation tuple's successor tuples and _groups, one per agent, eta and
-    rho as chunk_digits gives them for the chunk, and the chunk index.
+    rho as chunk_digits gives them for the chunk, and the masks of each
+    hoisted subtree over the chunk.
     _KERNELS holds the builder of each node class, which reads a symbol's
     position from the target and the tables at it from the shape.
 
@@ -295,14 +286,13 @@ def _compile(phi: Formula, shape: _Shape, target: _Target, hoisted: dict):
     eta[ni * n + w], one per agent the digit takes within the chunk; they
     never hold None, and nodes with a name term OR their masks per cell.
 
-    A node of phi that is a key of hoisted has no K, so its masks depend on
-    the chunk alone: it computes them once per run of equal chunk indices,
-    not once per relation tuple.  Equal subformulas are one node, so every
-    occurrence of such a node shares the one function kept in hoisted."""
+    hoisted maps a subtree without K to its position in k_free: its masks
+    depend on the chunk alone, so _scan_block computes them once per chunk
+    stage and the compiled node reads them.  Equal subformulas are one
+    node, so every occurrence of such a node reads the same masks."""
     if phi in hoisted:
-        if hoisted[phi] is None:
-            hoisted[phi] = _last_chunk(_compile(phi, shape, target, {}))
-        return hoisted[phi]
+        i = hoisted[phi]
+        return lambda ctx: ctx[4][i]
     try:
         kernel = _KERNELS[type(phi)]
     except KeyError:
@@ -569,7 +559,7 @@ class _Target:
     sig: Signature          # phi's predicates and names; variables live in sigma
     free: frozenset
     worlds: float           # the most worlds a first hit can have, or inf
-    hoisted: tuple          # the maximal subtrees without K, as nodes of formula
+    hoisted: tuple          # the maximal subtrees without K, each once
     var_pos: dict           # every variable of phi, bound ones included
     name_pos: dict
     pred_pos: dict
@@ -638,7 +628,8 @@ def _target(phi: Formula, want_false: bool, epistemic: bool) -> _Target:
     key = (tuple(sig.predicates[sym] for sym in pred_pos), len(name_pos), len(var_pos),
            tuple(var_pos[v] for v in sorted(sig.variables)))
     return _Target(formula, Signature(dict(sig.predicates), sig.names), sig.variables, worlds,
-                   tuple(hoisted) if md else (formula,), var_pos, name_pos, pred_pos, key)
+                   tuple(dict.fromkeys(hoisted)) if md else (formula,),
+                   var_pos, name_pos, pred_pos, key)
 
 
 def _scan_block(target: _Target, n: int, k: int, tuples):
@@ -648,17 +639,24 @@ def _scan_block(target: _Target, n: int, k: int, tuples):
     The shape at the target's key and the lane cap in force fixes every
     variable's denotation per cell, and _compile builds those in; per
     relation tuple the scan passes the successor groups that K over a
-    variable folds and, per chunk, the lane masks of the eta digits (the
-    names' denotations), computed once per chunk index.  Every world of a
-    tuple is a pointed world.
+    variable folds.  The chunk stage is computed whenever the chunk index
+    changes: the chunk's digits (the names' and predicates' lane masks) and
+    the masks of every hoisted subtree, which read no relation.  A block of
+    one chunk computes it once; a block of several, once per relation tuple
+    and chunk.  Every world of a tuple is a pointed world.
     """
     shape = _shape(n, k, *target.key, _LANES)
-    run = _compile(target.formula, shape, target, dict.fromkeys(target.hoisted))
-    digits = functools.lru_cache(maxsize=1)(shape.chunk_digits)
+    run = _compile(target.formula, shape, target,
+                   {phi: i for i, phi in enumerate(target.hoisted)})
+    k_free = [_compile(phi, shape, target, {}) for phi in target.hoisted]
+    staged = None
     for _, succ in tuples:
         groups = tuple(_groups(rel, shape.S) for rel in succ)
         for chunk in range(shape.chunks):
-            masks = run((succ, groups, *digits(chunk), chunk))
+            if chunk != staged:
+                staged, (eta, rho) = chunk, shape.chunk_digits(chunk)
+                stage = eta, rho, [f((None, None, eta, rho, None)) for f in k_free]
+            masks = run((succ, groups, *stage))
             keys = [((m & -m).bit_length() - 1, w, cell_pos)
                     for w in range(n) for cell_pos, s in enumerate(shape.free_cells)
                     if (m := masks[w * shape.S + s])]

@@ -40,18 +40,14 @@ def set_partitions(n: int) -> tuple:
 # Bounded: a process that draws models of many worlds would otherwise keep
 # one entry per growth string it ever met (Bell(8) = 4,140 of them at 8 worlds).
 @functools.lru_cache(maxsize=4096)
-def partition_relation(rgs, worlds) -> frozenset:
-    """The equivalence relation whose blocks are given by the growth string."""
-    return frozenset((worlds[i], worlds[j])
-                     for i in range(len(worlds)) for j in range(len(worlds))
-                     if rgs[i] == rgs[j])
-
-
-@functools.lru_cache(maxsize=4096)
-def _partition_successors(rgs, worlds) -> tuple:
-    """(world, its block in sorted order) for each world, in order."""
-    return tuple((w, tuple(sorted(v for v, b in zip(worlds, rgs) if b == block)))
-                 for w, block in zip(worlds, rgs))
+def _partition(rgs, worlds) -> tuple:
+    """The equivalence relation whose blocks are given by the growth string,
+    and (world, its block in sorted order) for each world, in order."""
+    relation = frozenset((worlds[i], worlds[j])
+                         for i in range(len(worlds)) for j in range(len(worlds))
+                         if rgs[i] == rgs[j])
+    return relation, tuple((w, tuple(sorted(v for v, b in zip(worlds, rgs) if b == block)))
+                           for w, block in zip(worlds, rgs))
 
 
 def world_labels(n: int) -> tuple:
@@ -123,9 +119,8 @@ def random_epistemic_model(rng: random.Random, sig: Signature,
     partitions = set_partitions(len(worlds))
     relations, succ = {}, {}
     for agent in agents:
-        rgs = rng.choice(partitions)
-        relations[agent] = partition_relation(rgs, worlds)
-        for w, block in _partition_successors(rgs, worlds):
+        relations[agent], rows = _partition(rng.choice(partitions), worlds)
+        for w, block in rows:
             succ[(agent, w)] = block
     return _assemble(sig, worlds, agents, relations, succ, rng)
 

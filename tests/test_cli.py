@@ -91,6 +91,9 @@ class TestCheckCommand:
         {"worlds": ["s1", "s1", "s2"]},
         {"agents": ["i", "j", "i"]},
         {"sigma": ["?x", "i"]},
+        # sigma keys that are not variables
+        {"sigma": {"?": "i"}},
+        {"sigma": {"?1x": "i"}},
     ])
     def test_malformed_model_file_exit_2(self, capsys, tmp_path, change):
         doc = json.loads((FIXTURES / "m1.json").read_text())
@@ -110,6 +113,12 @@ class TestCheckCommand:
         assert code == 2 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "?x twice" in err
+
+    def test_sigma_flag_key_not_a_variable_exit_2(self, capsys):
+        code, out, err = run(capsys, "check", str(FIXTURES / "m1.json"),
+                             "P(a)", "--world", "s1", "--sigma", "?1x=i")
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_model_file_sigma_binding_twice_exit_2(self, capsys, tmp_path):
         doc = json.loads((FIXTURES / "m1.json").read_text())
@@ -320,6 +329,11 @@ class TestUsage:
         ("suite", "soundness", "--trials", "5", "--jobs", "0"),
         ("suite", "prop24", "--agents", "0"),
         ("suite", "corpus", "--worlds", "0"),
+        # and so are --trials and --max-size
+        ("suite", "corpus", "--trials", "-5"),
+        ("suite", "prop24", "--trials", "-5"),
+        ("suite", "corpus", "--max-size", "0"),
+        ("suite", "soundness", "--max-size", "0"),
     ])
     def test_malformed_flags_one_error_line(self, capsys, argv):
         code, out, err = run(capsys, *argv)

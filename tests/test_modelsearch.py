@@ -432,6 +432,58 @@ class TestShapes:
         assert sum(hit is not None for hit in cold) >= 80
 
 
+class TestChunkStage:
+    @staticmethod
+    def _spy(monkeypatch):
+        """Per block scanned, [tuples visited, its chunk count, the chunk
+        index of each digit computation]."""
+        blocks, scan, digits = [], modelsearch._scan_block, modelsearch._Shape.chunk_digits
+
+        def scan_spy(target, n, k, tuples):
+            blocks.append(block := [0, None, []])
+
+            def visited():
+                for item in tuples:
+                    block[0] += 1
+                    yield item
+            return scan(target, n, k, visited())
+
+        def digits_spy(shape, chunk):
+            blocks[-1][1:] = shape.chunks, blocks[-1][2] + [chunk]
+            return digits(shape, chunk)
+        monkeypatch.setattr(modelsearch, "_scan_block", scan_spy)
+        monkeypatch.setattr(modelsearch._Shape, "chunk_digits", digits_spy)
+        return blocks
+
+    def test_single_chunk_block_stages_once(self, monkeypatch):
+        # the 26 validity-table searches at S5 3/3 scan 134 blocks of one
+        # chunk over 337 relation tuples: one chunk stage per block
+        blocks = self._spy(monkeypatch)
+        for entry in VALIDITY_TABLE:
+            for text in entry["formulas"]:
+                find_countermodel(parse_formula(text), EPISTEMIC33)
+        assert blocks and all(chunks == 1 and staged == [0] for _, chunks, staged in blocks)
+        assert sum(tuples for tuples, _, _ in blocks) > 2 * len(blocks)
+
+    def test_multi_chunk_block_stages_per_tuple_and_chunk(self, monkeypatch):
+        monkeypatch.setattr(modelsearch, "_LANES", 4)
+        blocks = self._spy(monkeypatch)
+        for entry in VALIDITY_TABLE:
+            for text in entry["formulas"]:
+                find_countermodel(parse_formula(text), EPISTEMIC22)
+        several = 0
+        for tuples, chunks, staged in blocks:
+            if chunks == 1:
+                assert staged == [0]
+                continue
+            # every (tuple, chunk) visited, in scan order, up to a hit in the last tuple
+            visits = [chunk for _ in range(tuples) for chunk in range(chunks)]
+            assert staged == visits[:len(staged)]
+            assert len(staged) > (tuples - 1) * chunks
+            several += tuples > 1
+        assert several
+
+
 class TestFold:
     @pytest.mark.parametrize("text, want_false", [
         # formulas 3-5 and 7 of ROADMAP item 1, searched for a countermodel
