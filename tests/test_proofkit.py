@@ -1,3 +1,5 @@
+import hashlib
+import json
 import os
 import random
 import subprocess
@@ -20,7 +22,7 @@ from elas.semantics import Signature, eval_formula
 from elas.suites import random_axiom_instance
 from elas.syntax import (
     And, Assign, Eq, Iff, Implies, Knows, Name, Not, Or, Pred, Var,
-    formula_signature, free_vars, parse_formula,
+    formula_signature, free_vars, parse_formula, print_formula, print_term,
 )
 
 
@@ -367,6 +369,53 @@ class TestInstalledLayout:
             env={**os.environ, "PYTHONPATH": str(lib)},
             check=True, capture_output=True, text=True, timeout=120).stdout.splitlines()
         assert loaded == [str(lib / "elas" / "proofkit.py"), " ".join(BUNDLED)]
+
+
+def _plain(value):
+    """A match_axiom binding value as JSON: a variable id as itself, a term
+    or a formula printed, a tuple of terms as a list."""
+    if isinstance(value, str):
+        return value
+    if isinstance(value, (Var, Name)):
+        return print_term(value)
+    if isinstance(value, tuple):
+        return [_plain(v) for v in value]
+    return print_formula(value)
+
+
+class TestReportDigest:
+    """sha256 of every check_proof report of the bundled scripts and their
+    797 connective mutants, and of match_axiom's binding of each of their
+    axiom steps; a rewrite of the checker keeps both."""
+
+    @staticmethod
+    def _scripts():
+        for name, script in bundled_theorems().items():
+            yield name, script
+            for _description, mutant in connective_mutations(script):
+                yield name, mutant
+
+    def test_reports(self):
+        reports = []
+        for _name, script in self._scripts():
+            report = check_proof(script)
+            reports.append([report.ok, report.message,
+                            [[v.index, v.ok, v.message] for v in report.steps]])
+        assert len(reports) == 10 + 797
+        digest = hashlib.sha256(json.dumps(reports).encode()).hexdigest()
+        assert digest == "644d36505910cca6d4e433ffd8c937fbf3d74868455d0cf3053f856db102db8a"
+
+    def test_axiom_bindings(self):
+        bindings = []
+        for name, script in self._scripts():
+            for step in script.steps:
+                if isinstance(step.just, Axiom):
+                    binding = match_axiom(step.just.id, step.formula)
+                    bindings.append([name, step.index, step.just.id, binding and
+                                     [[key, _plain(v)] for key, v in binding.items()]])
+        assert sum(b[3] is None for b in bindings) == 94
+        digest = hashlib.sha256(json.dumps(bindings).encode()).hexdigest()
+        assert digest == "194e3d90b01a15d5855fa79bf3fbc161876902c7aaf92166e7b05452f4565b7c"
 
 
 class TestMutationRobustness:
