@@ -6,8 +6,12 @@ ponens, necessitation for ``K{t}``, necessitation for ``[?x := t]`` (with
 its freshness side condition), or a citation of a previously established
 derived theorem instantiated at concrete formulas and terms.  A tautology
 is checked on the truth table over its maximal non-Boolean subformulas (at
-most ``MAX_ATOMS``, 16), evaluated over bit vectors once per distinct node:
-formulas are hash-consed, so equal subformulas are one node.
+most ``MAX_ATOMS``, 16) in one walk over bit vectors that computes each
+distinct node's vector once: formulas are hash-consed, so equal
+subformulas are one node.  The atoms' columns come from a fixed table of
+2 ** 6 rows; a formula of more than six atoms is walked once more at its
+exact width.  Hash-consing also lets a rule compare a step with its
+premises by identity.
 
 The axiom schemas are the table ``AXIOMS`` and the derived theorems the
 table ``LEMMAS``, both written in the formula syntax; SUBP, SUB2AS,
@@ -37,10 +41,10 @@ import functools
 from dataclasses import dataclass
 from importlib.resources import files
 
-from .semantics import BIT_OPS, digit_mask
+from .semantics import digit_mask
 from .syntax import (
-    And, Assign, Eq, Formula, Iff, Implies, Knows, Name, Not, Or, ParseError,
-    Pred, Term, Var, all_vars, children, free_vars,
+    BINARY, And, Assign, Bot, Eq, Formula, Iff, Implies, Knows, Name, Not, Or,
+    ParseError, Pred, Term, Top, Var, all_vars, children, free_vars,
     is_admissible, parse_formula, parse_term, print_formula, print_term,
     rebuild, reletter, subformulas, substitute, terms_of,
 )
@@ -122,8 +126,14 @@ def _match(schema: Formula, phi, binding: dict) -> bool:
     if node is Pred:
         bound = binding.setdefault(schema.sym.lower(), phi)
         return bound is phi and not isinstance(phi, (Var, Name))
-    if type(phi) is not node or (
-            node is Assign and binding.setdefault(schema.var, phi.var) != phi.var):
+    if type(phi) is not node:
+        return False
+    if node in BINARY:                  # no terms of its own
+        return (_match(schema.lhs, phi.lhs, binding)
+                and _match(schema.rhs, phi.rhs, binding))
+    if node is Not:
+        return _match(schema.body, phi.body, binding)
+    if node is Assign and binding.setdefault(schema.var, phi.var) != phi.var:
         return False
     for meta, t in zip(terms_of(schema), terms_of(phi)):
         if type(meta) is Var:
@@ -151,11 +161,12 @@ def _fill(schema: Formula, values: dict) -> Formula:
 def match_axiom(axiom_id: str, phi: Formula):
     """A metavariable binding (a variable as its id) when phi instantiates
     the schema, else None; all side conditions are enforced here."""
+    schema = _AXIOM_SCHEMAS.get(axiom_id)
+    if schema is not None:
+        binding = {}
+        return binding if _match(schema, phi, binding) else None
     if axiom_id not in AXIOM_IDS:
         raise ValueError(f"unknown axiom {axiom_id}")
-    if axiom_id in _AXIOM_SCHEMAS:
-        binding = {}
-        return binding if _match(_AXIOM_SCHEMAS[axiom_id], phi, binding) else None
     match axiom_id, phi:
         case "SUBP", Implies(lhs, Iff(Eq() | Pred() as left, right)):
             sym, ts, us = getattr(left, "sym", "="), terms_of(left), terms_of(right)
@@ -188,32 +199,70 @@ def instantiate_axiom(axiom_id: str, binding: dict) -> Formula:
 # ---------------------------------------------------------------------------
 # Propositional tautologies
 
+# Truth-table columns of atoms 0-5 over 2 ** 6 rows, row r giving atom i
+# bit i of r.  A formula of fewer atoms is decided on these rows too: its
+# vector repeats with period 2 ** atoms, so every row is some assignment.
+_TABLE_ATOMS = 6
+_TABLE_COLUMNS = tuple(digit_mask(1 << _TABLE_ATOMS, 1 << i, 2, 1)
+                       for i in range(_TABLE_ATOMS))
+_TABLE_FULL = (1 << (1 << _TABLE_ATOMS)) - 1
+
+
+def _truth_vector(phi: Formula, columns, full: int):
+    """phi's truth table as a bit vector over the atom columns given, and
+    its number of distinct atoms, numbered in order of first occurrence;
+    the vector means nothing when the atoms outnumber the columns.  Each
+    distinct node is evaluated once."""
+    vectors: dict = {}
+    atoms = 0
+
+    def vec(f):
+        nonlocal atoms
+        v = vectors.get(f)
+        if v is not None:
+            return v
+        node = type(f)
+        if node is Not:
+            v = vec(f.body) ^ full
+        elif node is And:
+            v = vec(f.lhs) & vec(f.rhs)
+        elif node is Or:
+            v = vec(f.lhs) | vec(f.rhs)
+        elif node is Implies:
+            v = (vec(f.lhs) ^ full) | vec(f.rhs)
+        elif node is Iff:
+            v = vec(f.lhs) ^ vec(f.rhs) ^ full
+        elif node is Top:
+            v = full
+        elif node is Bot:
+            v = 0
+        else:                                   # a maximal non-Boolean subformula
+            v = columns[atoms] if atoms < len(columns) else 0
+            atoms += 1
+        vectors[f] = v
+        return v
+
+    vector = vec(phi)
+    return vector, atoms
+
+
 def check_taut(phi: Formula) -> bool:
     """Truth-table check over the maximal non-Boolean subformulas (the
-    atoms; equal ones are one node), with a bit per row: one walk collects
-    the atoms and the Boolean nodes of the formula DAG, children first,
-    then each Boolean node's vector is computed once from its children's."""
-    atoms: dict = {}         # atom -> its index, in order of first occurrence
-    inner: dict = {}         # the Boolean nodes, each after its children
-
-    def collect(f):
-        if type(f) not in BIT_OPS:
-            atoms.setdefault(f, len(atoms))
-        elif f not in inner:
-            for kid in children(f):
-                collect(kid)
-            inner[f] = None
-
-    collect(phi)
-    if len(atoms) > MAX_ATOMS:
-        raise AtomBudgetError(
-            f"{len(atoms)} distinct atoms exceed the budget of {MAX_ATOMS}")
-    rows = 1 << len(atoms)
-    full = (1 << rows) - 1
-    vectors = {atom: digit_mask(rows, 1 << i, 2, 1) for atom, i in atoms.items()}
-    for f in inner:
-        vectors[f] = BIT_OPS[type(f)](full, *[vectors[kid] for kid in children(f)])
-    return vectors[phi] == full
+    atoms; equal ones are one node), with a bit per row, in one walk that
+    computes each distinct node's vector once.  The walk reads the atoms'
+    columns from a table of 2 ** 6 rows; a formula of more atoms is walked
+    once more at its exact width, 2 ** atoms rows."""
+    full = _TABLE_FULL
+    vector, atoms = _truth_vector(phi, _TABLE_COLUMNS, full)
+    if atoms > _TABLE_ATOMS:
+        if atoms > MAX_ATOMS:
+            raise AtomBudgetError(
+                f"{atoms} distinct atoms exceed the budget of {MAX_ATOMS}")
+        rows = 1 << atoms
+        full = (1 << rows) - 1
+        columns = [digit_mask(rows, 1 << i, 2, 1) for i in range(atoms)]
+        vector = _truth_vector(phi, columns, full)[0]
+    return vector == full
 
 
 # ---------------------------------------------------------------------------
@@ -335,84 +384,91 @@ def instantiate_lemma(name: str, bindings: dict) -> Formula:
 
 def check_step(script: ProofScript, index: int) -> StepVerdict:
     """Validate the justification of one step against the steps before it."""
-    return _check_step({s.index: s for s in script.steps}, index)
-
-
-def _check_step(by_index: dict, index: int) -> StepVerdict:
+    by_index = {s.index: s for s in script.steps}
     step = by_index.get(index)
     if step is None:
         return StepVerdict(index, False, f"no step {index}")
+    return _check_step(by_index, step)
+
+
+def _check_step(by_index: dict, step: ProofStep) -> StepVerdict:
+    """The verdict on step, its premises looked up by index in by_index.
+    Formulas are hash-consed, so a premise is compared by identity."""
+    index, phi, just = step.index, step.formula, step.just
 
     def premise(i):
         prem = by_index.get(i)
-        if prem is None or prem.index >= step.index:
+        if prem is None or prem.index >= index:
             return None
         return prem
 
-    just = step.just
-    phi = step.formula
-    match just:
-        case Axiom(axiom_id):
-            try:
-                witness = match_axiom(axiom_id, phi)
-            except ValueError as exc:
-                return StepVerdict(index, False, str(exc))
-            if witness is None:
-                return StepVerdict(index, False,
-                                   f"not an instance of {axiom_id}")
-            return StepVerdict(index, True)
-        case Taut():
-            try:
-                if check_taut(phi):
-                    return StepVerdict(index, True)
-            except AtomBudgetError as exc:
-                return StepVerdict(index, False, str(exc))
-            return StepVerdict(index, False, "not a propositional tautology")
-        case MP(i, j):
-            pi, pj = premise(i), premise(j)
-            if pi is None or pj is None:
-                return StepVerdict(index, False, "mp premises must be earlier steps")
-            if pj.formula != Implies(pi.formula, phi):
-                return StepVerdict(
-                    index, False,
-                    f"step {j} is not (step {i} -> step {index})")
-            return StepVerdict(index, True)
-        case NecK(i, agent):
-            pi = premise(i)
-            if pi is None:
-                return StepVerdict(index, False, "neck premise must be an earlier step")
-            if phi != Knows(agent, pi.formula):
-                return StepVerdict(
-                    index, False,
-                    f"expected K{{{print_term(agent)}}} applied to step {i}")
-            return StepVerdict(index, True)
-        case NecAs(i, var, term):
-            pi = premise(i)
-            if pi is None:
-                return StepVerdict(index, False, "necas premise must be an earlier step")
-            if not isinstance(pi.formula, Implies):
-                return StepVerdict(index, False, f"step {i} is not an implication")
-            ante, cons = pi.formula.lhs, pi.formula.rhs
-            if phi != Implies(ante, Assign(var, term, cons)):
-                return StepVerdict(
-                    index, False,
-                    f"expected {print_formula(ante)} -> "
-                    f"[?{var} := {print_term(term)}] {print_formula(cons)}")
-            if var in free_vars(ante):
-                return StepVerdict(
-                    index, False,
-                    f"side condition violated: ?{var} occurs free in the antecedent")
-            return StepVerdict(index, True)
-        case Lemma(name, bindings):
-            try:
-                expected = instantiate_lemma(name, dict(bindings))
-            except ScriptError as exc:
-                return StepVerdict(index, False, str(exc))
-            if expected != phi:
-                return StepVerdict(
-                    index, False,
-                    f"lemma {name} instantiates to {print_formula(expected)}")
-            return StepVerdict(index, True)
+    rule = type(just)
+    if rule is Taut:
+        try:
+            if check_taut(phi):
+                return StepVerdict(index, True)
+        except AtomBudgetError as exc:
+            return StepVerdict(index, False, str(exc))
+        return StepVerdict(index, False, "not a propositional tautology")
+    if rule is MP:
+        i, j = just.i, just.j
+        pi, pj = premise(i), premise(j)
+        if pi is None or pj is None:
+            return StepVerdict(index, False, "mp premises must be earlier steps")
+        f = pj.formula
+        if not (type(f) is Implies and f.lhs is pi.formula and f.rhs is phi):
+            return StepVerdict(
+                index, False,
+                f"step {j} is not (step {i} -> step {index})")
+        return StepVerdict(index, True)
+    if rule is Axiom:
+        try:
+            witness = match_axiom(just.id, phi)
+        except ValueError as exc:
+            return StepVerdict(index, False, str(exc))
+        if witness is None:
+            return StepVerdict(index, False, f"not an instance of {just.id}")
+        return StepVerdict(index, True)
+    if rule is NecK:
+        i, agent = just.i, just.agent
+        pi = premise(i)
+        if pi is None:
+            return StepVerdict(index, False, "neck premise must be an earlier step")
+        if not (type(phi) is Knows and phi.agent is agent and phi.body is pi.formula):
+            return StepVerdict(
+                index, False,
+                f"expected K{{{print_term(agent)}}} applied to step {i}")
+        return StepVerdict(index, True)
+    if rule is NecAs:
+        i, var, term = just.i, just.var, just.term
+        pi = premise(i)
+        if pi is None:
+            return StepVerdict(index, False, "necas premise must be an earlier step")
+        if type(pi.formula) is not Implies:
+            return StepVerdict(index, False, f"step {i} is not an implication")
+        ante, cons = pi.formula.lhs, pi.formula.rhs
+        bound = phi.rhs if type(phi) is Implies and phi.lhs is ante else None
+        if not (type(bound) is Assign and bound.var == var
+                and bound.term is term and bound.body is cons):
+            return StepVerdict(
+                index, False,
+                f"expected {print_formula(ante)} -> "
+                f"[?{var} := {print_term(term)}] {print_formula(cons)}")
+        if var in free_vars(ante):
+            return StepVerdict(
+                index, False,
+                f"side condition violated: ?{var} occurs free in the antecedent")
+        return StepVerdict(index, True)
+    if rule is Lemma:
+        try:
+            expected = instantiate_lemma(just.name, dict(just.bindings))
+        except ScriptError as exc:
+            return StepVerdict(index, False, str(exc))
+        if expected != phi:
+            return StepVerdict(
+                index, False,
+                f"lemma {just.name} instantiates to {print_formula(expected)}")
+        return StepVerdict(index, True)
     return StepVerdict(index, False, f"unknown justification {just!r}")
 
 
@@ -431,7 +487,7 @@ def check_proof(script: ProofScript) -> ProofReport:
         previous = step.index
     by_index = {s.index: s for s in script.steps}
     for step in script.steps:
-        verdicts.append(_check_step(by_index, step.index))
+        verdicts.append(_check_step(by_index, step))
     ok = structural_ok and all(v.ok for v in verdicts)
     message = "ok"
     if script.steps[-1].formula != script.goal:

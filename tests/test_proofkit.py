@@ -154,6 +154,14 @@ class TestCheckTaut:
         with pytest.raises(AtomBudgetError):
             check_taut(parse_formula(text))
 
+    def test_atom_budget_is_the_step_message(self, tmp_path, capsys):
+        literals = " & ".join(f"P(a{i})" for i in range(17))
+        path = tmp_path / "wide.selas"
+        path.write_text(f"goal: P(a0)\n1. ({literals}) -> P(a0) ; taut\n")
+        assert main(["prove", str(path)]) == 1
+        assert capsys.readouterr().out.splitlines()[0] == (
+            "step 1: FAIL: 17 distinct atoms exceed the budget of 16")
+
     def test_sixteen_atoms_within_budget(self):
         # the 2 ** 16-row table is evaluated in one pass over bit vectors
         conjunction = "(" + " & ".join(f"P(a{i})" for i in range(16)) + ")"
@@ -269,6 +277,23 @@ class TestRules:
             ProofStep(2, parse_formula("P(a) -> P(a)"), Taut()),
         ))
         assert not check_step(script, 1).ok
+
+    def test_repeated_index_checks_each_step_itself(self, tmp_path, capsys):
+        # premises resolve by index, but each step is checked as written
+        text = "goal: P(a) | ~P(a)\n1. P(a) ; taut\n1. P(a) | ~P(a) ; taut\n"
+        report = check_proof(parse_script(text))
+        assert [(v.index, v.ok, v.message) for v in report.steps] == [
+            (1, False, "step indices must strictly increase"),
+            (1, False, "not a propositional tautology"),
+            (1, True, "ok")]
+        assert (report.ok, report.message) == (False, "some steps failed")
+        path = tmp_path / "repeated.selas"
+        path.write_text(text)
+        assert main(["prove", str(path)]) == 1
+        assert capsys.readouterr().out.splitlines()[:3] == [
+            "step 1: FAIL: step indices must strictly increase",
+            "step 1: FAIL: not a propositional tautology",
+            "step 1: ok"]
 
 
 class TestLemmaCitations:

@@ -202,6 +202,45 @@ def test_check_taut_agrees_with_row_by_row_table(phi):
     assert check_taut(phi) == _taut_by_rows(phi)
 
 
+def _wide_formulas(atoms: int):
+    """Three formulas of exactly the given number of distinct atoms, one of
+    them modal, with a shared subformula and true/false leaves: a
+    tautology, a formula false only in the last row (every atom true), and
+    one false in the first row."""
+    leaves = [Pred("P", (Name(f"a{i}"),)) for i in range(atoms - 1)]
+    leaves.append(Knows(Name("a"), Pred("P", (Name("a0"),))))
+    shared = Or(leaves[0], Not(leaves[-1]))
+    conj = shared
+    for leaf in leaves[1:]:
+        conj = And(conj, leaf)
+    return (Implies(And(conj, Top()), Or(shared, Bot())),
+            Implies(conj, Or(Not(leaves[1]), Bot())),
+            Iff(Or(conj, Bot()), And(shared, Top())))
+
+
+@pytest.mark.parametrize("atoms", [6, 7, 16])
+def test_check_taut_at_the_table_and_budget_widths(atoms):
+    # 6 atoms fill the fixed 2 ** 6-row column table, 7 are checked at
+    # their exact width, 16 are the budget
+    formulas = _wide_formulas(atoms)
+    for phi in formulas:
+        assert len(set(_maximal_atoms(phi))) == atoms
+    assert [check_taut(phi) for phi in formulas] == [True, False, False]
+    # the row-by-row table reads every row of the first two; at 16 atoms
+    # the second, about 2 s, is left to the skeleton table
+    reference = [_taut_by_rows(formulas[0]),
+                 (_skeleton_taut if atoms > 7 else _taut_by_rows)(formulas[1]),
+                 _taut_by_rows(formulas[2])]
+    assert reference == [True, False, False]
+
+
+def test_check_taut_past_the_budget():
+    for phi in _wide_formulas(MAX_ATOMS + 1):
+        with pytest.raises(AtomBudgetError) as info:
+            check_taut(phi)
+        assert str(info.value) == "17 distinct atoms exceed the budget of 16"
+
+
 @st.composite
 def wide_boolean_combinations(draw):
     """Boolean combinations of MAX_ATOMS - 2 to MAX_ATOMS + 2 distinct
