@@ -13,9 +13,10 @@ from reference import PROOFS, ROOT
 from elas.cli import main
 from elas.proofkit import (
     AXIOM_IDS, BUNDLED, _LEMMA_BUILDERS, AtomBudgetError, Axiom, Lemma, MP,
-    NecAs, NecK, ProofScript, ProofStep, ScriptError, Taut, bundled_theorems,
-    check_proof, check_step, check_taut, connective_mutations,
-    instantiate_lemma, load_script, match_axiom, parse_script, print_script,
+    NecAs, NecK, ProofScript, ProofStep, ScriptError, StepVerdict, Taut,
+    bundled_theorems, check_proof, check_step, check_taut,
+    connective_mutations, instantiate_lemma, load_script, match_axiom,
+    parse_script, print_script,
 )
 from elas.randgen import random_epistemic_model, random_sigma
 from elas.semantics import Signature, eval_formula
@@ -270,6 +271,18 @@ class TestRules:
             ProofStep(2, conclusion, NecAs(1, "x", Name("a"))),
         ))
         assert check_step(script, 2).ok
+
+    @pytest.mark.parametrize("conclusion", [
+        "P(a) -> [?x := b] P(?x)", "P(a) -> [?y := a] P(?x)",
+        "P(b) -> [?x := a] P(?x)", "P(a) -> [?x := a] P(a)",
+        "P(a) & [?x := a] P(?x)", "P(a) -> K{a} P(?x)"])
+    def test_necas_conclusion_must_match(self, conclusion):
+        script = ProofScript(parse_formula(conclusion), (
+            ProofStep(1, parse_formula("P(a) -> P(?x)"), Taut()),
+            ProofStep(2, parse_formula(conclusion), NecAs(1, "x", Name("a"))),
+        ))
+        assert check_step(script, 2) == StepVerdict(
+            2, False, "expected P(a) -> [?x := a] P(?x)")
 
     def test_forward_reference_rejected(self):
         script = ProofScript(parse_formula("P(a)"), (
