@@ -176,10 +176,7 @@ def cmd_suite(args) -> int:
     elif args.name == "corpus":
         kwargs = {"bounds": bounds}
     report = runner(**kwargs)
-    if args.json:
-        print(json.dumps(report, indent=2, sort_keys=True))
-    else:
-        print(_summarise_suite(report))
+    _emit(args, report, _summarise_suite(report))
     return 0 if report["ok"] else 1
 
 
@@ -208,7 +205,8 @@ def _summarise_suite(report: dict) -> str:
         for record in report["witnesses"]:
             status = "ok" if record["ok"] else "FAIL"
             lines.append(f"  [{status}] witness for {record['label']}")
-        lines.append(f"  reading pairs separated: {report['pairs_separated']}/6")
+        pairs = f"{report['pairs_separated']}/{len(report['reading_pairs'])}"
+        lines.append(f"  reading pairs separated: {pairs}")
     lines.append("result: " + ("all expectations met" if report["ok"]
                                else "EXPECTATIONS FAILED"))
     return "\n".join(lines)

@@ -43,9 +43,9 @@ from importlib.resources import files
 
 from .semantics import digit_mask
 from .syntax import (
-    BINARY, And, Assign, Bot, Eq, Formula, Iff, Implies, Knows, Name, Not, Or,
-    ParseError, Pred, Term, Top, Var, all_vars, children, free_vars,
-    is_admissible, parse_formula, parse_term, print_formula, print_term,
+    BINARY, And, Assign, Bot, Eq, Formula, FreshnessError, Iff, Implies, Knows,
+    Name, Not, Or, ParseError, Pred, SubstitutionError, Term, Top, Var,
+    children, free_vars, parse_formula, parse_term, print_formula, print_term,
     rebuild, reletter, subformulas, substitute, terms_of,
 )
 
@@ -175,8 +175,11 @@ def match_axiom(axiom_id: str, phi: Formula):
                     and len(ts) == len(us) and conjuncts == list(map(Eq, ts, us))):
                 return {"P": sym, "ts": ts, "us": us}
         case "SUB2AS", Implies(p_sub, Assign(x, Var(y), p)):
-            if is_admissible(p, y, x) and substitute(p, y, x) == p_sub:
-                return {"x": x, "y": y, "p": p}
+            try:
+                if substitute(p, y, x) == p_sub:
+                    return {"x": x, "y": y, "p": p}
+            except SubstitutionError:
+                pass
     return None
 
 
@@ -370,30 +373,33 @@ def instantiate_lemma(name: str, bindings: dict) -> Formula:
         raise ScriptError(f"lemma {name} does not take {sorted(extra)}")
     if name == "EAS" and v["x"] in free_vars(v["phi"]):
         raise ScriptError(f"lemma EAS: ?{v['x']} must not occur free in the body")
-    if name == "SUBASEQ" and not is_admissible(v["phi"], v["y"], v["x"]):
+    try:
+        return build(v)
+    except SubstitutionError:           # SUBASEQ's substitution
         raise ScriptError(f"lemma SUBASEQ: substituting ?{v['y']} for ?{v['x']} "
-                          "is not admissible here")
-    if name == "RELETTER" and v["z"] in all_vars(Assign(v["x"], v["t"], v["phi"])):
+                          "is not admissible here") from None
+    except FreshnessError:              # RELETTER's new variable
         raise ScriptError(f"lemma RELETTER: ?{v['z']} must be fresh for the "
-                          "formula and the term")
-    return build(v)
+                          "formula and the term") from None
 
 
 # ---------------------------------------------------------------------------
 # Step and proof checking
 
 def check_step(script: ProofScript, index: int) -> StepVerdict:
-    """Validate the justification of one step against the steps before it."""
-    by_index = {s.index: s for s in script.steps}
-    step = by_index.get(index)
-    if step is None:
-        return StepVerdict(index, False, f"no step {index}")
-    return _check_step(by_index, step)
+    """Validate the justification of one step (the last line with that
+    index) against the lines before it."""
+    steps = script.steps
+    for pos in reversed(range(len(steps))):
+        if steps[pos].index == index:
+            return _check_step({s.index: s for s in steps[:pos]}, steps[pos])
+    return StepVerdict(index, False, f"no step {index}")
 
 
 def _check_step(by_index: dict, step: ProofStep) -> StepVerdict:
-    """The verdict on step, its premises looked up by index in by_index.
-    Formulas are hash-consed, so a premise is compared by identity."""
+    """The verdict on step, its premises looked up by index in by_index,
+    which maps an index to the latest line before step.  Formulas are
+    hash-consed, so a premise is compared by identity."""
     index, phi, just = step.index, step.formula, step.just
 
     def premise(i):
@@ -485,9 +491,10 @@ def check_proof(script: ProofScript) -> ProofReport:
                                         "step indices must strictly increase"))
             structural_ok = False
         previous = step.index
-    by_index = {s.index: s for s in script.steps}
+    by_index = {}                       # index -> the latest line so far
     for step in script.steps:
         verdicts.append(_check_step(by_index, step))
+        by_index[step.index] = step
     ok = structural_ok and all(v.ok for v in verdicts)
     message = "ok"
     if script.steps[-1].formula != script.goal:

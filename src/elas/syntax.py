@@ -602,10 +602,6 @@ def subformulas(phi: Formula) -> Iterator[Formula]:
 # ---------------------------------------------------------------------------
 # Variables, substitution, relettering
 
-def term_vars(*terms: Term) -> frozenset:
-    return frozenset(t.id for t in terms if isinstance(t, Var))
-
-
 def _collect(phi: Formula, preds: dict, names: set) -> set:
     """The free variables of phi; its predicates and names are recorded
     on the way."""
@@ -672,38 +668,35 @@ def is_el_fragment(phi: Formula) -> bool:
     return not any(isinstance(f, Assign) for f in subformulas(phi))
 
 
-def _capturing_binder(phi: Formula, y: str, x: str, under: str = None):
-    """Return the binder variable that would capture y, or None."""
-    if under is not None and x in term_vars(*terms_of(phi)):
-        return under
-    if isinstance(phi, Assign):
-        if phi.var == x:
-            return None          # x is bound below; no free occurrences inside
-        if phi.var == y:
-            under = y
-    for kid in children(phi):
-        binder = _capturing_binder(kid, y, x, under)
-        if binder is not None:
-            return binder
-    return None
+def _subst(phi: Formula, y: str, x: str):
+    """phi[?y/?x], or None as soon as a binder on ?y would capture a free
+    ?x.  The walk stops below [?x := t], and a binder's own term is outside
+    its scope, so it is substituted as a free position of the context."""
+    def fterm(t):
+        return Var(y) if type(t) is Var and t.id == x else t
+
+    def walk(f, under_y):
+        if under_y and any(type(t) is Var and t.id == x for t in terms_of(f)):
+            return None
+        kids = children(f)
+        if type(f) is Assign:
+            if f.var == x:
+                return rebuild(f, kids, fterm)
+            under_y = under_y or f.var == y
+        new = []
+        for kid in kids:
+            kid = walk(kid, under_y)
+            if kid is None:
+                return None
+            new.append(kid)
+        return rebuild(f, new, fterm)
+    return walk(phi, False)
 
 
 def is_admissible(phi: Formula, y: str, x: str) -> bool:
     """True iff substituting y for the free occurrences of x keeps every
     introduced y occurrence free."""
-    return _capturing_binder(phi, y, x) is None
-
-
-def _subst(phi: Formula, y: str, x: str) -> Formula:
-    def fterm(t):        # the binder's term position is free as well
-        return Var(y) if isinstance(t, Var) and t.id == x else t
-
-    def walk(f):
-        kids = children(f)
-        if not (isinstance(f, Assign) and f.var == x):
-            kids = [walk(kid) for kid in kids]
-        return rebuild(f, kids, fterm)
-    return walk(phi)
+    return _subst(phi, y, x) is not None
 
 
 def substitute(phi: Formula, y: str, x: str) -> Formula:
@@ -712,11 +705,11 @@ def substitute(phi: Formula, y: str, x: str) -> Formula:
     Raises SubstitutionError when some introduced occurrence of y would be
     captured by a binder.
     """
-    binder = _capturing_binder(phi, y, x)
-    if binder is not None:
+    result = _subst(phi, y, x)
+    if result is None:
         raise SubstitutionError(
-            f"substituting ?{y} for ?{x} is captured by a binder on ?{binder}")
-    return _subst(phi, y, x)
+            f"substituting ?{y} for ?{x} is captured by a binder on ?{y}")
+    return result
 
 
 def reletter(phi: Formula, z: str) -> Formula:
@@ -731,19 +724,18 @@ def reletter(phi: Formula, z: str) -> Formula:
     return Assign(z, phi.term, substitute(phi.body, z, phi.var))
 
 
-def fresh_var(avoid, prefix: str = "w") -> str:
+def fresh_var(avoid) -> str:
     """First of w0, w1, ... not in avoid."""
     i = 0
-    while f"{prefix}{i}" in avoid:
+    while f"w{i}" in avoid:
         i += 1
-    return f"{prefix}{i}"
+    return f"w{i}"
 
 
 def knows_who(knower: Term, named: str) -> Formula:
     """The knowing-who construction: the knower identifies the bearer of the
     name across all epistemic alternatives."""
-    avoid = term_vars(knower)
-    w = fresh_var(avoid)
+    w = fresh_var({knower.id} if isinstance(knower, Var) else ())
     return Assign(w, Name(named), Knows(knower, Eq(Var(w), Name(named))))
 
 

@@ -285,6 +285,14 @@ class TestSuiteCommand:
         p1.pop("el_elapsed_ms"), p2.pop("el_elapsed_ms")
         assert p1 == p2
 
+    def test_corpus_summary(self, capsys):
+        code, out, _ = run(capsys, "suite", "corpus")
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[0] == "suite: corpus"
+        assert lines[-2:] == ["  reading pairs separated: 6/6",
+                              "result: all expectations met"]
+
     def test_unknown_suite(self, capsys):
         code, _, _ = run(capsys, "suite", "nope")
         assert code == 2

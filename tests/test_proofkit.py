@@ -308,6 +308,46 @@ class TestRules:
             "step 1: FAIL: not a propositional tautology",
             "step 1: ok"]
 
+    def test_premise_is_the_latest_earlier_line(self, tmp_path, capsys):
+        # step 3's premise 1 is the first line, not the later "1. P(c)"
+        text = ("goal: P(b) | ~P(b)\n"
+                "1. P(a) | ~P(a) ; taut\n"
+                "2. (P(a) | ~P(a)) -> (P(b) | ~P(b)) ; taut\n"
+                "3. P(b) | ~P(b) ; mp 1 2\n"
+                "1. P(c) ; taut\n"
+                "4. P(b) | ~P(b) ; mp 1 2\n")
+        script = parse_script(text)
+        report = check_proof(script)
+        assert [(v.index, v.ok, v.message) for v in report.steps] == [
+            (1, False, "step indices must strictly increase"),
+            (1, True, "ok"),
+            (2, True, "ok"),
+            (3, True, "ok"),
+            (1, False, "not a propositional tautology"),
+            (4, False, "step 2 is not (step 1 -> step 4)")]
+        assert check_step(script, 3) == StepVerdict(3, True)
+        assert check_step(script, 4) == StepVerdict(
+            4, False, "step 2 is not (step 1 -> step 4)")
+        assert check_step(script, 1) == StepVerdict(
+            1, False, "not a propositional tautology")
+        path = tmp_path / "later.selas"
+        path.write_text(text)
+        assert main(["prove", str(path)]) == 1
+        assert capsys.readouterr().out.splitlines()[3:6] == [
+            "step 3: ok",
+            "step 1: FAIL: not a propositional tautology",
+            "step 4: FAIL: step 2 is not (step 1 -> step 4)"]
+
+    def test_premise_index_must_be_smaller(self):
+        # the latest earlier line with index 5 stands before step 3, but
+        # a premise index must still be below the citing step's
+        script = parse_script("goal: P(a) | ~P(a)\n"
+                              "5. P(a) | ~P(a) ; taut\n"
+                              "2. P(a) -> P(a) ; taut\n"
+                              "3. P(a) | ~P(a) ; mp 5 2\n")
+        assert check_step(script, 3) == StepVerdict(
+            3, False, "mp premises must be earlier steps")
+
 
 class TestLemmaCitations:
     def test_instantiation(self):
@@ -327,6 +367,30 @@ class TestLemmaCitations:
             instantiate_lemma("RELETTER", {
                 "x": "x", "t": Name("a"), "z": "z",
                 "phi": parse_formula("K{?z} P(?x)")})
+
+    def test_side_condition_messages(self):
+        cases = [
+            ("SUBASEQ", {"x": "x", "y": "y", "phi": parse_formula("[?y := c] P(?x)")},
+             "lemma SUBASEQ: substituting ?y for ?x is not admissible here"),
+            ("SUBASEQ", {"x": "x", "y": "y",
+                         "phi": parse_formula("[?y := c] [?z := ?x] P(b)")},
+             "lemma SUBASEQ: substituting ?y for ?x is not admissible here"),
+            ("RELETTER", {"x": "x", "t": Name("a"), "z": "z",
+                          "phi": parse_formula("K{?z} P(?x)")},
+             "lemma RELETTER: ?z must be fresh for the formula and the term"),
+            ("RELETTER", {"x": "x", "t": Var("z"), "z": "z", "phi": parse_formula("P(?x)")},
+             "lemma RELETTER: ?z must be fresh for the formula and the term"),
+            ("RELETTER", {"x": "x", "t": Name("a"), "z": "x", "phi": parse_formula("P(b)")},
+             "lemma RELETTER: ?x must be fresh for the formula and the term"),
+        ]
+        for name, bindings, message in cases:
+            with pytest.raises(ScriptError) as info:
+                instantiate_lemma(name, bindings)
+            assert str(info.value) == message
+            assert info.value.__cause__ is None
+            step = ProofStep(1, parse_formula("a = a"), Lemma(name, tuple(bindings.items())))
+            assert check_step(ProofScript(step.formula, (step,)), 1) == \
+                StepVerdict(1, False, message)
 
     def test_wrong_instance_rejected(self):
         step = ProofStep(1, parse_formula("[?z := a] P(b) <-> P(c)"),

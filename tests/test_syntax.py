@@ -16,8 +16,8 @@ from elas.syntax import (
     Name, Not, Or, ParseError, Pred, Signature, SubstitutionError, Top, Var,
     MAX_DEPTH, all_vars, formula_depth, formula_signature, free_vars,
     is_admissible, is_el_fragment,
-    kh, knows_who, node_count, parse_formula, print_formula, reletter,
-    subformulas, substitute,
+    children, kh, knows_who, node_count, parse_formula, print_formula,
+    reletter, subformulas, substitute, terms_of,
 )
 from elas.syntax import _tokenize
 
@@ -189,6 +189,43 @@ class TestSubstitute:
     def test_capture_only_matters_for_free_occurrences(self):
         # ?x under its own binder is not free, so no capture can happen
         assert is_admissible(parse_formula("[?y := c] [?x := a] P(?x)"), "y", "x")
+
+    def test_capture_agrees_with_reference(self):
+        # A free occurrence of ?x (one in the scope of no binder on ?x) is
+        # captured when it stands in the scope of a binder on ?y; a binder's
+        # scope is its body, not its own term.
+        def occurrences(f, scope):
+            for t in terms_of(f):
+                yield t, scope
+            inner = scope | {f.var} if isinstance(f, Assign) else scope
+            for kid in children(f):
+                yield from occurrences(kid, inner)
+
+        def captured(phi, v, u):
+            return any(t == Var(u) and u not in scope and v in scope
+                       for t, scope in occurrences(phi, frozenset()))
+
+        rng = random.Random(2024)
+        names = ("x", "y", "z")
+        seen = {True: 0, False: 0}
+        for _ in range(2000):
+            phi = random_formula(rng, names, ("a",), {"P": 1, "R": 2}, depth=4)
+            for v in names:
+                for u in names:
+                    admissible = not captured(phi, v, u)
+                    seen[admissible] += 1
+                    assert is_admissible(phi, v, u) == admissible, (print_formula(phi), v, u)
+                    if admissible:
+                        substitute(phi, v, u)
+                        continue
+                    with pytest.raises(SubstitutionError) as info:
+                        substitute(phi, v, u)
+                    assert str(info.value) == \
+                        f"substituting ?{v} for ?{u} is captured by a binder on ?{v}"
+        assert min(seen.values()) > 1000
+        with pytest.raises(SubstitutionError) as info:
+            substitute(parse_formula("[?y := c] [?z := ?x] P(?x)"), "y", "x")
+        assert str(info.value) == "substituting ?y for ?x is captured by a binder on ?y"
 
 
 class TestReletter:
