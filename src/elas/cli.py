@@ -16,16 +16,17 @@ import sys
 from .modelsearch import (
     Countermodel, SearchBounds, Witness, find_countermodel, find_witness,
 )
-from .proofkit import ScriptError, check_proof, load_script
 from .semantics import (
     EvalError, ModelError, eval_formula, model_from_dict, pointed_to_dict, read_model_file,
 )
-from .suites import SUITES
 from .syntax import (
     ArityError, ParseError, Var, free_vars, parse_formula, parse_term, print_formula,
 )
-from .translation import print_fol, translate, translate_universal
 
+# proofkit, suites and translation are imported by the commands that use
+# them, so that parse, check, valid and sat start without them.  The names
+# of suites.SUITES, for the parser:
+SUITE_NAMES = ("corpus", "prop24", "soundness", "validity-table")
 USAGE_ERROR = 2
 
 
@@ -136,6 +137,7 @@ def cmd_search(args) -> int:
 
 
 def cmd_translate(args) -> int:
+    from .translation import print_fol, translate, translate_universal
     phi = parse_formula(args.formula)
     tr = translate_universal if args.form == "forall" else translate
     rendered = print_fol(tr(phi, args.world_var))
@@ -144,6 +146,7 @@ def cmd_translate(args) -> int:
 
 
 def cmd_prove(args) -> int:
+    from .proofkit import check_proof, load_script
     script = load_script(args.script)
     report = check_proof(script)
     lines = []
@@ -160,6 +163,7 @@ def cmd_prove(args) -> int:
 
 
 def cmd_suite(args) -> int:
+    from .suites import SUITES
     runner = SUITES[args.name]
     bounds = _bounds(args)      # flags are checked even where the suite ignores them
     if args.trials < 0:
@@ -276,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=cmd_prove)
 
     p = sub.add_parser("suite", help="run a built-in reproduction suite")
-    p.add_argument("name", choices=sorted(SUITES))
+    p.add_argument("name", choices=SUITE_NAMES)
     p.add_argument("--trials", type=int, default=10000)
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--max-size", type=int, default=9)
@@ -295,8 +299,11 @@ def main(argv=None) -> int:
         return USAGE_ERROR if exc.code not in (0, None) else 0
     try:
         return args.run(args)
-    except (ParseError, ArityError, ScriptError, ModelError, EvalError,
-            ValueError, OSError) as exc:
+    except Exception as exc:
+        from .proofkit import ScriptError
+        if not isinstance(exc, (ParseError, ArityError, ScriptError, ModelError,
+                                EvalError, ValueError, OSError)):
+            raise
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

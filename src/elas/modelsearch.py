@@ -20,9 +20,10 @@ relation tuple is the outermost key of the order, so the first hit always
 lies on an orbit-minimal tuple.  Not depending on the formula, they are
 built per world count (_Frames), each agent count extending the tuples of
 the one before: once per process on epistemic frames, once per search on
-arbitrary ones.  A search binds the formula's symbols to positions once
-(_target): its variables, names and predicate symbols, each kind in
-sorted order.  The other tables of a block (labels, the rho and eta
+arbitrary ones, whose relation pool and permutation table are still kept
+per process up to 3 worlds.  A search binds the formula's symbols to
+positions once (_target): its variables, names and predicate symbols,
+each kind in sorted order.  The other tables of a block (labels, the rho and eta
 layout, lane masks, the assignment grid, and the index lists kernels
 build from positions) depend only on its shape: n, k, the predicate
 arities in position order, the numbers of names and variables, the free
@@ -87,14 +88,19 @@ true or false, such as false & psi, psi -> true, psi -> psi, psi <-> psi,
 K{t} true, t = t or an assignment over a constant.  A connective is
 evaluated over its distinct children, each taking both values: equal
 children are one node, as nodes are hash-consed; for the same reason
-psi & psi and psi | psi fold to psi, the one rule whose result need not
-be constant.  One rule holds on
-epistemic frames only: K{t} false is false there, as every world is its
-own successor; on arbitrary frames it stays, as it is true at a world
-without successors.  On the way back up it counts each folded node's K
-occurrences and modal depth, which give the world cap W, records the
-maximal subtrees without K for the scan to hoist, and collects every
-variable it meets.  Each fold rule keeps the value at every pointed model
+psi & psi and psi | psi fold to psi, a rule whose result need not be
+constant.  Three rules hold on epistemic frames only.  K{t} false is
+false there, as every world is its own successor; on arbitrary frames it
+stays, as it is true at a world without successors.  And introspection
+folds under a variable index: K{?x} K{?x} psi is K{?x} psi (axioms 4 and
+T) and K{?x} ~K{?x} psi is ~K{?x} psi (5 and T), as each agent's
+relation is an equivalence and ?x denotes the same agent at every world.
+A name is read at each world, so K{a} K{a} psi is kept (table row
+pos-introspection-name is invalid), and so is K{?x} [?x := t] K{?x} psi,
+whose inner ?x may denote another agent.  On the way back up it counts
+each folded node's K occurrences and modal depth, which give the world
+cap W, records the maximal subtrees without K for the scan to hoist, and
+collects every variable it meets.  Each fold rule keeps the value at every pointed model
 of the frame class it is used for, so the folded target has the same hits
 in the same order and the first hit is unchanged; its modal depth and K
 count can only fall, and the cap above holds for any formula equivalent to
@@ -502,15 +508,9 @@ class _Frames:
     """
 
     def __init__(self, n: int, epistemic: bool):
-        self.pool = _relation_pool(n, epistemic)
+        tables = _kept_tables if epistemic or n <= 3 else _pool_and_table
+        self.pool, self.table = tables(n, epistemic)
         self.done = [[((), ())]]    # per agent count, every tuple yielded
-        self.table = []
-        # a relation as its pairs (w, v), numbered w * n + v
-        pairs = [[w * n + v for w, succ in enumerate(rel) for v in succ] for rel in self.pool]
-        index = {sum(1 << p for p in rel): i for i, rel in enumerate(pairs)}
-        for perm in itertools.islice(itertools.permutations(range(n)), 1, None):
-            moved = [1 << (perm[w] * n + perm[v]) for w in range(n) for v in range(n)]
-            self.table.append([index[sum(map(moved.__getitem__, rel))] for rel in pairs])
 
     def tuples(self, k: int):
         """Yield, in lexicographic order, each orbit-minimal k-tuple rels of
@@ -534,6 +534,23 @@ class _Frames:
         return all(tuple(sorted(row[r] for r in rels)) >= rels for row in self.table)
 
 
+def _pool_and_table(n: int, epistemic: bool):
+    """The pool of per-agent relations on n worlds and the permutation
+    table over it, one row per non-identity world permutation (see _Frames)."""
+    pool = _relation_pool(n, epistemic)
+    # a relation as its pairs (w, v), numbered w * n + v
+    pairs = [[w * n + v for w, succ in enumerate(rel) for v in succ] for rel in pool]
+    index = {sum(1 << p for p in rel): i for i, rel in enumerate(pairs)}
+    table = []
+    for perm in itertools.islice(itertools.permutations(range(n)), 1, None):
+        moved = [1 << (perm[w] * n + perm[v]) for w in range(n) for v in range(n)]
+        table.append([index[sum(map(moved.__getitem__, rel))] for rel in pairs])
+    return pool, table
+
+
+# Pools and tables kept per process, for arbitrary frames only up to 3
+# worlds (0.14 MB in all): at 4 the table has 23 rows of 65,536 entries.
+_kept_tables = functools.cache(_pool_and_table)
 _frames = functools.cache(_Frames)      # epistemic frames only (44 KB), see _search
 
 
@@ -596,9 +613,10 @@ def _target(phi: Formula, want_false: bool, epistemic: bool) -> _Target:
     def walk(f):
         """f folded, its modal depth and its K occurrences.  A node none of
         whose children changed is returned itself, and a conjunction or
-        disjunction of one folded node with itself is that node.  The K-free
-        children of a node with K below it are hoisted; a subtree that
-        folds to a constant drops what its own nodes hoisted."""
+        disjunction of one folded node with itself is that node, as is, on
+        epistemic frames, K{?x} over a folded K{?x} or its negation.  The
+        K-free children of a node with K below it are hoisted; a subtree
+        that folds to a constant drops what its own nodes hoisted."""
         if type(f) is Assign:
             variables.add(f.var)
         variables.update(t.id for t in terms_of(f) if type(t) is Var)
@@ -614,6 +632,10 @@ def _target(phi: Formula, want_false: bool, epistemic: bool) -> _Target:
             return constant, 0, 0
         if type(f) in (And, Or) and folded[0] is folded[1]:
             return walked[0]        # psi & psi and psi | psi are psi
+        if epistemic and type(f) is Knows and type(f.agent) is Var:
+            inner = folded[0].body if type(folded[0]) is Not else folded[0]
+            if type(inner) is Knows and inner.agent is f.agent:
+                return walked[0]    # K{?x} K{?x} psi and K{?x} ~K{?x} psi
         d = max(kd for _, kd, _ in walked) + (type(f) is Knows)
         if d:
             hoisted.extend(kid for kid, kd, _ in walked if kd == 0)

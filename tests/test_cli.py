@@ -353,6 +353,44 @@ class TestUsage:
         assert code == 0 and out.startswith("usage: elas valid")
 
 
+class TestStartup:
+    def test_suite_names_are_the_suites(self):
+        from elas.cli import SUITE_NAMES
+        from elas.suites import SUITES
+        assert SUITE_NAMES == tuple(sorted(SUITES))
+
+    @pytest.mark.parametrize("argv, loaded", [
+        (["valid", "K{a} P(a) -> P(a)"], set()),
+        (["sat", "P(a)", "--json"], set()),
+        (["parse", "K{?x} P(?x)"], set()),
+        (["translate", "K{a} P(a)"], {"translation"}),
+        (["prove", str(PROOFS / "t.selas")], {"proofkit"}),
+        (["suite", "prop24", "--max-size", "3"], {"proofkit", "suites"}),
+    ])
+    def test_commands_import_what_they_use(self, argv, loaded):
+        import subprocess
+        import sys
+        from pathlib import Path
+        import elas
+        script = ("import sys\nfrom elas.cli import main\nmain(sys.argv[1:])\n"
+                  "print(*sorted(m for m in sys.modules if m.startswith('elas.')))")
+        done = subprocess.run([sys.executable, "-c", script, *argv],
+                              capture_output=True, text=True,
+                              env={"PYTHONPATH": str(Path(elas.__file__).parent.parent)})
+        modules = set(done.stdout.split("\n")[-2].split())
+        lazy = {f"elas.{m}" for m in ("proofkit", "suites", "translation")}
+        assert modules & lazy == {f"elas.{m}" for m in loaded}
+
+    def test_script_error_is_a_usage_error(self, capsys, tmp_path):
+        # main reports a malformed script on one error line, exit 2, with
+        # proofkit imported only by the prove command
+        path = tmp_path / "bad.selas"
+        path.write_text("goal: P(a)\n1. P(a) ; bogus\n")
+        code, out, err = run(capsys, "prove", str(path))
+        assert (code, out) == (2, "")
+        assert err == "error: line 2: unknown justification 'bogus'\n"
+
+
 class TestConsoleScript:
     def test_installed_entry_point(self):
         import shutil

@@ -309,13 +309,15 @@ class TestOrbitRepresentatives:
         assert len(frames.done) == k + 1
 
     def test_searches_share_one_table(self):
+        # valid, and of modal depth 2 after the fold: every world count is
+        # scanned
         modelsearch._frames.cache_clear()
-        phi = parse_formula("K{?x} P(?x) -> K{?x} K{?x} P(?x)")
-        assert find_countermodel(phi, EPISTEMIC33) == NoCountermodelUpTo(EPISTEMIC33)
+        phi = parse_formula("K{?x} K{?y} P(?x) -> K{?y} P(?x)")
+        assert find_countermodel(phi, EPISTEMIC32) == NoCountermodelUpTo(EPISTEMIC32)
         tables = [modelsearch._frames(n, True) for n in (1, 2, 3)]
         built = modelsearch._frames.cache_info().misses
         assert built == 3
-        assert find_countermodel(phi, EPISTEMIC33) == NoCountermodelUpTo(EPISTEMIC33)
+        assert find_countermodel(phi, EPISTEMIC32) == NoCountermodelUpTo(EPISTEMIC32)
         assert modelsearch._frames.cache_info().misses == built
         assert all(modelsearch._frames(n, True) is frames
                    for n, frames in zip((1, 2, 3), tables))
@@ -330,10 +332,31 @@ class TestOrbitRepresentatives:
         assert find_countermodel(phi, EPISTEMIC22) == NoCountermodelUpTo(EPISTEMIC22)
         assert modelsearch._frames.cache_info().currsize == 2
 
+    def test_arbitrary_frame_pools_are_kept_up_to_three_worlds(self, monkeypatch):
+        # the pool and the permutation table, not the orbit-minimal tuples
+        modelsearch._kept_tables.cache_clear()
+        phi = parse_formula("K{?x} (P(?y) & P(?z)) -> K{?x} P(?y)")
+        bounds = SearchBounds(3, 1, False)
+        assert find_countermodel(phi, bounds) == NoCountermodelUpTo(bounds)
+        assert modelsearch._kept_tables.cache_info().misses == 3
+        one, two = modelsearch._Frames(3, False), modelsearch._Frames(3, False)
+        assert one.pool is two.pool and one.table is two.table
+        assert one.done is not two.done
+        assert modelsearch._kept_tables.cache_info().misses == 3
+        # at 4 worlds the table would hold 23 x 65,536 entries: built per search
+        built = []
+        monkeypatch.setattr(modelsearch, "_pool_and_table",
+                            lambda n, epistemic: built.append(n) or ([], []))
+        modelsearch._Frames(4, False)
+        modelsearch._Frames(4, False)
+        assert built == [4, 4]
+        assert modelsearch._kept_tables.cache_info().currsize == 3
 
-# Targets that fold in the 200 seeded trials of each frame class; 245 needs
-# the rule for K{t} false on epistemic frames (without it, 241 fold).
-FOLDED_AT_LEAST = {False: 170, True: 245}
+
+# Targets that fold in the 200 seeded trials of each frame class; 255 needs
+# the rule for K{t} false on epistemic frames (without it, 245 fold) and the
+# introspection rules under a variable index (without them, 253 fold).
+FOLDED_AT_LEAST = {False: 170, True: 255}
 
 
 class TestCompile:
@@ -504,6 +527,13 @@ class TestFold:
         ("(K{?x} P(b) <-> true -> false) -> "
          "(Q(?x, a) -> Q(?x, a) <-> true & true)", True),
         ("~Q(a, a) & K{b} P(?x) | (false -> Q(?x, b)) & (P(a) <-> P(a))", True),
+        # S5 introspection under a variable index: the two table rows the
+        # exhaust benchmark also searches at 4/3, and the same with a binary
+        # predicate and a name (about 1.3 minutes at 3/3 unfolded)
+        ("K{?x} P(?x) -> K{?x} K{?x} P(?x)", True),
+        ("~K{?x} P(?x) -> K{?x} ~K{?x} P(?x)", True),
+        ("K{?x} Q(?x, a) -> K{?x} K{?x} Q(?x, a)", True),
+        ("~K{?x} Q(?x, a) -> K{?x} ~K{?x} Q(?x, a)", True),
     ])
     def test_constant_targets_answer_at_once(self, text, want_false,
                                              monkeypatch):
@@ -514,7 +544,56 @@ class TestFold:
         assert modelsearch._target(phi, want_false, True).formula is Bot()
         search = find_countermodel if want_false else find_witness
         negative = NoCountermodelUpTo if want_false else UnsatisfiableUpTo
-        assert search(phi, EPISTEMIC33) == negative(EPISTEMIC33)
+        for bounds in (EPISTEMIC33, SearchBounds(4, 3, True)):
+            assert search(phi, bounds) == negative(bounds)
+
+    @pytest.mark.parametrize("text, folded, worlds", [
+        ("K{?x} K{?x} P(?x)", "K{?x} P(?x)", 2),
+        ("K{?x} ~K{?x} P(a)", "~K{?x} P(a)", 2),
+        ("K{?x} K{?x} K{?x} ~K{?x} Q(?x, ?y)", "~K{?x} Q(?x, ?y)", 2),
+        # the body is folded first: here psi | psi is psi
+        ("K{?y} (K{?y} P(a) | K{?y} P(a)) & P(?x)", "K{?y} P(a) & P(?x)", 2),
+        # under a binder of another variable, and through one of ?x
+        ("[?y := a] K{?x} ~K{?x} P(?y)", "[?y := a] ~K{?x} P(?y)", 2),
+        ("K{?x} [?x := a] K{?x} K{?x} P(?x)", "K{?x} [?x := a] K{?x} P(?x)",
+         math.inf),
+    ])
+    def test_introspection_folds_under_a_variable(self, text, folded, worlds):
+        # on epistemic frames, K{?x} K{?x} psi is K{?x} psi and
+        # K{?x} ~K{?x} psi is ~K{?x} psi
+        phi = parse_formula(text)
+        target = modelsearch._target(phi, False, True)
+        assert target.formula is parse_formula(folded)
+        assert target.worlds == worlds
+        assert modelsearch._target(phi, True, True).formula is Not(target.formula)
+
+    @pytest.mark.parametrize("text", [
+        "K{a} K{a} P(a)",                   # a name is read at each world
+        "K{a} ~K{a} P(?x)",
+        "K{?x} K{?y} P(?x)",                # another variable
+        "K{?x} ~K{?y} P(?x)",
+        "K{?x} [?x := a] K{?x} P(?x)",      # a binder in between
+        "K{?x} [?y := ?x] ~K{?x} P(?y)",
+        "K{?x} ~~K{?x} P(?x)",
+        "K{?x} (K{?x} P(?x) & P(a))",
+    ])
+    def test_introspection_is_kept_elsewhere(self, text):
+        phi = parse_formula(text)
+        for epistemic in (True, False):
+            assert modelsearch._target(phi, False, epistemic).formula is phi
+            assert modelsearch._target(phi, True, epistemic).formula is Not(phi)
+
+    @pytest.mark.parametrize("text", [
+        "K{?x} K{?x} P(?x)", "K{?x} ~K{?x} P(?x)", "K{?x} K{?x} K{?x} P(a)",
+        "~K{?x} P(?x) -> K{?x} ~K{?x} P(?x)",
+    ])
+    def test_introspection_is_kept_on_arbitrary_frames(self, text):
+        # without reflexivity, transitivity and euclideanness K{?x} K{?x} psi
+        # and K{?x} psi differ, even under a variable index
+        phi = parse_formula(text)
+        assert modelsearch._target(phi, False, False).formula is phi
+        assert modelsearch._target(phi, True, False).formula is Not(phi)
+        assert modelsearch._target(phi, False, False).worlds == math.inf
 
     def test_unfoldable_node_is_kept(self):
         # on arbitrary frames K{a} false is true at a world without successors
@@ -945,8 +1024,9 @@ class TestFastScanAgainstSlowScan:
 
     @pytest.mark.parametrize("text, caps", [
         # per world count scanned, the agent cap; the world cap is 1 + #K
-        # at modal depth 1 and none at depth 2
-        ("K{?x} P(?x) -> K{?x} K{?x} P(?x)", (1, 1, 1)),
+        # at modal depth 1 and none at depth 2 (K{?y} under K{?x} does not
+        # fold; K{?x} under K{?x} would, and then no block is scanned)
+        ("K{?x} K{?y} P(?x) -> K{?y} P(?x)", (2, 2, 2)),
         ("K{a} P(a) -> P(a)", (1, 2)),
         ("?x = ?y -> K{a} ?x = ?y", (3, 3)),
     ])
@@ -1025,6 +1105,42 @@ class TestFastScanAgainstSlowScan:
         phi = parse_formula(text)
         assert _first_point(phi, ARBITRARY22, target) == \
             self._slow_first_point(phi, ARBITRARY22, target)
+
+    def test_folded_introspection_keeps_first_hits(self):
+        # K{?x} K{?x} psi and K{?x} ~K{?x} psi inside random chi, psi chosen
+        # so that psi & ~K{?x} psi has a hit: then the shapes below have
+        # first hits with two worlds in one polarity.  Both polarities, at
+        # S5 2/2 and 3/2, against the plain enumeration and evaluator.
+        def introspects(f):
+            if type(f) is Knows and type(f.agent) is Var:
+                inner = f.body.body if type(f.body) is Not else f.body
+                if type(inner) is Knows and inner.agent is f.agent:
+                    return True
+            return any(map(introspects, children(f)))
+
+        rng = random.Random(2025)
+        x = Var("x")
+        hits = []
+        for i in range(40):
+            while True:
+                psi = random_formula(rng, ("x", "y"), ("a",), {"P": 1}, depth=2)
+                if self._slow_first_point(And(psi, Not(Knows(x, psi))),
+                                          SearchBounds(2, 1, True), True):
+                    break
+            chi = random_formula(rng, ("x", "y"), ("a",), {"P": 1}, depth=1)
+            pos, neg = Knows(x, Knows(x, psi)), Knows(x, Not(Knows(x, psi)))
+            phi = (Implies(psi, pos), And(psi, neg), Implies(chi, Implies(psi, pos)),
+                   And(Or(chi, psi), And(psi, neg)))[i % 4]
+            assert introspects(phi)
+            for target in (False, True):
+                assert not introspects(modelsearch._target(phi, not target, True).formula)
+                for bounds in (EPISTEMIC22, EPISTEMIC32):
+                    fast = _first_point(phi, bounds, target)
+                    assert fast == self._slow_first_point(phi, bounds, target), \
+                        print_formula(phi)
+                    hits.append(fast)
+        assert sum(hit is not None and len(hit[0]["worlds"]) >= 2 for hit in hits) >= 50
+        assert hits.count(None) >= 4
 
     def test_seeded_random_formulas(self):
         # The two modal shapes around each random formula push its first
