@@ -9,19 +9,19 @@ model's worlds and then the covering assignments are scanned in order too.
 For a fixed relation tuple, the predicate and name interpretations are
 numbered by one scan index, rho_index * k ** (names * worlds) + eta_pos.
 
-``enumerate_models`` materialises that stream.  ``find_countermodel`` and
-``find_witness`` walk the same order but skip every tuple of per-agent
-relations that is not the lexicographic minimum of its orbit under
-permutations of the worlds and of the agents (lex-leader symmetry
-breaking, as in SEM's least-number heuristic and in MACE-style finders).
+``find_countermodel`` and ``find_witness`` walk that order but skip every
+tuple of per-agent relations that is not the lexicographic minimum of its
+orbit under permutations of the worlds and of the agents (lex-leader
+symmetry breaking, as in SEM's least-number heuristic and in MACE-style
+finders).
 This is exact: an isomorphic copy of a hit is a hit, because every world,
 predicate and name interpretation and free assignment is scanned, and the
 relation tuple is the outermost key of the order, so the first hit always
 lies on an orbit-minimal tuple.  Not depending on the formula, they are
-built per world count (_Frames), each agent count extending the tuples of
-the one before: once per process on epistemic frames, once per search on
-arbitrary ones, whose relation pool and permutation table are still kept
-per process up to 3 worlds.  A search binds the formula's symbols to
+built per world count (_Frames) with the relation pool and permutation
+table they are read from, each agent count extending the tuples of the
+one before: once per process on epistemic frames, once per search on
+arbitrary ones.  A search binds the formula's symbols to
 positions once (_target): its variables, names and predicate symbols,
 each kind in sorted order.  The other tables of a block (labels, the rho and eta
 layout, lane masks, the assignment grid, and the index lists kernels
@@ -508,8 +508,15 @@ class _Frames:
     """
 
     def __init__(self, n: int, epistemic: bool):
-        tables = _kept_tables if epistemic or n <= 3 else _pool_and_table
-        self.pool, self.table = tables(n, epistemic)
+        self.pool = _relation_pool(n, epistemic)
+        # a relation as its pairs (w, v), numbered w * n + v
+        pairs = [[w * n + v for w, succ in enumerate(rel) for v in succ]
+                 for rel in self.pool]
+        index = {sum(1 << p for p in rel): i for i, rel in enumerate(pairs)}
+        self.table = []
+        for perm in itertools.islice(itertools.permutations(range(n)), 1, None):
+            moved = [1 << (perm[w] * n + perm[v]) for w in range(n) for v in range(n)]
+            self.table.append([index[sum(map(moved.__getitem__, rel))] for rel in pairs])
         self.done = [[((), ())]]    # per agent count, every tuple yielded
 
     def tuples(self, k: int):
@@ -534,23 +541,6 @@ class _Frames:
         return all(tuple(sorted(row[r] for r in rels)) >= rels for row in self.table)
 
 
-def _pool_and_table(n: int, epistemic: bool):
-    """The pool of per-agent relations on n worlds and the permutation
-    table over it, one row per non-identity world permutation (see _Frames)."""
-    pool = _relation_pool(n, epistemic)
-    # a relation as its pairs (w, v), numbered w * n + v
-    pairs = [[w * n + v for w, succ in enumerate(rel) for v in succ] for rel in pool]
-    index = {sum(1 << p for p in rel): i for i, rel in enumerate(pairs)}
-    table = []
-    for perm in itertools.islice(itertools.permutations(range(n)), 1, None):
-        moved = [1 << (perm[w] * n + perm[v]) for w in range(n) for v in range(n)]
-        table.append([index[sum(map(moved.__getitem__, rel))] for rel in pairs])
-    return pool, table
-
-
-# Pools and tables kept per process, for arbitrary frames only up to 3
-# worlds (0.14 MB in all): at 4 the table has 23 rows of 65,536 entries.
-_kept_tables = functools.cache(_pool_and_table)
 _frames = functools.cache(_Frames)      # epistemic frames only (44 KB), see _search
 
 
@@ -728,23 +718,6 @@ def find_witness(phi: Formula, bounds: SearchBounds) -> Witness | UnsatisfiableU
     if pointed is None:
         return UnsatisfiableUpTo(bounds)
     return Witness(pointed)
-
-
-def enumerate_models(sig: Signature, bounds: SearchBounds):
-    """Yield every model over the signature within the bounds, in the
-    canonical order.  The searches walk the same order but skip what
-    cannot hold a first hit: relation tuples that are not orbit-minimal,
-    and world and agent counts above the formula's caps (see the module
-    docstring).  The stream is exponential in the bounds; it is meant for
-    desk-scale signatures."""
-    arities = tuple(arity for _, arity in sorted(sig.predicates.items()))
-    for n in range(1, bounds.max_worlds + 1):
-        pool = _relation_pool(n, bounds.epistemic)
-        for k in range(1, bounds.max_agents + 1):
-            shape = _shape(n, k, arities, len(sig.names), 0, (), _LANES)
-            for succ in itertools.product(pool, repeat=k):
-                for index in range(shape.etas << shape.rho_bits):
-                    yield shape.build_model(sig, succ, index)
 
 
 # ---------------------------------------------------------------------------

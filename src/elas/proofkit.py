@@ -532,6 +532,14 @@ def _parse_binding_value(text: str):
         return parse_formula(text)
 
 
+def _premise(index: str, text: str) -> int:
+    """The premise line number of the neck or necas justification text."""
+    try:
+        return int(index)
+    except ValueError:
+        raise ScriptError(f"malformed {text.split()[0]} justification {text!r}") from None
+
+
 def _parse_justification(text: str):
     text = text.strip()
     if text == "taut":
@@ -553,7 +561,7 @@ def _parse_justification(text: str):
         spec = spec.strip()
         if not (spec.startswith("K{") and spec.endswith("}")):
             raise ScriptError(f"neck needs K{{term}}, got {spec!r}")
-        return NecK(int(i), parse_term(spec[2:-1]))
+        return NecK(_premise(i, text), parse_term(spec[2:-1]))
     if head == "necas":
         i, _, spec = rest.partition(" ")
         spec = spec.strip()
@@ -563,7 +571,7 @@ def _parse_justification(text: str):
         var_part = var_part.strip()
         if not var_part.startswith("?"):
             raise ScriptError("necas binder must be a variable")
-        return NecAs(int(i), var_part[1:], parse_term(term_part.strip()))
+        return NecAs(_premise(i, text), var_part[1:], parse_term(term_part.strip()))
     if head == "lemma":
         name, _, more = rest.partition(" ")
         if name not in _LEMMA_BUILDERS:

@@ -318,6 +318,8 @@ def model_from_dict(data: dict) -> KripkeModel:
         names = data["signature"].get("names", [])
         _require(_is_strings(names), "names must be a list of strings")
         sig = Signature(predicates=dict(predicates), names=frozenset(names))
+        epistemic = data.get("epistemic", False)
+        _require(type(epistemic) is bool, "epistemic must be true or false")
         relations = data.get("relations", {})
         for agent, pairs in relations.items():
             _require(isinstance(pairs, list)
@@ -348,7 +350,7 @@ def model_from_dict(data: dict) -> KripkeModel:
     problems = validate_model(m)
     if problems:
         raise ModelError("invalid model: " + "; ".join(problems))
-    if data.get("epistemic") and not is_epistemic(m):
+    if epistemic and not is_epistemic(m):
         raise ModelError(
             "model is declared epistemic but some relation is not an "
             "equivalence relation (no closure is applied automatically)")

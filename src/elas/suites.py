@@ -119,9 +119,10 @@ def validity_table_suite(bounds: SearchBounds = DEFAULT_BOUNDS,
                          trials: int = 10000, seed: int = 0) -> dict:
     """Check every table entry; invalid rows must yield verified
     countermodels, valid rows must exhaust the bounds and survive the
-    random trials."""
+    random trials, drawn from the frame class of the bounds."""
     _check_trials(trials)
     rng = random.Random(seed)
+    sample = random_epistemic_model if bounds.epistemic else random_model
     entries = []
     all_ok = True
     for entry in VALIDITY_TABLE:
@@ -142,7 +143,7 @@ def validity_table_suite(bounds: SearchBounds = DEFAULT_BOUNDS,
                 ok = isinstance(verdict, NoCountermodelUpTo)
                 record["verdict"] = ("no-countermodel" if ok else "countermodel")
                 if ok and trials:
-                    survived = _random_trials(phi, trials, rng)
+                    survived = _random_trials(phi, trials, rng, sample)
                     record["random_trials"] = survived
                     ok = survived == trials
                 elif not ok:

@@ -1,13 +1,18 @@
-"""Repository paths and the independent reference evaluator.
+"""Repository paths, the independent reference evaluator and the
+unreduced model stream.
 
 naive_eval works from the plain JSON document structure of a model rather
 than the library's internal representation, with its own recursion; it
 exists so semantics tests have a second, independently written route to a
-truth value.
+truth value.  enumerate_models yields every model of the searches'
+canonical order, with none of the reductions the searches make, for tests
+to compare the searches against.
 """
 
+import itertools
 from pathlib import Path
 
+from elas import modelsearch
 from elas.syntax import (
     And, Assign, Bot, Eq, Iff, Implies, Knows, Not, Or, Pred, Top, Var,
 )
@@ -62,3 +67,21 @@ def naive_eval(doc: dict, world: str, sigma: dict, phi) -> bool:
         raise TypeError(f)
 
     return holds(phi, world)
+
+
+def enumerate_models(sig, bounds):
+    """Yield every model over the signature within the bounds, in the
+    canonical order.  The searches walk the same order but skip what
+    cannot hold a first hit: relation tuples that are not orbit-minimal,
+    and world and agent counts above the formula's caps (see the
+    modelsearch docstring).  The stream is exponential in the bounds; it
+    is meant for desk-scale signatures."""
+    arities = tuple(arity for _, arity in sorted(sig.predicates.items()))
+    for n in range(1, bounds.max_worlds + 1):
+        pool = modelsearch._relation_pool(n, bounds.epistemic)
+        for k in range(1, bounds.max_agents + 1):
+            shape = modelsearch._shape(n, k, arities, len(sig.names), 0, (),
+                                       modelsearch._LANES)
+            for succ in itertools.product(pool, repeat=k):
+                for index in range(shape.etas << shape.rho_bits):
+                    yield shape.build_model(sig, succ, index)

@@ -90,6 +90,9 @@ class TestCheckCommand:
         {"agents": [["i"]]},
         {"worlds": ["s1", "s1", "s2"]},
         {"agents": ["i", "j", "i"]},
+        # a declared frame class that is not a JSON boolean
+        {"epistemic": "no"},
+        {"epistemic": 1},
         {"sigma": ["?x", "i"]},
         # sigma keys that are not variables
         {"sigma": {"?": "i"}},

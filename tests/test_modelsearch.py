@@ -9,13 +9,12 @@ import typing
 
 import pytest
 
-from reference import naive_eval
+from reference import enumerate_models, naive_eval
 
 from elas import modelsearch, semantics, syntax, translation
 from elas.modelsearch import (
     Countermodel, NoCountermodelUpTo, SearchBounds, UnsatisfiableUpTo,
-    Witness, count_models, el_distinguishes, enumerate_models,
-    find_countermodel, find_witness,
+    Witness, count_models, el_distinguishes, find_countermodel, find_witness,
 )
 from elas.semantics import (
     PointedModel, Signature, eval_formula, is_epistemic, make_model,
@@ -322,35 +321,17 @@ class TestOrbitRepresentatives:
         assert all(modelsearch._frames(n, True) is frames
                    for n, frames in zip((1, 2, 3), tables))
 
-    def test_arbitrary_frames_are_not_kept(self):
-        # valid on every frame and scanned through both world counts; the
+    @pytest.mark.parametrize("n, k", [(2, 2), (3, 1)])
+    def test_arbitrary_frames_are_not_kept(self, n, k):
+        # valid on every frame and scanned through every world count; the
         # arbitrary-frame tables live as long as the search
         modelsearch._frames.cache_clear()
         phi = parse_formula("K{?x} (P(?y) & P(?z)) -> K{?x} P(?y)")
-        assert find_countermodel(phi, ARBITRARY22) == NoCountermodelUpTo(ARBITRARY22)
+        arbitrary, epistemic = SearchBounds(n, k, False), SearchBounds(n, k, True)
+        assert find_countermodel(phi, arbitrary) == NoCountermodelUpTo(arbitrary)
         assert modelsearch._frames.cache_info().currsize == 0
-        assert find_countermodel(phi, EPISTEMIC22) == NoCountermodelUpTo(EPISTEMIC22)
-        assert modelsearch._frames.cache_info().currsize == 2
-
-    def test_arbitrary_frame_pools_are_kept_up_to_three_worlds(self, monkeypatch):
-        # the pool and the permutation table, not the orbit-minimal tuples
-        modelsearch._kept_tables.cache_clear()
-        phi = parse_formula("K{?x} (P(?y) & P(?z)) -> K{?x} P(?y)")
-        bounds = SearchBounds(3, 1, False)
-        assert find_countermodel(phi, bounds) == NoCountermodelUpTo(bounds)
-        assert modelsearch._kept_tables.cache_info().misses == 3
-        one, two = modelsearch._Frames(3, False), modelsearch._Frames(3, False)
-        assert one.pool is two.pool and one.table is two.table
-        assert one.done is not two.done
-        assert modelsearch._kept_tables.cache_info().misses == 3
-        # at 4 worlds the table would hold 23 x 65,536 entries: built per search
-        built = []
-        monkeypatch.setattr(modelsearch, "_pool_and_table",
-                            lambda n, epistemic: built.append(n) or ([], []))
-        modelsearch._Frames(4, False)
-        modelsearch._Frames(4, False)
-        assert built == [4, 4]
-        assert modelsearch._kept_tables.cache_info().currsize == 3
+        assert find_countermodel(phi, epistemic) == NoCountermodelUpTo(epistemic)
+        assert modelsearch._frames.cache_info().currsize == n
 
 
 # Targets that fold in the 200 seeded trials of each frame class; 255 needs

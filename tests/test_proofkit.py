@@ -446,6 +446,18 @@ class TestScriptText:
         assert capsys.readouterr().err.splitlines() == [
             "error: line 1: expected a term (?x or a name) (at position 3)"]
 
+    @pytest.mark.parametrize("just", ["neck x K{a}", "necas x [?x := a]"])
+    def test_malformed_premise_index(self, tmp_path, capsys, just):
+        text = f"goal: a = a\n1. a = a ; {just}\n"
+        message = f"line 2: malformed {just.split()[0]} justification {just!r}"
+        with pytest.raises(ScriptError) as caught:
+            parse_script(text)
+        assert str(caught.value) == message
+        path = tmp_path / "bad.selas"
+        path.write_text(text)
+        assert main(["prove", str(path)]) == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+
     def test_load_shipped_file(self):
         script = load_script(str(PROOFS / "sym.selas"))
         assert check_proof(script).ok

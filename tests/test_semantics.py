@@ -57,6 +57,16 @@ class TestValidation:
         with pytest.raises(ModelError, match="equivalence"):
             load_model(str(path))
 
+    @pytest.mark.parametrize("value", ["no", "false", 0, 1, None, [True]])
+    def test_loader_requires_a_boolean_epistemic_claim(self, value):
+        doc = json.loads((FIXTURES / "m1.json").read_text())
+        doc["epistemic"] = value
+        with pytest.raises(ModelError, match="epistemic must be true or false"):
+            model_from_dict(doc)
+        doc["epistemic"] = False
+        assert model_from_dict(doc) == model_from_dict(
+            json.loads((FIXTURES / "m1.json").read_text()))
+
     def test_round_trip_dict(self, m1):
         assert model_from_dict(model_to_dict(m1)) == m1
 

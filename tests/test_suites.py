@@ -75,6 +75,18 @@ class TestReportSchemas:
             return rep
         assert drop_elapsed(r1) == drop_elapsed(r2)
 
+    def test_any_frames_trials_sample_arbitrary_frames(self):
+        # one world hides every introspection countermodel from the search;
+        # trials drawn from epistemic models would then pass all four
+        report = validity_table_suite(SearchBounds(1, 3, False), trials=200, seed=0)
+        survived = {(e["id"], i["formula"]): i["random_trials"]
+                    for e in report["entries"] for i in e["instances"]
+                    if "random_trials" in i}
+        failed = {key for key, count in survived.items() if count < 200}
+        assert {ident for ident, _ in failed} == {
+            "pos-introspection-var", "neg-introspection-var"}
+        assert len(failed) == 4
+
 
 def _digest(report) -> str:
     return hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
