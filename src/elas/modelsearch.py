@@ -65,6 +65,15 @@ them with the chunk's digits whenever the chunk index changes, once for
 all occurrences of the same subformula; a block of one chunk computes
 them once for all its relation tuples.
 
+A K node's masks are computed once per representative column of its
+free variables, the assignment column that agrees with a column on them
+and puts every other variable at agent 0, and stored in every column
+that agrees with it there: a formula's value under an assignment reads
+the assignment only at its free variables.  So in [?x := ?y] K{a} P(?x)
+over ?x and ?y, K{a} P(?x) is computed for each agent of ?x alone, one
+cell in k per world.  _target records each K node's free variables (its
+support) in the walk that folds it.
+
 The agent count stops at what the formula's terms can name.  An agent
 enters the evaluation only as the denotation of a term, sigma(x) for a
 variable or eta(a, w) for a name at a world: atoms, K{t} and [x := t]
@@ -99,13 +108,16 @@ A name is read at each world, so K{a} K{a} psi is kept (table row
 pos-introspection-name is invalid), and so is K{?x} [?x := t] K{?x} psi,
 whose inner ?x may denote another agent.  On the way back up it counts
 each folded node's K occurrences and modal depth, which give the world
-cap W, records the maximal subtrees without K for the scan to hoist, and
-collects every variable it meets.  Each fold rule keeps the value at every pointed model
+cap W, records the maximal subtrees without K for the scan to hoist and
+each kept K node's free variables, and reads phi's signature: every
+variable, bound ones included, the names, the predicate arities and the
+free variables, passing down the variables bound above (a binder's own
+term is read outside its scope).  Each fold rule keeps the value at every pointed model
 of the frame class it is used for, so the folded target has the same hits
 in the same order and the first hit is unchanged; its modal depth and K
 count can only fall, and the cap above holds for any formula equivalent to
-phi on the frame class.  The signature and the agent cap are still read
-from phi, and a hit is re-verified against phi.  A target folded to false
+phi on the frame class.  The signature and the agent cap are still those
+of phi, read in the same walk, and a hit is re-verified against phi.  A target folded to false
 has W = 0: no block is scanned.
 
 Bounded search is incomplete in general: a negative answer speaks for
@@ -130,8 +142,7 @@ from .semantics import (
 )
 from .syntax import (
     BINARY, BOOLEAN, And, Assign, Bot, Eq, Formula, Implies, Knows, Name, Not,
-    Or, Pred, Signature, Top, Var, children, formula_signature, node_count,
-    rebuild, terms_of,
+    Or, Pred, Signature, Top, Var, node_count,
 )
 
 _LANES = 1 << 16         # scan indices per compiled pass, at most
@@ -233,9 +244,14 @@ class _Shape:
         # it denotes under each assignment s
         self.grid = [(w, s) for w in range(n) for s in range(self.S)]
         self.var_columns = [[sigma[i] for sigma in self.sigmas] for i in range(variables)]
-        self.free_cells = [sum(self.strides[i] * g for i, g in zip(free, combo))
-                           for combo in itertools.product(range(k), repeat=len(free))]
+        self.free_cells = self.columns(free)
         self.memo = {}
+
+    def columns(self, positions):
+        """In order, the assignment columns whose variables are at agent 0
+        except those at the given positions."""
+        return [sum(self.strides[i] * g for i, g in zip(positions, combo))
+                for combo in itertools.product(range(self.k), repeat=len(positions))]
 
     def chunk_digits(self, chunk: int):
         """Per eta digit its (lane mask, agent) pairs and per rho bit its
@@ -288,6 +304,8 @@ def _compile(phi: Formula, shape: _Shape, target: _Target, hoisted: dict):
     an atom or binder whose terms are all variables becomes a list of cell
     or rho indices gathered per pass, and K{?v} ANDs each group of worlds
     sharing a successor set once under the relation of the column's agent.
+    Both K kernels compute only the representative columns of the node's
+    support and store each mask at every column that shares it.
     A name at world w denotes the (lane mask, agent) pairs of its eta digit
     eta[ni * n + w], one per agent the digit takes within the chunk; they
     never hold None, and nodes with a name term OR their masks per cell.
@@ -397,17 +415,28 @@ def _pred(phi: Pred, shape: _Shape, target: _Target, hoisted: dict):
 
 def _knows(phi: Knows, shape: _Shape, target: _Target, hoisted: dict):
     sub = _compile(phi.body, shape, target, hoisted)
-    S, grid, ALL = shape.S, shape.grid, shape.all_mask
+    n, S, ALL = shape.n, shape.S, shape.all_mask
+    # K's masks read only its free variables: computed in the columns that
+    # put every other variable at agent 0, stored at each offset of theirs
+    support = target.support[phi]
+
+    def spread():
+        return shape.columns(support), shape.columns(
+            [i for i in range(len(shape.strides)) if i not in support])
     if type(phi.agent) is Var:
         i = target.var_pos[phi.agent.id]
         col = shape.var_columns[i]
-        # per agent, the assignment columns in which the variable names it
-        by_agent = _memo(shape, ("knows", i), lambda: [
-            (a, cols) for a in range(shape.k) if (cols := [s for s in range(S) if col[s] == a])])
+
+        def by_agent():
+            # per agent, the representative columns in which the variable names it
+            reps, offsets = spread()
+            return [(a, cols) for a in range(shape.k)
+                    if (cols := [s for s in reps if col[s] == a])], offsets
+        by_agent, offsets = _memo(shape, ("knows", i, support), by_agent)
 
         def run(ctx):
             groups, bm = ctx[1], sub(ctx)
-            out = [ALL] * len(grid)     # a world without successors
+            out = [ALL] * (n * S)       # a world without successors
             for a, cols in by_agent:
                 for rows, targets in groups[a]:
                     for s in cols:
@@ -417,22 +446,29 @@ def _knows(phi: Knows, shape: _Shape, target: _Target, hoisted: dict):
                             if not m:
                                 break
                         for row in targets:
-                            out[row + s] = m
+                            row += s
+                            for o in offsets:
+                                out[row + o] = m
             return out
         return run
-    d = target.name_pos[phi.agent.id] * shape.n
+    d = target.name_pos[phi.agent.id] * n
+    reps, offsets = _memo(shape, ("knows", support), spread)
 
     def run(ctx):
-        succ, eta, bm, out = ctx[0], ctx[2], sub(ctx), []
-        for w, s in grid:
-            acc = 0
-            for m, a in eta[d + w]:
-                for v in succ[a][w]:
-                    m &= bm[v * S + s]
-                    if not m:
-                        break
-                acc |= m
-            out.append(acc)
+        succ, eta, bm, out = ctx[0], ctx[2], sub(ctx), [0] * (n * S)
+        for w in range(n):
+            pairs, row = eta[d + w], w * S
+            for s in reps:
+                acc = 0
+                for m, a in pairs:
+                    for v in succ[a][w]:
+                        m &= bm[v * S + s]
+                        if not m:
+                            break
+                    acc |= m
+                if acc:
+                    for o in offsets:
+                        out[row + s + o] = acc
         return out
     return run
 
@@ -570,24 +606,19 @@ class _Target:
     var_pos: dict           # every variable of phi, bound ones included
     name_pos: dict
     pred_pos: dict
+    support: dict           # per K node, the positions of its free variables
     key: tuple              # arities, names, variables, free positions (see _Shape)
 
 
 _CONSTANT = {Top: 1, Bot: 0}       # a constant's class -> its bit
 
 
-def _constant(node: type, kids: tuple, epistemic: bool):
-    """Top() or Bot() if a node of class node over the folded kids is
-    constant on the frame class (see the module docstring), else None."""
-    if node is Knows:
-        body = type(kids[0])
-        return kids[0] if body is Top or (epistemic and body is Bot) else None
-    if node is Assign:
-        return kids[0] if type(kids[0]) in _CONSTANT else None
+def _constant(node: type, lhs, rhs):
+    """Top() or Bot() if the connective node over the folded lhs and rhs is
+    constant (see the module docstring), else None."""
+    kids = (lhs, rhs)
     # each distinct non-constant kid takes both values, equal kids together
     free = list(dict.fromkeys(kid for kid in kids if type(kid) not in _CONSTANT))
-    if len(free) == len(kids):
-        return None
     values = set()
     for bits in itertools.product((0, 1), repeat=len(free)):
         bit = dict(zip(free, bits))
@@ -598,50 +629,99 @@ def _constant(node: type, kids: tuple, epistemic: bool):
 def _target(phi: Formula, want_false: bool, epistemic: bool) -> _Target:
     """The target of a search for phi false (want_false) or true on the
     frame class, read in one walk (see the module docstring)."""
-    variables, hoisted = set(), []
+    variables, free, names, arities = set(), set(), set(), {}
+    hoisted, knows = [], []     # knows: (K node, its free variables) per kept occurrence
+    none = frozenset()
 
-    def walk(f):
-        """f folded, its modal depth and its K occurrences.  A node none of
-        whose children changed is returned itself, and a conjunction or
-        disjunction of one folded node with itself is that node, as is, on
-        epistemic frames, K{?x} over a folded K{?x} or its negation.  The
-        K-free children of a node with K below it are hoisted; a subtree
-        that folds to a constant drops what its own nodes hoisted."""
-        if type(f) is Assign:
+    def read(t, bound):
+        """Record the term t, read under the variables bound above it."""
+        if type(t) is Var:
+            variables.add(t.id)
+            if t.id not in bound:
+                free.add(t.id)
+        else:
+            names.add(t.id)
+
+    def walk(f, bound):
+        """f folded, its modal depth, its K occurrences and the free
+        variables of the folded node.  A node none of whose children
+        changed is returned itself, and a conjunction or disjunction of one
+        folded node with itself is that node, as is, on epistemic frames,
+        K{?x} over a folded K{?x} or its negation.  The K-free children of
+        a node with K below it are hoisted; a subtree that folds to a
+        constant drops what its own nodes hoisted and the K nodes they
+        kept."""
+        node = type(f)
+        if node in BINARY:
+            mark, kept = len(hoisted), len(knows)
+            lw, rw = walk(f.lhs, bound), walk(f.rhs, bound)
+            lhs, rhs = lw[0], rw[0]
+            if lhs is rhs or type(lhs) in _CONSTANT or type(rhs) in _CONSTANT:
+                constant = _constant(node, lhs, rhs)
+                if constant is not None:
+                    del hoisted[mark:], knows[kept:]
+                    return constant, 0, 0, none
+                if lhs is rhs and node in (And, Or):
+                    return lw       # psi & psi and psi | psi are psi
+            d = max(lw[1], rw[1])
+            if d:
+                hoisted.extend(kid for kid, kd, _, _ in (lw, rw) if kd == 0)
+            same = lhs is f.lhs and rhs is f.rhs
+            return f if same else node(lhs, rhs), d, lw[2] + rw[2], lw[3] | rw[3]
+        if node is Not:
+            body, d, ks, fv = walk(f.body, bound)
+            if type(body) in _CONSTANT:
+                return (Bot() if type(body) is Top else Top()), 0, 0, none
+            return f if body is f.body else Not(body), d, ks, fv
+        if node is Knows:
+            agent = f.agent
+            read(agent, bound)
+            walked = body, d, ks, fv = walk(f.body, bound)
+            if type(body) is Top or (epistemic and type(body) is Bot):
+                return body, 0, 0, none
+            if type(agent) is Var:
+                inner = body.body if type(body) is Not else body
+                if epistemic and type(inner) is Knows and inner.agent is agent:
+                    return walked   # K{?x} K{?x} psi and K{?x} ~K{?x} psi
+                fv = fv | {agent.id}
+            if not d:
+                hoisted.append(body)
+            f = f if body is f.body else Knows(agent, body)
+            knows.append((f, fv))
+            return f, d + 1, ks + 1, fv
+        if node is Assign:
+            read(f.term, bound)     # outside the binder's scope
             variables.add(f.var)
-        variables.update(t.id for t in terms_of(f) if type(t) is Var)
-        kids = children(f)
-        if not kids:
-            return (Top() if type(f) is Eq and f.lhs is f.rhs else f), 0, 0
-        mark = len(hoisted)
-        walked = [walk(kid) for kid in kids]
-        folded = tuple(kid for kid, _, _ in walked)
-        constant = _constant(type(f), folded, epistemic)
-        if constant is not None:
-            del hoisted[mark:]
-            return constant, 0, 0
-        if type(f) in (And, Or) and folded[0] is folded[1]:
-            return walked[0]        # psi & psi and psi | psi are psi
-        if epistemic and type(f) is Knows and type(f.agent) is Var:
-            inner = folded[0].body if type(folded[0]) is Not else folded[0]
-            if type(inner) is Knows and inner.agent is f.agent:
-                return walked[0]    # K{?x} K{?x} psi and K{?x} ~K{?x} psi
-        d = max(kd for _, kd, _ in walked) + (type(f) is Knows)
-        if d:
-            hoisted.extend(kid for kid, kd, _ in walked if kd == 0)
-        ks = sum(kk for _, _, kk in walked) + (type(f) is Knows)
-        return (f if folded == kids else rebuild(f, folded)), d, ks
+            body, d, ks, fv = walk(f.body, bound | {f.var})
+            if type(body) in _CONSTANT:
+                return body, 0, 0, none
+            fv = fv - {f.var}
+            if type(f.term) is Var:
+                fv = fv | {f.term.id}
+            return f if body is f.body else Assign(f.var, f.term, body), d, ks, fv
+        if node is Pred:
+            arities[f.sym] = len(f.args)
+            for t in f.args:
+                read(t, bound)
+            return f, 0, 0, {t.id for t in f.args if type(t) is Var}
+        if node is Eq:
+            read(f.lhs, bound)
+            read(f.rhs, bound)
+            if f.lhs is f.rhs:
+                return Top(), 0, 0, none
+            return f, 0, 0, {t.id for t in (f.lhs, f.rhs) if type(t) is Var}
+        return f, 0, 0, none        # Top, Bot, or not a formula (see _compile)
 
-    formula, md, ks = walk(Not(phi) if want_false else phi)
+    formula, md, ks, _ = walk(Not(phi) if want_false else phi, none)
     worlds = 0 if type(formula) is Bot else 1 + ks if md <= 1 else math.inf
-    sig = formula_signature(phi)
     var_pos, name_pos, pred_pos = ({sym: i for i, sym in enumerate(sorted(symbols))}
-                                   for symbols in (variables, sig.names, sig.predicates))
-    key = (tuple(sig.predicates[sym] for sym in pred_pos), len(name_pos), len(var_pos),
-           tuple(var_pos[v] for v in sorted(sig.variables)))
-    return _Target(formula, Signature(dict(sig.predicates), sig.names), sig.variables, worlds,
+                                   for symbols in (variables, names, arities))
+    key = (tuple(arities[sym] for sym in pred_pos), len(name_pos), len(var_pos),
+           tuple(var_pos[v] for v in sorted(free)))
+    return _Target(formula, Signature(arities, frozenset(names)), frozenset(free), worlds,
                    tuple(dict.fromkeys(hoisted)) if md else (formula,),
-                   var_pos, name_pos, pred_pos, key)
+                   var_pos, name_pos, pred_pos,
+                   {k: tuple(var_pos[v] for v in sorted(fv)) for k, fv in knows}, key)
 
 
 def _scan_block(target: _Target, n: int, k: int, tuples):

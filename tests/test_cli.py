@@ -371,6 +371,7 @@ class TestStartup:
         (["suite", "prop24", "--max-size", "3"], {"proofkit", "suites"}),
     ])
     def test_commands_import_what_they_use(self, argv, loaded):
+        import os
         import subprocess
         import sys
         from pathlib import Path
@@ -379,7 +380,8 @@ class TestStartup:
                   "print(*sorted(m for m in sys.modules if m.startswith('elas.')))")
         done = subprocess.run([sys.executable, "-c", script, *argv],
                               capture_output=True, text=True,
-                              env={"PYTHONPATH": str(Path(elas.__file__).parent.parent)})
+                              env={**os.environ,
+                                   "PYTHONPATH": str(Path(elas.__file__).parent.parent)})
         modules = set(done.stdout.split("\n")[-2].split())
         lazy = {f"elas.{m}" for m in ("proofkit", "suites", "translation")}
         assert modules & lazy == {f"elas.{m}" for m in loaded}

@@ -5,11 +5,12 @@ import itertools
 import json
 import math
 import random
+import sys
 import typing
 
 import pytest
 
-from reference import enumerate_models, naive_eval
+from reference import enumerate_models, naive_eval, reference_target
 
 from elas import modelsearch, semantics, syntax, translation
 from elas.modelsearch import (
@@ -657,12 +658,17 @@ class TestFold:
                 return {f}
             return set().union(*(maximal_k_free(kid) for kid in children(f)))
 
+        def k_nodes(f):
+            below = set().union(*map(k_nodes, children(f)))
+            return below | {f} if isinstance(f, Knows) else below
+
         hoisting = capped = 0
         for phi, _, _, epistemic in self._seeded_trials():
             for want_false in (False, True):
                 target = modelsearch._target(phi, want_false, epistemic)
                 depth = modal_depth(target.formula)
                 assert maximal_k_free(target.formula) == set(target.hoisted)
+                assert set(target.support) == k_nodes(target.formula)
                 assert not any(map(has_k, target.hoisted))
                 assert target.worlds == (0 if target.formula is Bot()
                                          else 1 + k_count(target.formula)
@@ -673,6 +679,69 @@ class TestFold:
                 capped += 1 < target.worlds < math.inf
         assert hoisting >= 200
         assert capped >= 200
+
+    @staticmethod
+    def _walk_cases():
+        """2,000 seeded formulas over ?x ?y ?z, a b and P/1 Q/2 of depth 1-5,
+        each with fewer symbols now and then."""
+        rng = random.Random(2718)
+        for _ in range(2000):
+            yield random_formula(rng, rng.sample(("x", "y", "z"), rng.randint(1, 3)),
+                                 rng.sample(("a", "b"), rng.randint(0, 2)),
+                                 {"P": 1, "Q": 2}, depth=rng.randint(1, 5))
+
+    def test_one_walk_reads_what_the_reference_reads(self):
+        # the typed walk against the generic walk and formula_signature
+        folded = 0
+        for phi in self._walk_cases():
+            for want_false, epistemic in itertools.product((False, True), repeat=2):
+                target = modelsearch._target(phi, want_false, epistemic)
+                reference = reference_target(phi, want_false, epistemic)
+                assert {field: getattr(target, field) for field in reference} == reference, \
+                    print_formula(phi)
+                folded += target.formula is not (Not(phi) if want_false else phi)
+        assert folded >= 2000
+
+    def test_supports_are_the_free_variables(self):
+        # each kept K node's support is the positions of its free variables
+        sizes = set()
+        for phi in self._walk_cases():
+            for want_false, epistemic in itertools.product((False, True), repeat=2):
+                target = modelsearch._target(phi, want_false, epistemic)
+                for node, support in target.support.items():
+                    assert support == tuple(sorted(target.var_pos[v] for v in free_vars(node)))
+                    sizes.add((len(support), len(target.var_pos)))
+        assert {(0, 3), (1, 3), (2, 3), (3, 3), (1, 2)} <= sizes
+
+    def test_search_walks_its_target_once(self, monkeypatch):
+        # one typed walk reads the target: no syntax walker runs before
+        # the first block is scanned
+        walkers = {"formula_signature", "_walk_signature", "_collect", "children",
+                   "terms_of", "rebuild", "subformulas", "free_vars", "all_vars"}
+        calls, scan = [], modelsearch._scan_block
+
+        def spy(*args):
+            calls.append("block")
+            return scan(*args)
+
+        def profile(frame, event, arg):
+            code = frame.f_code
+            if event != "call":
+                return
+            if code is modelsearch._target.__code__:
+                calls.append("_target")
+            elif code.co_filename == syntax.__file__ and code.co_name in walkers:
+                calls.append(code.co_name)
+        monkeypatch.setattr(modelsearch, "_scan_block", spy)
+        # symbols no other test uses, so that no signature is remembered
+        phi = parse_formula("[?x27 := ?y27] K{a27} P27(?x27) -> K{a27} [?x27 := ?y27] P27(?x27)")
+        sys.setprofile(profile)
+        try:
+            verdict = find_countermodel(phi, EPISTEMIC33)
+        finally:
+            sys.setprofile(None)
+        assert verdict == NoCountermodelUpTo(EPISTEMIC33)
+        assert calls[:calls.index("block")] == ["_target"]
 
 
 class TestFindWitness:
@@ -940,6 +1009,33 @@ class TestFastScanAgainstSlowScan:
         for bounds in (EPISTEMIC22, ARBITRARY22):
             fast = _first_point(phi, bounds, target)
             assert fast == self._slow_first_point(phi, bounds, target)
+
+    _slow_points = {}
+
+    @pytest.mark.parametrize("lanes", [None, 4])
+    @pytest.mark.parametrize("target", [False, True])
+    @pytest.mark.parametrize("text", [
+        # valid rows whose K nodes read fewer variables than the target binds
+        "[?x := ?y] K{a} P(?x) -> K{a} [?x := ?y] P(?x)",
+        "?x = a -> (K{?x} P(a) -> K{a} P(a))",
+        "(?y = ?x) -> (K{?y} (a = ?y) <-> K{?x} (a = ?y))",
+        "[?x := ?y] K{?z} P(?x) -> K{?z} [?x := ?y] P(?x)",
+        # first hits whose assignment moves a variable K does not read
+        "~(?x = ?y) -> K{?z} P(?x)",
+        "~(?y = ?x) & ~K{a} P(?x)",
+    ])
+    def test_first_hits_where_k_reads_fewer_variables(self, text, target, lanes,
+                                                      monkeypatch):
+        # A K node computes its masks in one column per value of its free
+        # variables and stores them in every column that agrees there.
+        if lanes is not None:
+            monkeypatch.setattr(modelsearch, "_LANES", lanes)
+        phi = parse_formula(text)
+        for bounds in (EPISTEMIC22, ARBITRARY22):
+            key = text, bounds, target
+            if key not in self._slow_points:
+                self._slow_points[key] = self._slow_first_point(phi, bounds, target)
+            assert _first_point(phi, bounds, target) == self._slow_points[key]
 
     @pytest.mark.parametrize("lanes", [1, 5, 64, 1 << 16])
     @pytest.mark.parametrize("text", [
