@@ -419,20 +419,15 @@ def _knows(phi: Knows, shape: _Shape, target: _Target, hoisted: dict):
     # K's masks read only its free variables: computed in the columns that
     # put every other variable at agent 0, stored at each offset of theirs
     support = target.support[phi]
-
-    def spread():
-        return shape.columns(support), shape.columns(
-            [i for i in range(len(shape.strides)) if i not in support])
+    reps, offsets = _memo(shape, ("knows", support), lambda: (
+        shape.columns(support),
+        shape.columns([i for i in range(len(shape.strides)) if i not in support])))
     if type(phi.agent) is Var:
         i = target.var_pos[phi.agent.id]
         col = shape.var_columns[i]
-
-        def by_agent():
-            # per agent, the representative columns in which the variable names it
-            reps, offsets = spread()
-            return [(a, cols) for a in range(shape.k)
-                    if (cols := [s for s in reps if col[s] == a])], offsets
-        by_agent, offsets = _memo(shape, ("knows", i, support), by_agent)
+        # per agent, the representative columns in which the variable names it
+        by_agent = _memo(shape, ("knows", i, support), lambda: [
+            (a, cols) for a in range(shape.k) if (cols := [s for s in reps if col[s] == a])])
 
         def run(ctx):
             groups, bm = ctx[1], sub(ctx)
@@ -452,7 +447,6 @@ def _knows(phi: Knows, shape: _Shape, target: _Target, hoisted: dict):
             return out
         return run
     d = target.name_pos[phi.agent.id] * n
-    reps, offsets = _memo(shape, ("knows", support), spread)
 
     def run(ctx):
         succ, eta, bm, out = ctx[0], ctx[2], sub(ctx), [0] * (n * S)
